@@ -1,9 +1,10 @@
-"""Compare the compiled kernel against the pure-Python twin.
+"""Kernel backends side by side, and the power engine against its oracle.
 
-Covers the two kernel entry points (composition enumeration, integer
-convolution) and the end-to-end power scan that drives them.  Both backends
-are timed in one process by swapping the functions the engine dispatches
-through, so the numbers differ only in kernel implementation.
+The two kernel entry points (composition enumeration, integer convolution)
+are timed on the pure-Python twin and, when built, the compiled kernel.
+`power_scan` no longer runs on the kernel, so its row times the one-pass
+engine against the composition oracle of the test suite (balanced
+compositions on the pure kernel, base integrals from a cold cache).
 
 Usage: python benchmarks/bench_backends.py [--quick]
 """
@@ -11,6 +12,7 @@ Usage: python benchmarks/bench_backends.py [--quick]
 from __future__ import annotations
 
 import argparse
+import pathlib
 import sys
 import time
 from fractions import Fraction
@@ -18,6 +20,9 @@ from fractions import Fraction
 from su2haar import _kernel, _kernel_py
 from su2haar.integrals import clear_cache
 from su2haar.powers import FiniteFunction, power_scan
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "tests"))
+from conftest import composition_power_scan  # noqa: E402
 
 try:
     from su2haar import _kernel_c
@@ -55,7 +60,7 @@ def bench_convolution(kernel, rounds):
     return timed(run)
 
 
-def bench_power_scan(impl, pmax):
+def bench_power_scan(scan, pmax):
     f = FiniteFunction.from_terms(
         [
             ((2, 2, -2), (1, 0)),
@@ -66,13 +71,13 @@ def bench_power_scan(impl, pmax):
         ]
     )
     saved = (_kernel.convolve, _kernel.vec_pow, _kernel.balanced_compositions)
-    _kernel.convolve = impl.convolve
-    _kernel.vec_pow = impl.vec_pow
-    _kernel.balanced_compositions = impl.balanced_compositions
+    _kernel.convolve = _kernel_py.convolve
+    _kernel.vec_pow = _kernel_py.vec_pow
+    _kernel.balanced_compositions = _kernel_py.balanced_compositions
     try:
         def run():
             clear_cache()
-            power_scan(f, pmax)
+            scan(f, pmax)
 
         return timed(run, repeat=2)
     finally:
@@ -94,17 +99,21 @@ def main(argv=None) -> int:
     else:
         print("note: compiled kernel not built; benchmarking pure only", file=sys.stderr)
 
-    print(f"{'benchmark':<34}" + "".join(f"{name:>12}" for name, _ in backends) + f"{'speedup':>10}")
-    rows = [
+    def table(header, rows, impls):
+        print(f"{header:<34}" + "".join(f"{name:>12}" for name, _ in impls) + f"{'speedup':>10}")
+        for label, bench in rows:
+            times = [bench(impl) for _, impl in impls]
+            cells = "".join(f"{t * 1e3:>10.2f}ms" for t in times)
+            speedup = f"{times[0] / times[-1]:>9.1f}x" if len(times) > 1 else f"{'n/a':>10}"
+            print(f"{label:<34}{cells}{speedup}")
+
+    table("kernel", [
         (f"enumeration k=5 pmax={pmax}", lambda impl: bench_enumeration(impl, pmax)),
         (f"convolution chain x{rounds}", lambda impl: bench_convolution(impl, rounds)),
-        (f"power_scan k=5 pmax={pmax} (cold)", lambda impl: bench_power_scan(impl, pmax)),
-    ]
-    for label, bench in rows:
-        times = [bench(impl) for _, impl in backends]
-        cells = "".join(f"{t * 1e3:>10.2f}ms" for t in times)
-        speedup = f"{times[0] / times[-1]:>9.1f}x" if len(times) > 1 else f"{'n/a':>10}"
-        print(f"{label:<34}{cells}{speedup}")
+    ], backends)
+    table("engine", [
+        (f"power_scan k=5 pmax={pmax} (cold)", lambda scan: bench_power_scan(scan, pmax)),
+    ], [("oracle", composition_power_scan), ("one-pass", power_scan)])
     return 0
 
 

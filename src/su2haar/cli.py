@@ -20,7 +20,7 @@ from .harness import FuzzConfig, fuzz, run_verification_suite
 from .hull import OriginInHullError, SupportHull, hull_certificate, vanishing_threshold
 from .integrals import ProductSpec, integrate_product
 from .numeric import mc_integral
-from .powers import FiniteFunction, power_integral_with_witness, power_scan
+from .powers import FiniteFunction, power_scan
 from .scalars import HalfInt
 from .wigner import MatrixElementIndex
 
@@ -32,11 +32,14 @@ class InputError(Exception):
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except OSError as e:
         raise InputError(f"cannot read {path}: {e}") from None
     except json.JSONDecodeError as e:
         raise InputError(f"{path}: invalid JSON: {e}") from None
+    if not isinstance(obj, dict):
+        raise InputError(f"{path}: expected a JSON object at the top level")
+    return obj
 
 
 def _check_schema(obj: dict, path: str) -> None:
@@ -45,9 +48,13 @@ def _check_schema(obj: dict, path: str) -> None:
 
 
 def _parse_index_obj(obj: dict, where: str) -> MatrixElementIndex:
+    if not isinstance(obj, dict):
+        raise InputError(f"{where}: expected an object with fields l, m, n")
     for field in ("l", "m", "n"):
         if field not in obj:
             raise InputError(f"{where}: missing field {field!r}")
+        if isinstance(obj[field], bool):
+            raise InputError(f"{where}: {field} must be a string such as \"1/2\" or an integer")
     try:
         return MatrixElementIndex.of(obj["l"], obj["m"], obj["n"])
     except (ValueError, TypeError) as e:
@@ -68,11 +75,13 @@ def load_product_file(path: str) -> tuple[ProductSpec, Optional[MatrixElementInd
     _check_schema(obj, path)
     if "factors" not in obj:
         raise InputError(f"{path}: missing field 'factors'")
+    if not isinstance(obj["factors"], list):
+        raise InputError(f"{path}: factors must be a list of factor objects")
     factors = []
     for i, fac in enumerate(obj["factors"]):
         idx = _parse_index_obj(fac, f"{path}: factors[{i}]")
         power = fac.get("power", 1)
-        if not isinstance(power, int) or power < 1:
+        if not isinstance(power, int) or isinstance(power, bool) or power < 1:
             raise InputError(f"{path}: factors[{i}].power must be a positive integer")
         factors.append((idx, power))
     shift = None
@@ -127,12 +136,8 @@ def _cmd_power_scan(ns, argv, started) -> int:
         raise InputError("--pmax must be >= 1")
     f = load_function_file(ns.file)
     witness = parse_index_flag(ns.with_h, "--with-h") if ns.with_h else None
-    if witness is None:
-        values = power_scan(f, ns.pmax)
-    else:
-        values = [(p, power_integral_with_witness(f, p, witness)) for p in range(1, ns.pmax + 1)]
     rows = []
-    for p, value in values:
+    for p, value in power_scan(f, ns.pmax, witness=witness):
         row = {"P": p, "exact": value.to_json()}
         if ns.mc:
             target = (f, p, witness) if witness is not None else (f, p)

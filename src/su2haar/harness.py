@@ -29,7 +29,6 @@ from .powers import (
     GaussianRational,
     minimal_balanced_pair,
     power_integral,
-    power_integral_with_witness,
     power_scan,
 )
 from .integrals import ProductSpec, integrate_product
@@ -439,9 +438,8 @@ def _suite_two_term() -> SuiteItem:
             if two_term_criterion(p1, p2):
                 alpha, beta = minimal_balanced_pair(p1, p2)
                 m_total = alpha + beta
-                v1 = power_integral(f, m_total)
-                v2 = power_integral(f, 2 * m_total)
-                if v1.is_zero() and v2.is_zero():
+                scan = power_scan(f, 2 * m_total)
+                if scan[m_total - 1][1].is_zero() and scan[-1][1].is_zero():
                     return SuiteItem(
                         "two-term-criterion",
                         False,
@@ -524,8 +522,7 @@ def _suite_threshold(trials: int = 50) -> SuiteItem:
             continue
         witness = _random_index(rng, HalfInt(2))
         p0 = vanishing_threshold(h, (witness.m, witness.n))
-        for p in range(p0, p0 + 11):
-            value = power_integral_with_witness(f, p, witness)
+        for p, value in power_scan(f, p0 + 10, witness=witness)[p0 - 1:]:
             if not value.is_zero():
                 return SuiteItem(
                     "threshold-soundness",

@@ -1,28 +1,65 @@
 """Power integrals of finite matrix-element combinations.
 
-For f = sum_i A_i t[l_i, m_i, n_i] the multinomial theorem turns
-integral(f^P) into a sum over compositions alpha of P of
+For f = sum_i A_i t[l_i, m_i, n_i], `power_scan` computes integral(f^P) (or
+integral(f^P * h) for one extra element h = t[l, a, b]) for every
+P = 1..pmax in a single pass that multiplies by f once per step.
 
-    multinomial(P; alpha) * prod A_i^alpha_i * integral(prod t_i^alpha_i),
+The u-form.  In Euler coordinates g = k(phi) a(theta) k(psi) the phi and psi
+integrals keep only the part of a product with total frequency (M, N) = 0,
+and with u = sin^2(theta/2) the rest of the normalized Haar measure is du on
+[0, 1].  Each element restricted to a(theta) reads
 
-and the frequency filter restricts the sum to compositions with
-sum alpha_i m_i = 0 = sum alpha_i n_i (shifted to (-a, -b) when an extra
-element t[l, a, b] multiplies the power).  The composition search runs on the
-kernel backend with interval pruning, and base integrals are memoized across
-calls by their factor multisets.
+    t[l, m, n](a(theta)) = i^phase * sqrt(r) * c^eps * s^delta * q(u),
+
+with c = cos(theta/2), s = sin(theta/2), r squarefree, q a rational
+polynomial, and the parities eps, delta fixed by (m, n).  A balanced
+product has even parities, so its integral is integral_0^1 poly(u) du =
+sum_j c_j / (j + 1): the constant-term view of Duistermaat and van der
+Kallen.
+
+States.  After step P a state is the part of f^P (times h, folded in as the
+starting state) with total frequency (M, N), keyed by
+(2M, 2N, eps, delta, r).  Every coefficient is scaled by one common integer
+E per factor of f, so the state's polynomial has Gaussian-integer
+coefficients.  Each polynomial is Kronecker-packed into two Python ints, its
+real and imaginary parts, with one signed slot of w bits per power of u.  A
+step is a few big-integer multiplies per (state, element): c^2 folds in as
+1 - u, s^2 as u, and sqrt(a) * sqrt(b) as g * sqrt(ab / g^2), g = gcd(a, b).
+
+Slot bound.  Writing ||.|| for the sum of |re| + |im| over all coefficients,
+one step multiplies the summed norm of all states by at most
+sum_i 2 r_i ||Q_i|| (Q_i the scaled polynomial of element i, r_i its
+radicand), so every coefficient any state can hold is bounded by
+||H|| * (sum_i 2 r_i ||Q_i||)^pmax, with H the scaled witness polynomial
+(1 without a witness).  w is fixed from that bound up front, so every slot
+unpacks exactly.
+
+Pruning.  A state at step p can still reach the target (M, N) = 0 within at
+most rem = pmax - p further steps only if -(M, N) lies in
+rem * conv(support + {0}); other states are dropped, tested on the
+half-planes of that hull.  With the origin outside the hull of the support
+every state dies at step 1.
+
+Read-out.  integral(f^P [h]) is the zero-frequency state after step P, read
+per radicand as sum_j c_j / (j + 1) / (E_h E^P).
+
+The test suite's oracle for this pass is the multinomial sum over
+frequency-balanced compositions.  `enumerate_balanced_compositions` lists
+those compositions; it is the only code here on the kernel backend
+(`_kernel`, compiled or pure), which the pass itself never calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd
-from typing import Iterable, List, Optional, Tuple
+from math import comb, gcd, lcm
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from . import _kernel
-from .integrals import ProductSpec, integrate_product
+from .hull import _halfplanes
 from .scalars import HalfInt, RadicalScalar
-from .wigner import MatrixElementIndex
+from .wigner import MatrixElementIndex, theta_restriction
 
 GaussianRational = Tuple[Fraction, Fraction]
 
@@ -58,6 +95,10 @@ def gaussian_pow(a: GaussianRational, n: int) -> GaussianRational:
         base = gaussian_mul(base, base)
         n >>= 1
     return result
+
+
+def _is_json_int_or_str(value) -> bool:
+    return isinstance(value, (int, str)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -117,20 +158,33 @@ class FiniteFunction:
 
     @staticmethod
     def from_json(obj: dict) -> "FiniteFunction":
+        """Parse the function-file format; any malformed shape raises ValueError."""
         if "terms" not in obj:
             raise ValueError("missing field: terms")
+        if not isinstance(obj["terms"], list):
+            raise ValueError("terms must be a list of term objects")
         terms = []
         for i, t in enumerate(obj["terms"]):
+            if not isinstance(t, dict):
+                raise ValueError(f"terms[{i}] must be an object")
+            for key in ("l", "m", "n"):
+                if key not in t:
+                    raise ValueError(f"terms[{i}]: missing field {key!r}")
+                if not _is_json_int_or_str(t[key]):
+                    raise ValueError(f"terms[{i}].{key} must be a string such as \"1/2\" or an integer")
             try:
                 idx = MatrixElementIndex.of(t["l"], t["m"], t["n"])
-            except KeyError as e:
-                raise ValueError(f"terms[{i}]: missing field {e.args[0]!r}") from None
             except ValueError as e:
                 raise ValueError(f"terms[{i}]: {e}") from None
             coeff = t.get("coeff", {})
+            if not isinstance(coeff, dict):
+                raise ValueError(f"terms[{i}].coeff must be an object with fields re and im")
+            parts = (coeff.get("re", "0"), coeff.get("im", "0"))
+            if not all(_is_json_int_or_str(x) or isinstance(x, float) for x in parts):
+                raise ValueError(f"terms[{i}].coeff: re and im must be rationals such as \"-3/4\"")
             try:
-                re, im = Fraction(coeff.get("re", "0")), Fraction(coeff.get("im", "0"))
-            except (ValueError, ZeroDivisionError):
+                re, im = Fraction(parts[0]), Fraction(parts[1])
+            except (ValueError, ZeroDivisionError, OverflowError):
                 raise ValueError(f"terms[{i}].coeff: invalid rational") from None
             terms.append((idx, (re, im)))
         return FiniteFunction(tuple(terms))
@@ -150,36 +204,175 @@ def enumerate_balanced_compositions(
     return _kernel.balanced_compositions(ms2, ns2, power, target[0].twice, target[1].twice)
 
 
-def _composition_sum(
-    f: FiniteFunction,
-    power: int,
-    target: Tuple[HalfInt, HalfInt],
-    shift: Optional[MatrixElementIndex],
-) -> RadicalScalar:
-    indices = f.indices()
-    total = RadicalScalar.zero()
-    fact_p = factorial(power)
-    for alpha in enumerate_balanced_compositions(f, power, target):
-        coeff: GaussianRational = (Fraction(fact_p), Fraction(0))
-        spec_factors = []
-        for (idx, a_coeff), a in zip(f.terms, alpha):
-            if a == 0:
+class _UForm(NamedTuple):
+    """t[l,m,n](a(theta)) = i^phase * sqrt(radicand) * c^eps * s^delta * sum_j poly[j] u^j / denom."""
+
+    eps: int
+    delta: int
+    phase: int
+    radicand: int
+    denom: int
+    poly: Tuple[int, ...]
+
+
+def _u_form(idx: MatrixElementIndex) -> _UForm:
+    """The element on a(theta) in u = s^2: each c^p s^q becomes c^eps s^delta (1-u)^a u^b."""
+    data = theta_restriction(idx)
+    eps, delta = data.terms[0][0] % 2, data.terms[0][1] % 2
+    denom = lcm(*(coeff.denominator for _, _, coeff in data.terms))
+    poly = [0] * (data.degree // 2 + 1)
+    for c_exp, s_exp, coeff in data.terms:
+        a, b = c_exp // 2, s_exp // 2
+        scaled = coeff.numerator * (denom // coeff.denominator)
+        for j in range(a + 1):
+            poly[b + j] += -scaled * comb(a, j) if j % 2 else scaled * comb(a, j)
+    return _UForm(eps, delta, data.phase, data.radicand, denom, tuple(poly))
+
+
+_I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))
+
+_StateKey = Tuple[int, int, int, int, int]          # (2M, 2N, eps, delta, radicand)
+
+
+def _scaled_u_polys(terms) -> Tuple[int, Dict[_StateKey, List[Tuple[int, int]]]]:
+    """(E, polys): sum_i A_i t_i as Gaussian-integer u-polynomials over one denominator E.
+
+    Keys are (2m, 2n, eps, delta, r).  Elements sharing (m, n) share their
+    parities and phase, so terms that also share the radicand add into one
+    polynomial.
+    """
+    parts = []
+    for idx, coeff in terms:
+        form = _u_form(idx)
+        re, im = gaussian_mul(coeff, _I_POWERS[form.phase])
+        unit = lcm(re.denominator, im.denominator)
+        key = (idx.m.twice, idx.n.twice, form.eps, form.delta, form.radicand)
+        parts.append((key, unit * form.denom, re.numerator * (unit // re.denominator),
+                      im.numerator * (unit // im.denominator), form.poly))
+    scale = lcm(*(denom for _, denom, _, _, _ in parts))
+    polys: Dict[_StateKey, List[Tuple[int, int]]] = {}
+    for key, denom, re, im, poly in parts:
+        acc = polys.setdefault(key, [])
+        acc.extend([(0, 0)] * (len(poly) - len(acc)))
+        re, im = re * (scale // denom), im * (scale // denom)
+        for j, q in enumerate(poly):
+            acc[j] = (acc[j][0] + re * q, acc[j][1] + im * q)
+    return scale, polys
+
+
+def _norm(poly: List[Tuple[int, int]]) -> int:
+    return sum(abs(re) + abs(im) for re, im in poly)
+
+
+def _pack(coeffs: Iterable[int], width: int) -> int:
+    """Kronecker substitution u = 2^width; slots are signed."""
+    return sum(c << (width * j) for j, c in enumerate(coeffs))
+
+
+def _u_integral(packed: int, width: int, scale: int) -> Fraction:
+    """integral_0^1 poly(u) du / scale for a packed polynomial with slots |c| < 2^(width-1)."""
+    mask, half, coeffs = (1 << width) - 1, 1 << (width - 1), []
+    while packed:
+        c = packed & mask
+        if c >= half:
+            c -= 1 << width
+        coeffs.append(c)
+        packed = (packed - c) >> width
+    denom = lcm(*range(1, len(coeffs) + 1))
+    return Fraction(sum(c * (denom // (j + 1)) for j, c in enumerate(coeffs)), denom * scale)
+
+
+def _reachable(pos: Tuple[int, int], rem: int, hull) -> bool:
+    """True iff -pos lies in rem * C for C = {x : u*x1 + v*x2 <= c for (u, v, c) in hull}."""
+    x, y = pos
+    for u, v, c in hull:
+        if u * x + v * y + rem * c < 0:
+            return False
+    return True
+
+
+def power_scan(
+    f: FiniteFunction, pmax: int, witness: Optional[MatrixElementIndex] = None
+) -> List[Tuple[int, RadicalScalar]]:
+    """Values of integral(f^P), or integral(f^P * witness), for P = 1..pmax in one pass."""
+    if pmax < 1:
+        raise ValueError("pmax must be >= 1")
+    scale_f, elements = _scaled_u_polys(f.terms)
+    if witness is None:
+        scale_h, start = 1, {(0, 0, 0, 0, 1): [(1, 0)]}
+    else:
+        scale_h, start = _scaled_u_polys(((witness, (Fraction(1), Fraction(0))),))
+    growth = sum(2 * key[4] * _norm(poly) for key, poly in elements.items())
+    width = (sum(_norm(poly) for poly in start.values()) * growth ** pmax).bit_length() + 1
+
+    packed = [
+        (key, _pack((re for re, _ in poly), width), _pack((im for _, im in poly), width))
+        for key, poly in elements.items()
+    ]
+    states = {
+        key: (_pack((re for re, _ in poly), width), _pack((im for _, im in poly), width))
+        for key, poly in start.items()
+    }
+    hull = [(int(u), int(v), int(c)) for u, v, c in _halfplanes([k[:2] for k in elements] + [(0, 0)])]
+    one_minus_u = 1 - (1 << width)
+    folded: dict = {}            # (state eps, delta, r, element) -> folded element and new parities
+
+    def fold(eps, delta, r, i):
+        (_, _, e_eps, e_delta, e_r), re, im = packed[i]
+        g = gcd(r, e_r)
+        factor = g * (one_minus_u if eps & e_eps else 1) << (width if delta & e_delta else 0)
+        return (eps ^ e_eps, delta ^ e_delta, (r // g) * (e_r // g), re * factor, im * factor)
+
+    values: List[Tuple[int, RadicalScalar]] = []
+    denom = scale_h
+    for p in range(1, pmax + 1):
+        rem = pmax - p
+        denom *= scale_f
+        reachable: dict = {}
+        nxt: dict = {}
+        for (m2, n2, eps, delta, r), (sr, si) in states.items():
+            for i, ((dm, dn, *_), _, _) in enumerate(packed):
+                pos = (m2 + dm, n2 + dn)
+                ok = reachable.get(pos)
+                if ok is None:
+                    ok = reachable[pos] = _reachable(pos, rem, hull)
+                if not ok:
+                    continue
+                fkey = (eps, delta, r, i)
+                entry = folded.get(fkey)
+                if entry is None:
+                    entry = folded[fkey] = fold(eps, delta, r, i)
+                new_eps, new_delta, new_r, er, ei = entry
+                if not ei:
+                    re, im = sr * er, si * er
+                elif not si:
+                    re, im = sr * er, sr * ei
+                else:
+                    k1 = er * (sr + si)
+                    re, im = k1 - si * (er + ei), k1 + sr * (ei - er)
+                key = (pos[0], pos[1], new_eps, new_delta, new_r)
+                acc = nxt.get(key)
+                nxt[key] = (re, im) if acc is None else (acc[0] + re, acc[1] + im)
+        states = {key: v for key, v in nxt.items() if v[0] or v[1]}
+        real, imag = {}, {}
+        for (m2, n2, eps, delta, r), (sr, si) in states.items():
+            if m2 or n2:
                 continue
-            coeff = gaussian_mul(coeff, gaussian_pow(a_coeff, a))
-            coeff = (coeff[0] / factorial(a), coeff[1] / factorial(a))
-            spec_factors.append((idx, a))
-        base = integrate_product(ProductSpec(tuple(spec_factors)), shift)
-        if base.is_zero():
-            continue
-        total = total + base * RadicalScalar.from_gaussian(*coeff)
-    return total
+            assert not (eps or delta), "a zero-frequency product has even parities"
+            for part, packed_part in ((real, sr), (imag, si)):
+                value = _u_integral(packed_part, width, denom)
+                if value:
+                    part[r] = value
+        # each radicand is squarefree and keys one state: the maps are canonical
+        values.append((p, RadicalScalar(real, imag, _canonical=True)))
+    return values
 
 
 def power_integral(f: FiniteFunction, power: int) -> RadicalScalar:
     """Exact value of integral(f^P) over the normalized Haar measure."""
     if power < 1:
         raise ValueError("power must be >= 1")
-    return _composition_sum(f, power, (HalfInt(0), HalfInt(0)), None)
+    return power_scan(f, power)[-1][1]
 
 
 def power_integral_with_witness(
@@ -188,15 +381,7 @@ def power_integral_with_witness(
     """Exact value of integral(f^P * t[l, a, b]) with h = t[l, a, b]."""
     if power < 1:
         raise ValueError("power must be >= 1")
-    target = (-h.m, -h.n)
-    return _composition_sum(f, power, target, h)
-
-
-def power_scan(f: FiniteFunction, pmax: int) -> List[Tuple[int, RadicalScalar]]:
-    """Values of integral(f^P) for P = 1..pmax, sharing the base-integral cache."""
-    if pmax < 1:
-        raise ValueError("pmax must be >= 1")
-    return [(p, power_integral(f, p)) for p in range(1, pmax + 1)]
+    return power_scan(f, power, witness=h)[-1][1]
 
 
 def minimal_balanced_pair(

@@ -10,7 +10,12 @@ import pytest
 
 from su2haar.integrals import ProductSpec, frequency_of, integrate_product, monomial_theta_integral
 from su2haar.numeric import group_matrix
-from su2haar.powers import FiniteFunction, gaussian_mul, gaussian_pow
+from su2haar.powers import (
+    FiniteFunction,
+    enumerate_balanced_compositions,
+    gaussian_mul,
+    gaussian_pow,
+)
 from su2haar.scalars import HalfInt, RadicalScalar
 from su2haar.wigner import MatrixElementIndex, matrix_element_trigpoly
 
@@ -67,7 +72,8 @@ def integrate_via_trigpoly(spec: ProductSpec, shift=None) -> RadicalScalar:
 
 
 # ---------------------------------------------------------------------------
-# oracle 2: unfiltered multinomial sum (no balanced-composition pruning)
+# oracle 2: multinomial sums over compositions, with and without the frequency
+# filter.  Both share no code with the one-pass engine behind power_scan.
 # ---------------------------------------------------------------------------
 
 def all_compositions(k: int, total: int):
@@ -79,12 +85,11 @@ def all_compositions(k: int, total: int):
             yield (head,) + rest
 
 
-def brute_force_power_integral(f: FiniteFunction, power: int, h=None) -> RadicalScalar:
-    """Multinomial sum over every composition, no frequency pruning."""
-    k = len(f.terms)
+def _multinomial_sum(f: FiniteFunction, power: int, compositions, h=None) -> RadicalScalar:
+    """sum over alpha of multinomial(P; alpha) * prod A_i^alpha_i * integral(prod t_i^alpha_i [* h])."""
     total = RadicalScalar.zero()
     fact = math.factorial
-    for alpha in all_compositions(k, power):
+    for alpha in compositions:
         coeff = (Fraction(fact(power)), Fraction(0))
         factors = []
         for (index, a_coeff), a in zip(f.terms, alpha):
@@ -97,6 +102,22 @@ def brute_force_power_integral(f: FiniteFunction, power: int, h=None) -> Radical
             continue
         total = total + base * RadicalScalar.from_gaussian(*coeff)
     return total
+
+
+def brute_force_power_integral(f: FiniteFunction, power: int, h=None) -> RadicalScalar:
+    """Multinomial sum over every composition, no frequency pruning."""
+    return _multinomial_sum(f, power, all_compositions(len(f.terms), power), h)
+
+
+def composition_power_integral(f: FiniteFunction, power: int, h=None) -> RadicalScalar:
+    """Multinomial sum over the frequency-balanced compositions the kernel enumerates."""
+    target = (HalfInt(0), HalfInt(0)) if h is None else (-h.m, -h.n)
+    return _multinomial_sum(f, power, enumerate_balanced_compositions(f, power, target), h)
+
+
+def composition_power_scan(f: FiniteFunction, pmax: int, witness=None):
+    """Drop-in for power_scan built on composition_power_integral, one P at a time."""
+    return [(p, composition_power_integral(f, p, witness)) for p in range(1, pmax + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -131,6 +131,40 @@ class TestPowerScan:
         assert "--pmax" in err
 
 
+class TestMalformedInput:
+    """Every malformed file exits 2 with one error line and no traceback."""
+
+    TERM = {"l": "1", "m": "0", "n": "0", "coeff": {"re": "1", "im": "0"}}
+
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ({"terms": [dict(TERM, l=1.5)]}, "terms[0].l"),
+            ({"terms": [dict(TERM, coeff="1")]}, "terms[0].coeff"),
+            ({"terms": "x"}, "terms must be a list"),
+            ({"terms": ["x"]}, "terms[0] must be an object"),
+            ([TERM], "JSON object"),
+        ],
+        ids=["float-spin", "string-coeff", "string-terms", "string-term", "top-level-list"],
+    )
+    def test_function_file(self, capsys, tmp_path, obj, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run_cli(capsys, "hull", str(path))
+        assert code == 2
+        assert out == ""
+        assert message in err
+        assert "Traceback" not in err
+
+    def test_boolean_power_rejected(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"factors": [{"l": "0", "m": "0", "n": "0", "power": True}]}))
+        code, out, err = run_cli(capsys, "integrate", str(path))
+        assert code == 2
+        assert out == ""
+        assert "factors[0].power" in err
+
+
 class TestHullAndThreshold:
     def test_hull_outside_with_separator(self, capsys, single_element):
         code, out, _ = run_cli(capsys, "hull", single_element)
