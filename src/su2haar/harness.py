@@ -33,7 +33,7 @@ from .powers import (
 )
 from .integrals import ProductSpec, integrate_product
 from .scalars import HalfInt, RadicalScalar
-from .wigner import MatrixElementIndex, legendre_poly
+from .wigner import MatrixElementIndex
 
 VERDICT_CONSISTENT = "consistent"
 VERDICT_INCONCLUSIVE = "inconclusive-candidate"
@@ -266,7 +266,8 @@ def legendre_power_moments(
     """Exact moments (1/2) integral_{-1}^{1} f(x)^P dx for P = 1..pmax.
 
     f(x) = sum_l A_l P_l(x); these are the power integrals of the
-    two-sided-invariant combination sum_l A_l t[l, 0, 0].
+    two-sided-invariant combination sum_l A_l t[l, 0, 0], read off one
+    `power_scan` of it (t[l, 0, 0](a(theta)) = P_l(cos theta)).
     """
     if not coeffs:
         raise ValueError("need at least one coefficient")
@@ -278,37 +279,17 @@ def legendre_power_moments(
     if pmax < 1:
         raise ValueError("pmax must be >= 1")
 
-    degree = max(norm)
-    base_re = [Fraction(0)] * (degree + 1)
-    base_im = [Fraction(0)] * (degree + 1)
-    for l, (re, im) in norm.items():
-        for j, c in enumerate(legendre_poly(l).coeffs):
-            base_re[j] += re * c
-            base_im[j] += im * c
+    f = FiniteFunction(
+        tuple((MatrixElementIndex.of(l, 0, 0), c) for l, c in norm.items() if c != (0, 0))
+    )
+    return [_gaussian_part(value) for _, value in power_scan(f, pmax)]
 
-    def poly_mul(a, b):
-        out_re = [Fraction(0)] * (len(a[0]) + len(b[0]) - 1)
-        out_im = [Fraction(0)] * (len(a[0]) + len(b[0]) - 1)
-        for i, (ar, ai) in enumerate(zip(*a)):
-            if ar == 0 and ai == 0:
-                continue
-            for j, (br, bi) in enumerate(zip(*b)):
-                out_re[i + j] += ar * br - ai * bi
-                out_im[i + j] += ar * bi + ai * br
-        return (out_re, out_im)
 
-    def moment(poly):
-        re = sum((c / (j + 1) for j, c in enumerate(poly[0]) if j % 2 == 0), Fraction(0))
-        im = sum((c / (j + 1) for j, c in enumerate(poly[1]) if j % 2 == 0), Fraction(0))
-        return (re, im)
-
-    base = (base_re, base_im)
-    cur = base
-    moments = [moment(cur)]
-    for _ in range(2, pmax + 1):
-        cur = poly_mul(cur, base)
-        moments.append(moment(cur))
-    return moments
+def _gaussian_part(value: RadicalScalar) -> GaussianRational:
+    """(re, im) of a value with no radicals; t[l,0,0] has radicand 1, so its moments have none."""
+    re, im = dict(value.real_terms()), dict(value.imag_terms())
+    assert set(re) <= {1} and set(im) <= {1}, f"irrational Legendre moment {value}"
+    return (re.get(1, Fraction(0)), im.get(1, Fraction(0)))
 
 
 def legendre_moment_scan(

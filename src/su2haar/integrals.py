@@ -11,22 +11,27 @@ M - N is always an integer).  Surviving integrals reduce to
     (2pi * 4pi) / (16 pi^2) * integral_0^pi (product at a(theta)) sin(theta) d(theta)
   = 1/2 * integral_0^pi ... ,
 
-and each even monomial c^a s^b integrates in closed form to
-2 * (a/2)! * (b/2)! / ((a+b)/2 + 1)!.  No pi ever appears in a stored value.
+and with u = sin^2(theta/2) the measure 1/2 * sin(theta) d(theta) becomes du
+on [0, 1].  `integrate_product` works on the u-form of each element
+(`wigner.u_form`, i^phase * sqrt(r) * c^eps * s^delta * q(u)): it multiplies
+the factors' integer u-polynomials, sums their parities (a balanced product
+has even ones, so c^2 folds in as 1 - u and s^2 as u) and reads the integral
+off as sum_j c_j / (j + 1) with `u_integral`, the read-out `power_scan`
+shares.  `monomial_theta_integral` keeps the closed form
+2 * (a/2)! * (b/2)! / ((a+b)/2 + 1)! of a single monomial c^a s^b for the
+(c, s) route the tests compare against.  No pi ever appears in a stored value.
 """
 
 from __future__ import annotations
 
-import functools
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
-from typing import NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from . import _kernel
 from .scalars import HalfInt, RadicalScalar, radical_normalize
-from .wigner import MatrixElementIndex, theta_restriction
+from .wigner import MatrixElementIndex, u_form
 
 
 class ParityError(ArithmeticError):
@@ -91,9 +96,6 @@ class ProductSpec:
             return self
         return ProductSpec(self.factors + ((extra, 1),))
 
-    def total_power(self) -> int:
-        return sum(p for _, p in self.factors)
-
     def __iter__(self):
         return iter(self.factors)
 
@@ -127,37 +129,10 @@ def monomial_theta_integral(c_exp: int, s_exp: int) -> Fraction:
     return Fraction(2 * factorial(half_a) * factorial(half_b), factorial(half_a + half_b + 1))
 
 
-class _ElementVector(NamedTuple):
-    """Integer-vector form of one element on a(theta): i^phase*sqrt(radicand)/denom * vec."""
-
-    degree: int
-    phase: int
-    radicand: int
-    denom: int
-    vec: Tuple[int, ...]
-
-
-@functools.lru_cache(maxsize=None)
-def _element_vector(idx: MatrixElementIndex) -> _ElementVector:
-    data = theta_restriction(idx)
-    denom = lcm(*(coeff.denominator for _, _, coeff in data.terms))
-    vec = [0] * (data.degree + 1)
-    for c_exp, s_exp, coeff in data.terms:
-        scaled = coeff * denom
-        assert scaled.denominator == 1
-        vec[s_exp] = int(scaled)
-        assert c_exp + s_exp == data.degree
-    return _ElementVector(data.degree, data.phase, data.radicand, denom, tuple(vec))
-
-
-_BASE_CACHE: dict = {}
-_CACHE_LOCK = threading.Lock()
-
-
-def clear_cache() -> None:
-    """Drop memoized base integrals (used by benchmarks)."""
-    with _CACHE_LOCK:
-        _BASE_CACHE.clear()
+def u_integral(coeffs: Sequence[int], scale: int = 1) -> Fraction:
+    """integral_0^1 sum_j coeffs[j] u^j du / scale, that is sum_j coeffs[j] / (j + 1) / scale."""
+    denom = lcm(*range(1, len(coeffs) + 1))
+    return Fraction(sum(c * (denom // (j + 1)) for j, c in enumerate(coeffs)), denom * scale)
 
 
 def integrate_product(
@@ -166,54 +141,36 @@ def integrate_product(
     """Exact Haar integral of prod_i t[l_i,m_i,n_i]^alpha_i (times one extra element).
 
     Total function: products failing the frequency filter integrate to exact
-    zero.  Survivors are real (empty imaginary part).  Results are memoized by
-    the merged factor multiset; the cache only ever stores values that are
-    deterministic functions of the key, so concurrent double-computation is
-    harmless.
+    zero.  Survivors are real (empty imaginary part).
     """
     merged = spec.with_extra(shift)
     if not frequency_of(merged).is_zero():
         return RadicalScalar.zero()
-    key = merged.factors
-    cached = _BASE_CACHE.get(key)
-    if cached is not None:
-        return cached
 
-    phase = 0
-    mult = 1
-    sqfree_prod = 1
-    denom = 1
-    vec = [1]
-    degree = 0
+    phase = eps = delta = 0
+    mult = sqfree_prod = denom = 1
+    poly = [1]
     for idx, power in merged.factors:
-        ev = _element_vector(idx)
-        phase += ev.phase * power
-        mult *= ev.radicand ** (power // 2)
+        form = u_form(idx)
+        phase += form.phase * power
+        eps += form.eps * power
+        delta += form.delta * power
+        mult *= form.radicand ** (power // 2)
         if power % 2:
-            sqfree_prod *= ev.radicand
-        denom *= ev.denom ** power
-        vec = _kernel.convolve(vec, _kernel.vec_pow(list(ev.vec), power))
-        degree += ev.degree * power
+            sqfree_prod *= form.radicand
+        denom *= form.denom ** power
+        poly = _kernel.convolve(poly, _kernel.vec_pow(form.poly, power))
 
     # zero frequency forces sum alpha_i (n_i - m_i) = 0, hence trivial phase
     assert phase % 4 == 0, "phase must cancel under the frequency filter"
+    if eps % 2 or delta % 2:
+        raise ParityError(
+            f"odd parities (eps, delta) = ({eps}, {delta}) in a frequency-balanced "
+            f"product {merged.factors}"
+        )
+    # c^eps s^delta with both even: c^2 = 1 - u, s^2 = u
+    poly = [0] * (delta // 2) + _kernel.convolve(poly, _kernel.vec_pow([1, -1], eps // 2))
     extra, radicand = radical_normalize(Fraction(1), sqfree_prod)
     assert extra.denominator == 1
-    mult *= int(extra)
-
-    assert degree % 2 == 0, "balanced products are even-dimensional"
-    half = degree // 2
-    acc = 0
-    for s_exp, coeff in enumerate(vec):
-        if coeff == 0:
-            continue
-        if s_exp % 2:
-            raise ParityError(
-                f"odd sin exponent {s_exp} in a frequency-balanced product {merged.factors}"
-            )
-        acc += coeff * factorial((degree - s_exp) // 2) * factorial(s_exp // 2)
-
-    value = Fraction(mult * acc, denom * factorial(half + 1))
-    result = RadicalScalar.from_terms(real=[(value, radicand)])
-    _BASE_CACHE[key] = result
-    return result
+    value = u_integral(poly, denom) * (mult * int(extra))
+    return RadicalScalar.from_terms(real=[(value, radicand)])

@@ -7,7 +7,7 @@ P = 1..pmax in a single pass that multiplies by f once per step.
 The u-form.  In Euler coordinates g = k(phi) a(theta) k(psi) the phi and psi
 integrals keep only the part of a product with total frequency (M, N) = 0,
 and with u = sin^2(theta/2) the rest of the normalized Haar measure is du on
-[0, 1].  Each element restricted to a(theta) reads
+[0, 1].  Each element restricted to a(theta) reads (`wigner.u_form`)
 
     t[l, m, n](a(theta)) = i^phase * sqrt(r) * c^eps * s^delta * q(u),
 
@@ -15,7 +15,7 @@ with c = cos(theta/2), s = sin(theta/2), r squarefree, q a rational
 polynomial, and the parities eps, delta fixed by (m, n).  A balanced
 product has even parities, so its integral is integral_0^1 poly(u) du =
 sum_j c_j / (j + 1): the constant-term view of Duistermaat and van der
-Kallen.
+Kallen.  `integrate_product` computes single products from the same form.
 
 States.  After step P a state is the part of f^P (times h, folded in as the
 starting state) with total frequency (M, N), keyed by
@@ -41,25 +41,26 @@ half-planes of that hull.  With the origin outside the hull of the support
 every state dies at step 1.
 
 Read-out.  integral(f^P [h]) is the zero-frequency state after step P, read
-per radicand as sum_j c_j / (j + 1) / (E_h E^P).
+per radicand as sum_j c_j / (j + 1) / (E_h E^P) by `integrals.u_integral`.
 
 The test suite's oracle for this pass is the multinomial sum over
 frequency-balanced compositions.  `enumerate_balanced_compositions` lists
-those compositions; it is the only code here on the kernel backend
-(`_kernel`, compiled or pure), which the pass itself never calls.
+those compositions with `_kernel.balanced_compositions`; the pass itself
+never calls the kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, lcm
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from math import gcd, lcm
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import _kernel
 from .hull import _halfplanes
+from .integrals import u_integral
 from .scalars import HalfInt, RadicalScalar
-from .wigner import MatrixElementIndex, theta_restriction
+from .wigner import MatrixElementIndex, u_form
 
 GaussianRational = Tuple[Fraction, Fraction]
 
@@ -204,31 +205,6 @@ def enumerate_balanced_compositions(
     return _kernel.balanced_compositions(ms2, ns2, power, target[0].twice, target[1].twice)
 
 
-class _UForm(NamedTuple):
-    """t[l,m,n](a(theta)) = i^phase * sqrt(radicand) * c^eps * s^delta * sum_j poly[j] u^j / denom."""
-
-    eps: int
-    delta: int
-    phase: int
-    radicand: int
-    denom: int
-    poly: Tuple[int, ...]
-
-
-def _u_form(idx: MatrixElementIndex) -> _UForm:
-    """The element on a(theta) in u = s^2: each c^p s^q becomes c^eps s^delta (1-u)^a u^b."""
-    data = theta_restriction(idx)
-    eps, delta = data.terms[0][0] % 2, data.terms[0][1] % 2
-    denom = lcm(*(coeff.denominator for _, _, coeff in data.terms))
-    poly = [0] * (data.degree // 2 + 1)
-    for c_exp, s_exp, coeff in data.terms:
-        a, b = c_exp // 2, s_exp // 2
-        scaled = coeff.numerator * (denom // coeff.denominator)
-        for j in range(a + 1):
-            poly[b + j] += -scaled * comb(a, j) if j % 2 else scaled * comb(a, j)
-    return _UForm(eps, delta, data.phase, data.radicand, denom, tuple(poly))
-
-
 _I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 _StateKey = Tuple[int, int, int, int, int]          # (2M, 2N, eps, delta, radicand)
@@ -243,7 +219,7 @@ def _scaled_u_polys(terms) -> Tuple[int, Dict[_StateKey, List[Tuple[int, int]]]]
     """
     parts = []
     for idx, coeff in terms:
-        form = _u_form(idx)
+        form = u_form(idx)
         re, im = gaussian_mul(coeff, _I_POWERS[form.phase])
         unit = lcm(re.denominator, im.denominator)
         key = (idx.m.twice, idx.n.twice, form.eps, form.delta, form.radicand)
@@ -269,8 +245,8 @@ def _pack(coeffs: Iterable[int], width: int) -> int:
     return sum(c << (width * j) for j, c in enumerate(coeffs))
 
 
-def _u_integral(packed: int, width: int, scale: int) -> Fraction:
-    """integral_0^1 poly(u) du / scale for a packed polynomial with slots |c| < 2^(width-1)."""
+def _unpack(packed: int, width: int) -> List[int]:
+    """Coefficients of a packed polynomial with slots |c| < 2^(width-1)."""
     mask, half, coeffs = (1 << width) - 1, 1 << (width - 1), []
     while packed:
         c = packed & mask
@@ -278,8 +254,7 @@ def _u_integral(packed: int, width: int, scale: int) -> Fraction:
             c -= 1 << width
         coeffs.append(c)
         packed = (packed - c) >> width
-    denom = lcm(*range(1, len(coeffs) + 1))
-    return Fraction(sum(c * (denom // (j + 1)) for j, c in enumerate(coeffs)), denom * scale)
+    return coeffs
 
 
 def _reachable(pos: Tuple[int, int], rem: int, hull) -> bool:
@@ -360,7 +335,7 @@ def power_scan(
                 continue
             assert not (eps or delta), "a zero-frequency product has even parities"
             for part, packed_part in ((real, sr), (imag, si)):
-                value = _u_integral(packed_part, width, denom)
+                value = u_integral(_unpack(packed_part, width), denom)
                 if value:
                     part[r] = value
         # each radicand is squarefree and keys one state: the maps are canonical

@@ -26,6 +26,15 @@ this pins the phase convention completely: at l = 1/2 the matrix of t over
 a(theta) reproduces a(theta) itself (rows ordered m = +1/2, -1/2), and the
 diagonal entries t[l, 0, 0](a(theta)) equal the Legendre polynomial
 P_l(cos theta).
+
+`u_form` rewrites the same expansion in u = s**2 as
+
+    t[l, m, n](a(theta)) = i**phase * sqrt(r) * c**eps * s**delta * q(u),
+
+with r squarefree, q an integer polynomial over one denominator and the
+parities eps, delta fixed by (m, n).  It is the one exact form the
+integration engines (`integrate_product`, `power_scan`) compute with;
+`TrigPolynomial` keeps the (c, s) form as an independent route for tests.
 """
 
 from __future__ import annotations
@@ -33,7 +42,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial, lcm
 from typing import Dict, Mapping, NamedTuple, Tuple
 
 from .scalars import HalfInt, RadicalScalar, radical_normalize
@@ -64,6 +73,10 @@ class MatrixElementIndex:
 
     def key(self) -> Tuple[int, int, int]:
         return (self.l.twice, self.m.twice, self.n.twice)
+
+    def __hash__(self) -> int:
+        # equal indices have equal twice-values, so this agrees with __eq__
+        return hash(self.key())
 
     def __str__(self) -> str:
         return f"t[{self.l},{self.m},{self.n}]"
@@ -105,6 +118,35 @@ def theta_restriction(idx: MatrixElementIndex) -> ThetaRestriction:
         s_exp = mn + 2 * k
         terms.append((c_exp, s_exp, coeff))
     return ThetaRestriction(degree=l2, phase=(-mn) % 4, radicand=radicand, terms=tuple(terms))
+
+
+class UForm(NamedTuple):
+    """t[l,m,n](a(theta)) = i^phase * sqrt(radicand) * c^eps * s^delta * sum_j poly[j] u^j / denom."""
+
+    eps: int
+    delta: int
+    phase: int
+    radicand: int
+    denom: int
+    poly: Tuple[int, ...]
+
+
+def u_form(idx: MatrixElementIndex) -> UForm:
+    """The element on a(theta) in u = s^2: each c^p s^q becomes c^eps s^delta (1-u)^a u^b.
+
+    All exponents of one element share their parities (c_exp + s_exp = 2l and
+    s_exp = m - n + 2k), so eps and delta are the same for every term.
+    """
+    data = theta_restriction(idx)
+    eps, delta = data.terms[0][0] % 2, data.terms[0][1] % 2
+    denom = lcm(*(coeff.denominator for _, _, coeff in data.terms))
+    poly = [0] * (data.degree // 2 + 1)
+    for c_exp, s_exp, coeff in data.terms:
+        a, b = c_exp // 2, s_exp // 2
+        scaled = coeff.numerator * (denom // coeff.denominator)
+        for j in range(a + 1):
+            poly[b + j] += -scaled * comb(a, j) if j % 2 else scaled * comb(a, j)
+    return UForm(eps, delta, data.phase, data.radicand, denom, tuple(poly))
 
 
 class TrigPolynomial:

@@ -1,9 +1,12 @@
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
+import su2haar
 from su2haar.cli import main
 
 
@@ -52,6 +55,7 @@ class TestIntegrate:
         assert code == 0
         env = json.loads(out)
         assert env["schema"] == 1
+        assert env["backend"] == "pure"
         assert env["exact"] == {"real": [{"radicand": 1, "coeff": "1/2"}], "imag": []}
 
     def test_constant(self, capsys, tmp_path):
@@ -323,3 +327,19 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["exact"]["real"][0]["coeff"] == "1/2"
+
+
+
+class TestBackendContract:
+    def test_former_backend_variable_is_ignored(self):
+        """clibench's call server reads su2haar.cli.backend_name(); it stays, pinned to "pure"."""
+        src = str(pathlib.Path(su2haar.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", "import su2haar.cli; print(su2haar.cli.backend_name())"],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, SU2HAAR_BACKEND="c", PYTHONPATH=path),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "pure"

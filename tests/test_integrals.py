@@ -115,6 +115,9 @@ class TestIntegrateProduct:
         assert value.is_real()
 
     def test_agrees_with_trigpoly_route(self):
+        """Equal to the (c, s) route on hand-picked products, on every balanced
+        product of <= 3 elements at spin <= 3/2, and on spin-5/2 products whose
+        values carry sqrt(2), sqrt(3) or sqrt(6)."""
         specs = [
             ProductSpec.of(idx(H, H, H), idx(H, -H, -H)),
             ProductSpec.of((idx(1, 1, -1), 2), (idx(1, -1, 1), 2)),
@@ -122,8 +125,19 @@ class TestIntegrateProduct:
             ProductSpec.of((idx(Fraction(3, 2), H, -H), 2), (idx(1, -1, 1), 1)),
             ProductSpec.of((idx(H, H, H), 4), (idx(1, -1, -1), 2)),
         ]
-        for spec in specs:
-            assert integrate_product(spec) == integrate_via_trigpoly(spec)
+        cases = [(spec, None) for spec in specs + list(balanced_small_products())]
+        H3, H5 = Fraction(3, 2), Fraction(5, 2)
+        radical_cases = [
+            (ProductSpec.of(idx(1, 1, 1), idx(H3, H, -H), idx(H5, -H3, -H)), None, 2),
+            (ProductSpec.of(idx(1, 0, 1), idx(H3, H3, -H), idx(H5, -H3, -H)), None, 3),
+            (ProductSpec.of(idx(1, 0, 1), idx(H3, H3, H), idx(H5, -H3, -H3)), None, 6),
+            (ProductSpec.of(idx(1, 0, 1), idx(1, 1, 1), idx(H5, -H5, -H5)), idx(H3, H3, H), 6),
+        ]
+        for spec, shift, radicand in radical_cases:
+            assert [r for r, _ in integrate_product(spec, shift).real_terms()] == [radicand]
+            cases.append((spec, shift))
+        for spec, shift in cases:
+            assert integrate_product(spec, shift) == integrate_via_trigpoly(spec, shift), spec.factors
 
     def test_memoization_returns_identical_results(self):
         spec = ProductSpec.of((idx(1, 1, 1), 2), (idx(1, -1, -1), 2))
@@ -132,10 +146,8 @@ class TestIntegrateProduct:
         assert first == second
 
     def test_concurrent_calls_are_deterministic(self):
-        """The shared cache must not change results under threaded access."""
+        """Threaded calls give the same results as sequential ones."""
         import threading
-
-        from su2haar.integrals import clear_cache
 
         indices = all_indices(Fraction(3, 2))
         specs = [
@@ -144,9 +156,7 @@ class TestIntegrateProduct:
             for b in indices
             if frequency_of(ProductSpec.of(a, b)).is_zero()
         ]
-        clear_cache()
         sequential = [integrate_product(s) for s in specs]
-        clear_cache()
         results = [None] * len(specs)
 
         def worker(chunk):

@@ -1,4 +1,4 @@
-"""Backend parity: the compiled kernel and the pure twin must agree exactly."""
+"""Integer kernels: composition search against brute force, convolution basics."""
 
 import itertools
 
@@ -6,16 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from su2haar import _kernel, _kernel_py
-
-try:
-    from su2haar import _kernel_c
-except ImportError:
-    _kernel_c = None
-
-needs_compiled = pytest.mark.skipif(_kernel_c is None, reason="compiled kernel not built")
-
-BACKENDS = [_kernel_py] + ([_kernel_c] if _kernel_c is not None else [])
+from su2haar import _kernel
 
 
 def brute_compositions(ms, ns, total, tm, tn):
@@ -35,19 +26,16 @@ coords = st.lists(st.integers(-4, 4), min_size=1, max_size=5)
 
 
 class TestBalancedCompositions:
-    @pytest.mark.parametrize("kernel", BACKENDS, ids=lambda k: k.__name__)
-    def test_empty_support(self, kernel):
-        assert kernel.balanced_compositions([], [], 0, 0, 0) == [()]
-        assert kernel.balanced_compositions([], [], 1, 0, 0) == []
+    def test_empty_support(self):
+        assert _kernel.balanced_compositions([], [], 0, 0, 0) == [()]
+        assert _kernel.balanced_compositions([], [], 1, 0, 0) == []
 
-    @pytest.mark.parametrize("kernel", BACKENDS, ids=lambda k: k.__name__)
-    def test_single_coordinate(self, kernel):
-        assert kernel.balanced_compositions([1], [1], 3, 3, 3) == [(3,)]
-        assert kernel.balanced_compositions([1], [1], 3, 0, 0) == []
+    def test_single_coordinate(self):
+        assert _kernel.balanced_compositions([1], [1], 3, 3, 3) == [(3,)]
+        assert _kernel.balanced_compositions([1], [1], 3, 0, 0) == []
 
-    @pytest.mark.parametrize("kernel", BACKENDS, ids=lambda k: k.__name__)
-    def test_descending_lexicographic_order(self, kernel):
-        got = kernel.balanced_compositions([0, 0, 0], [0, 0, 0], 3, 0, 0)
+    def test_descending_lexicographic_order(self):
+        got = _kernel.balanced_compositions([0, 0, 0], [0, 0, 0], 3, 0, 0)
         assert got == sorted(got, reverse=True)
         assert got[0] == (3, 0, 0)
         assert len(got) == 10
@@ -57,46 +45,25 @@ class TestBalancedCompositions:
     def test_matches_brute_force(self, ms, total, tm, tn, rnd):
         ns = [rnd.randint(-4, 4) for _ in ms]
         expected = sorted(brute_compositions(ms, ns, total, tm, tn), reverse=True)
-        for kernel in BACKENDS:
-            assert kernel.balanced_compositions(ms, ns, total, tm, tn) == expected
+        assert _kernel.balanced_compositions(ms, ns, total, tm, tn) == expected
 
 
 class TestConvolve:
-    @pytest.mark.parametrize("kernel", BACKENDS, ids=lambda k: k.__name__)
-    def test_basics(self, kernel):
-        assert kernel.convolve([1, 1], [1, 1]) == [1, 2, 1]
-        assert kernel.convolve([2], [3]) == [6]
-        assert kernel.convolve([], [1]) == []
+    def test_basics(self):
+        assert _kernel.convolve([1, 1], [1, 1]) == [1, 2, 1]
+        assert _kernel.convolve([2], [3]) == [6]
+        assert _kernel.convolve([], [1]) == []
 
-    @pytest.mark.parametrize("kernel", BACKENDS, ids=lambda k: k.__name__)
-    def test_vec_pow(self, kernel):
-        assert kernel.vec_pow([1, 1], 0) == [1]
-        assert kernel.vec_pow([1, 1], 4) == [1, 4, 6, 4, 1]
+    def test_vec_pow(self):
+        assert _kernel.vec_pow([1, 1], 0) == [1]
+        assert _kernel.vec_pow([1, 1], 4) == [1, 4, 6, 4, 1]
         with pytest.raises(ValueError):
-            kernel.vec_pow([1], -1)
-
-    @needs_compiled
-    @given(
-        st.lists(st.integers(-9, 9), min_size=1, max_size=9),
-        st.lists(st.integers(-9, 9), min_size=1, max_size=9),
-        st.integers(0, 5),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_backend_parity(self, a, b, p):
-        assert _kernel_py.convolve(a, b) == _kernel_c.convolve(a, b)
-        assert _kernel_py.vec_pow(a, p) == _kernel_c.vec_pow(a, p)
-
-    @needs_compiled
-    def test_arbitrary_precision_survives(self):
-        big = [10 ** 40, -(10 ** 39)]
-        assert _kernel_c.convolve(big, big) == _kernel_py.convolve(big, big)
-        assert _kernel_c.vec_pow(big, 3) == _kernel_py.vec_pow(big, 3)
-        assert _kernel_c.vec_pow(big, 3)[0] == 10 ** 120
+            _kernel.vec_pow([1], -1)
 
 
 class TestSelection:
     def test_backend_name_reports(self):
-        assert _kernel.backend_name() in ("c", "pure")
+        assert _kernel.backend_name() == "pure"
 
     def test_selected_functions_are_importable(self):
         assert callable(_kernel.convolve)
