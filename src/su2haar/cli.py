@@ -160,14 +160,18 @@ def _cmd_power_scan(ns, argv, started) -> int:
 
 def _cmd_hull(ns, argv, started) -> int:
     f = load_function_file(ns.file)
-    cert = hull_certificate(SupportHull.from_function(f))
+    support = f.support_points()
+    hull = SupportHull(support)
+    cert = hull_certificate(hull)
     body = {"origin_inside": cert.inside}
     if cert.inside:
-        body["weights"] = [str(w) for w in cert.weights]
+        # one weight per printed support entry: a repeated (m, n) gets 0
+        weight = dict(zip(hull.twice(), cert.weights))
+        body["weights"] = [str(weight.pop((m.twice, n.twice), 0)) for m, n in support]
     else:
         u, v, bound = cert.separator
         body["separator"] = {"u": str(u), "v": str(v), "min_dot": str(bound)}
-    env = _envelope(argv, hull=body, support=[[str(m), str(n)] for m, n in f.support_points()])
+    env = _envelope(argv, hull=body, support=[[str(m), str(n)] for m, n in support])
     _emit(env, started)
     return 0
 

@@ -1,8 +1,13 @@
-"""Exact rational geometry of the support {(m_i, n_i)}.
+"""Exact geometry of the support {(m_i, n_i)}.
 
-All predicates run over Fractions; no floating point.  The convex hull of
-finitely many rational points is closed, so "closed convex hull" membership
-needs no extra care, and boundary points count as contained.
+Every predicate runs on the integer twice-coordinates (2m_i, 2n_i); no
+floating point, and every division of integers goes through
+``Fraction(num, den)``.
+One route serves them all: the monotone chain ``convex_hull_ccw`` gives the
+hull, ``_halfplanes`` its tight half-planes, and membership, both
+certificates, the vanishing threshold and the pruning in ``power_scan`` are
+read off those.  The convex hull of finitely many points is closed, so
+boundary points count as contained.
 """
 
 from __future__ import annotations
@@ -10,11 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .scalars import HalfInt
 
-Point = Tuple[Fraction, Fraction]
+Point = Tuple[int, int]
+HalfPlane = Tuple[int, int, int]    # {(x, y) : u*x + v*y <= c}
 
 
 class OriginInHullError(ValueError):
@@ -49,8 +55,11 @@ class SupportHull:
     def from_function(f) -> "SupportHull":
         return SupportHull(tuple(f.support_points()))
 
-    def fractions(self) -> List[Point]:
+    def fractions(self) -> List[Tuple[Fraction, Fraction]]:
         return [(m.as_fraction(), n.as_fraction()) for m, n in self.points]
+
+    def twice(self) -> List[Point]:
+        return [(m.twice, n.twice) for m, n in self.points]
 
 
 @dataclass(frozen=True)
@@ -65,9 +74,12 @@ class RankClass:
 class HullCertificate:
     """Rational witness for an origin-membership verdict.
 
-    Inside: convex weights (one per stored point, summing to 1) hitting the
-    origin.  Outside: a direction (u, v) with u*m + v*n >= bound > 0 on every
-    support point.
+    Inside: convex weights, one per stored point of the ``SupportHull`` and
+    summing to 1, that hit the origin; at most three are nonzero (the hull
+    vertices of the point, segment or fan triangle that holds the origin).
+    Outside: a direction (u, v) and a bound with u*m + v*n >= bound > 0 on
+    every support point, the bound being the minimum; (u, v) is the negated
+    normal of a hull half-plane that excludes the origin.
     """
 
     inside: bool
@@ -75,20 +87,20 @@ class HullCertificate:
     separator: Optional[Tuple[Fraction, Fraction, Fraction]] = None
 
 
-def _cross(a: Point, b: Point) -> Fraction:
+def _cross(a, b):
     return a[0] * b[1] - a[1] * b[0]
 
 
-def _dot(a: Point, b: Point) -> Fraction:
+def _dot(a, b):
     return a[0] * b[0] + a[1] * b[1]
 
 
-def _sub(a: Point, b: Point) -> Point:
+def _sub(a, b):
     return (a[0] - b[0], a[1] - b[1])
 
 
 def convex_hull_ccw(points: Sequence[Point]) -> List[Point]:
-    """Monotone chain over exact rationals; collinear interior points dropped.
+    """Monotone chain over exact coordinates; collinear interior points dropped.
 
     Returns hull vertices in counterclockwise order (1 or 2 points for
     degenerate inputs).
@@ -103,83 +115,64 @@ def convex_hull_ccw(points: Sequence[Point]) -> List[Point]:
                 chain.pop()
             chain.append(p)
         return chain
-    lower = half(pts)
-    upper = half(reversed(pts))
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) < 2:
-        # all points collinear: keep the two extremes
-        return [pts[0], pts[-1]]
-    return hull
+    return half(pts)[:-1] + half(reversed(pts))[:-1]
 
 
-def _origin_weights(pts: List[Point]) -> Optional[List[Fraction]]:
-    """Convex weights over pts hitting the origin, or None (Caratheodory search)."""
-    k = len(pts)
-    zero = Fraction(0)
-    for i, p in enumerate(pts):
-        if p == (0, 0):
-            w = [zero] * k
-            w[i] = Fraction(1)
-            return w
-    for i in range(k):
-        for j in range(i + 1, k):
-            a, b = pts[i], pts[j]
-            if _cross(a, b) == 0 and _dot(a, b) <= 0:
-                # origin on segment [a, b]; both endpoints nonzero here
-                d = _sub(a, b)
-                t = -b[0] / d[0] if d[0] else -b[1] / d[1]
-                w = [zero] * k
-                w[i] = t
-                w[j] = 1 - t
-                return w
-    for i in range(k):
-        for j in range(i + 1, k):
-            for l in range(j + 1, k):
-                a, b, c = pts[i], pts[j], pts[l]
-                area = _cross(_sub(b, a), _sub(c, a))
-                if area == 0:
-                    continue
-                d1, d2, d3 = _cross(b, c), _cross(c, a), _cross(a, b)
-                if (d1 >= 0 and d2 >= 0 and d3 >= 0) or (d1 <= 0 and d2 <= 0 and d3 <= 0):
-                    w = [zero] * k
-                    w[i] = d1 / area
-                    w[j] = d2 / area
-                    w[l] = d3 / area
-                    return w
-    return None
+def _halfplanes(hull: List[Point]) -> List[HalfPlane]:
+    """Half-planes whose intersection is the hull, each tight on a vertex.
+
+    Takes the vertices from ``convex_hull_ccw``; the origin lies in the hull
+    iff every c >= 0.
+    """
+    if len(hull) == 1:
+        (x, y), = hull
+        return [(1, 0, x), (-1, 0, -x), (0, 1, y), (0, -1, -y)]
+    if len(hull) == 2:
+        a, b = hull
+        e = _sub(b, a)
+        n = (-e[1], e[0])
+        return [(n[0], n[1], _dot(n, a)), (-n[0], -n[1], -_dot(n, a)),
+                (e[0], e[1], _dot(e, b)), (-e[0], -e[1], -_dot(e, a))]
+    cons = []
+    for a, b in zip(hull, hull[1:] + hull[:1]):
+        n = (b[1] - a[1], a[0] - b[0])      # outward normal of a ccw edge
+        cons.append((n[0], n[1], _dot(n, a)))
+    return cons
 
 
-def _separating_direction(pts: List[Point]) -> Tuple[Fraction, Fraction, Fraction]:
-    """A direction (u, v) with min_i <(u,v), p_i> = bound > 0; assumes one exists."""
-    candidates: List[Point] = list(pts)
-    for i in range(len(pts)):
-        for j in range(len(pts)):
-            if i == j:
-                continue
-            e = _sub(pts[j], pts[i])
-            candidates.append((-e[1], e[0]))
-            candidates.append((e[1], -e[0]))
-    for d in candidates:
-        if d == (0, 0):
-            continue
-        bound = min(_dot(d, p) for p in pts)
-        if bound > 0:
-            return (d[0], d[1], bound)
-    raise RuntimeError("no separating direction found; origin should be inside")
+def _fan_weights(hull: List[Point]) -> Dict[Point, Fraction]:
+    """Convex weights on at most three hull vertices that hit the origin; the hull must hold it."""
+    if len(hull) == 1:
+        return {hull[0]: Fraction(1)}
+    if len(hull) == 2:
+        a, b = hull
+        d = _sub(a, b)
+        t = Fraction(-b[0], d[0]) if d[0] else Fraction(-b[1], d[1])
+        return {a: t, b: 1 - t}
+    o = hull[0]
+    for b, c in zip(hull[1:], hull[2:]):
+        area = _cross(_sub(b, o), _sub(c, o))
+        wo, wb, wc = _cross(b, c), _cross(c, o), _cross(o, b)
+        if wo >= 0 and wb >= 0 and wc >= 0:
+            return {o: Fraction(wo, area), b: Fraction(wb, area), c: Fraction(wc, area)}
+    raise AssertionError("no fan triangle holds the origin; it should be outside")
 
 
 def hull_certificate(h: SupportHull) -> HullCertificate:
     """Origin membership with a rational certificate either way."""
-    pts = h.fractions()
-    weights = _origin_weights(pts)
-    if weights is not None:
-        return HullCertificate(inside=True, weights=tuple(weights))
-    return HullCertificate(inside=False, separator=_separating_direction(pts))
+    pts = h.twice()
+    hull = convex_hull_ccw(pts)
+    for u, v, c in _halfplanes(hull):
+        if c < 0:
+            # u*x + v*y <= c < 0 on every twice-coordinate point
+            return HullCertificate(inside=False, separator=(Fraction(-u), Fraction(-v), Fraction(-c, 2)))
+    weights = _fan_weights(hull)
+    return HullCertificate(inside=True, weights=tuple(weights.get(p, Fraction(0)) for p in pts))
 
 
 def origin_in_hull(h: SupportHull) -> bool:
     """True iff (0, 0) lies in the closed convex hull of the support points."""
-    return _origin_weights(h.fractions()) is not None
+    return all(c >= 0 for _, _, c in _halfplanes(convex_hull_ccw(h.twice())))
 
 
 def two_term_criterion(p1: Tuple[HalfInt, HalfInt], p2: Tuple[HalfInt, HalfInt]) -> bool:
@@ -214,33 +207,6 @@ def rank_classification(
     return RankClass(1 if distinct == 1 else 2, rows)
 
 
-def _halfplanes(pts: List[Point]) -> List[Tuple[Fraction, Fraction, Fraction]]:
-    """C = {x : u*x1 + v*x2 <= c} constraints covering polygon/segment/point hulls."""
-    hull = convex_hull_ccw(pts)
-    cons: List[Tuple[Fraction, Fraction, Fraction]] = []
-    if len(hull) == 1:
-        (x, y) = hull[0]
-        cons.append((Fraction(1), Fraction(0), x))
-        cons.append((Fraction(-1), Fraction(0), -x))
-        cons.append((Fraction(0), Fraction(1), y))
-        cons.append((Fraction(0), Fraction(-1), -y))
-        return cons
-    if len(hull) == 2:
-        a, b = hull
-        e = _sub(b, a)
-        n = (-e[1], e[0])
-        cons.append((n[0], n[1], _dot(n, a)))
-        cons.append((-n[0], -n[1], -_dot(n, a)))
-        cons.append((e[0], e[1], max(_dot(e, a), _dot(e, b))))
-        cons.append((-e[0], -e[1], -min(_dot(e, a), _dot(e, b))))
-        return cons
-    for a, b in zip(hull, hull[1:] + hull[:1]):
-        e = _sub(b, a)
-        n = (e[1], -e[0])           # outward normal for a ccw polygon
-        cons.append((n[0], n[1], _dot(n, a)))
-    return cons
-
-
 def vanishing_threshold(h: SupportHull, witness: Tuple[HalfInt, HalfInt]) -> int:
     """Least P0 >= 1 with (-a/P, -b/P) outside the hull for every integer P >= P0.
 
@@ -248,24 +214,25 @@ def vanishing_threshold(h: SupportHull, witness: Tuple[HalfInt, HalfInt]) -> int
     bounded closed interval (possibly empty) with rational endpoints; P0 is
     one more than the largest positive integer inside it, or 1.
     """
-    if origin_in_hull(h):
+    cons = _halfplanes(convex_hull_ccw(h.twice()))
+    if all(c >= 0 for _, _, c in cons):
         raise OriginInHullError("origin inside hull: no finite threshold guaranteed")
-    a, b = witness[0].as_fraction(), witness[1].as_fraction()
-    d = (-a, -b)
+    # in twice-coordinates the point is -(2a, 2b)/t, so a half-plane reads k/t <= c
+    d = (-witness[0].twice, -witness[1].twice)
     if d == (0, 0):
         return 1
     u_lo: Optional[Fraction] = None
     u_hi: Optional[Fraction] = None
-    for (nx, ny, c) in _halfplanes(h.fractions()):
+    for (nx, ny, c) in cons:
         k = nx * d[0] + ny * d[1]
         if k == 0:
             if c < 0:
                 return 1
         elif k > 0:
-            bound = c / k
+            bound = Fraction(c, k)
             u_hi = bound if u_hi is None else min(u_hi, bound)
         else:
-            bound = c / k
+            bound = Fraction(c, k)
             u_lo = bound if u_lo is None else max(u_lo, bound)
     # C is bounded, so the direction coefficient is positive somewhere
     assert u_hi is not None

@@ -57,7 +57,7 @@ from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import _kernel
-from .hull import _halfplanes
+from .hull import _halfplanes, convex_hull_ccw
 from .integrals import u_integral
 from .scalars import HalfInt, RadicalScalar
 from .wigner import MatrixElementIndex, u_form
@@ -288,7 +288,7 @@ def power_scan(
         key: (_pack((re for re, _ in poly), width), _pack((im for _, im in poly), width))
         for key, poly in start.items()
     }
-    hull = [(int(u), int(v), int(c)) for u, v, c in _halfplanes([k[:2] for k in elements] + [(0, 0)])]
+    hull = _halfplanes(convex_hull_ccw([k[:2] for k in elements] + [(0, 0)]))
     one_minus_u = 1 - (1 << width)
     folded: dict = {}            # (state eps, delta, r, element) -> folded element and new parities
 

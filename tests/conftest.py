@@ -151,6 +151,51 @@ def sym_power_rep(l2: int, w: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# oracle 4: Caratheodory search for convex weights hitting the origin, O(k^3)
+# over Fraction points; shares no code with the monotone chain in su2haar.hull.
+# ---------------------------------------------------------------------------
+
+def caratheodory_weights(pts):
+    """Convex weights over pts hitting the origin from at most three of them, or None."""
+    def cross(a, b):
+        return a[0] * b[1] - a[1] * b[0]
+
+    k = len(pts)
+    zero = Fraction(0)
+    for i, p in enumerate(pts):
+        if p == (0, 0):
+            w = [zero] * k
+            w[i] = Fraction(1)
+            return w
+    for i in range(k):
+        for j in range(i + 1, k):
+            a, b = pts[i], pts[j]
+            if cross(a, b) == 0 and a[0] * b[0] + a[1] * b[1] <= 0:
+                # origin on segment [a, b]; both endpoints nonzero here
+                d = (a[0] - b[0], a[1] - b[1])
+                t = Fraction(-b[0]) / d[0] if d[0] else Fraction(-b[1]) / d[1]
+                w = [zero] * k
+                w[i] = t
+                w[j] = 1 - t
+                return w
+    for i in range(k):
+        for j in range(i + 1, k):
+            for l in range(j + 1, k):
+                a, b, c = pts[i], pts[j], pts[l]
+                area = cross((b[0] - a[0], b[1] - a[1]), (c[0] - a[0], c[1] - a[1]))
+                if area == 0:
+                    continue
+                d1, d2, d3 = cross(b, c), cross(c, a), cross(a, b)
+                if (d1 >= 0 and d2 >= 0 and d3 >= 0) or (d1 <= 0 and d2 <= 0 and d3 <= 0):
+                    w = [zero] * k
+                    w[i] = Fraction(d1) / area
+                    w[j] = Fraction(d2) / area
+                    w[l] = Fraction(d3) / area
+                    return w
+    return None
+
+
+# ---------------------------------------------------------------------------
 # fixtures
 # ---------------------------------------------------------------------------
 

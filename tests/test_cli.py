@@ -1,10 +1,16 @@
+import contextlib
+import io
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import su2haar
 from su2haar.cli import main
@@ -169,6 +175,62 @@ class TestMalformedInput:
         assert "factors[0].power" in err
 
 
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=12,
+)
+spin_like = st.sampled_from(["0", "1/2", "1", "-1/2", "-1", "3/2", "2", "1/0", "x", ""]) | st.integers(-3, 3) | json_values
+rational_like = st.sampled_from(["0", "1", "-3/4", "1/0", "nan"]) | st.integers() | json_values
+term_like = st.fixed_dictionaries(
+    {},
+    optional={
+        "l": spin_like,
+        "m": spin_like,
+        "n": spin_like,
+        "coeff": st.fixed_dictionaries({}, optional={"re": rational_like, "im": rational_like}) | json_values,
+    },
+)
+valid_term = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)).map(
+    lambda t: {
+        "l": str(Fraction(t[0], 2)),
+        "m": str(Fraction(2 * min(t[1], t[0]) - t[0], 2)),
+        "n": str(Fraction(2 * min(t[2], t[0]) - t[0], 2)),
+        "coeff": {"re": "1", "im": "-1/2"},
+    }
+)
+function_file_like = st.one_of(
+    json_values,
+    st.fixed_dictionaries({"terms": st.lists(valid_term, min_size=1, max_size=4)}),
+    st.fixed_dictionaries(
+        {"terms": st.lists(valid_term | term_like, max_size=4) | json_values},
+        optional={"schema": st.just(1) | json_values},
+    ),
+)
+
+
+class TestArbitraryJsonInput:
+    """hull and threshold on any JSON value: exit 0, 2 or 3, no traceback, JSON-only stdout."""
+
+    @given(function_file_like)
+    @settings(max_examples=300, deadline=None)
+    def test_hull_and_threshold(self, obj):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "f.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(obj, fh)
+            for argv in (["hull", path], ["threshold", path, "--h", "1,0,0"]):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(argv)
+                assert code in (0, 2, 3), (argv, code, err.getvalue())
+                assert "Traceback" not in err.getvalue()
+                text = out.getvalue()
+                if text:
+                    assert text.endswith("\n") and text.count("\n") == 1
+                    assert isinstance(json.loads(text), dict)
+
+
 class TestHullAndThreshold:
     def test_hull_outside_with_separator(self, capsys, single_element):
         code, out, _ = run_cli(capsys, "hull", single_element)
@@ -199,6 +261,30 @@ class TestHullAndThreshold:
         env = json.loads(out)
         assert env["hull"]["origin_inside"] is True
         assert env["hull"]["weights"] == ["1/2", "1/2"]
+
+    def test_hull_weights_line_up_with_repeated_support(self, capsys, tmp_path):
+        """Two terms share (m, n) = (1, 1) at different l: one weight per printed support entry."""
+        path = tmp_path / "repeat.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "terms": [
+                        {"l": l, "m": m, "n": n, "coeff": {"re": "1", "im": "0"}}
+                        for l, m, n in (("1", "1", "1"), ("2", "1", "1"), ("1", "-1", "-1"))
+                    ]
+                }
+            )
+        )
+        code, out, _ = run_cli(capsys, "hull", str(path))
+        assert code == 0
+        env = json.loads(out)
+        assert env["hull"]["origin_inside"] is True
+        support = [(Fraction(m), Fraction(n)) for m, n in env["support"]]
+        weights = [Fraction(w) for w in env["hull"]["weights"]]
+        assert len(support) == len(weights) == 3
+        assert all(w >= 0 for w in weights) and sum(weights) == 1
+        assert sum(w * m for w, (m, _) in zip(weights, support)) == 0
+        assert sum(w * n for w, (_, n) in zip(weights, support)) == 0
 
     def test_threshold_value(self, capsys, single_element):
         code, out, _ = run_cli(capsys, "threshold", single_element, "--h", "1,-1,-1")

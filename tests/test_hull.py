@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import hi
+from conftest import caratheodory_weights, hi
 from su2haar.hull import (
     OriginInHullError,
     SupportHull,
@@ -86,14 +86,67 @@ class TestOriginInHullProperties:
     @given(st.lists(points, min_size=3, max_size=7))
     @settings(max_examples=200, deadline=None)
     def test_agrees_with_polygon_route(self, pts):
-        """Caratheodory search vs monotone chain + halfplane membership."""
-        from su2haar.hull import _halfplanes
-
+        """Monotone chain + halfplane membership vs the Caratheodory oracle."""
         h = SupportHull(tuple(pts))
-        by_search = origin_in_hull(h)
-        cons = _halfplanes(h.fractions())
-        by_polygon = all(c >= 0 for (_, _, c) in cons)  # origin satisfies n.x <= c iff c >= 0
-        assert by_search == by_polygon
+        assert origin_in_hull(h) == (caratheodory_weights(h.fractions()) is not None)
+
+
+def check_certificate(h, cert):
+    """Exact check: convex weights (one per stored point) hitting the origin, or a tight separator."""
+    pts = h.fractions()
+    if cert.inside:
+        w = cert.weights
+        assert len(w) == len(pts)
+        assert all(x >= 0 for x in w) and sum(w) == 1
+        assert sum(x * p[0] for x, p in zip(w, pts)) == 0
+        assert sum(x * p[1] for x, p in zip(w, pts)) == 0
+    else:
+        u, v, bound = cert.separator
+        assert bound > 0
+        assert bound == min(u * m + v * n for m, n in pts)
+
+
+wide_points = st.tuples(st.integers(-16, 16), st.integers(-16, 16))
+
+
+class TestCertificateProperties:
+    @given(
+        st.lists(wide_points, min_size=1, max_size=40),
+        st.tuples(st.integers(-24, 24), st.integers(-24, 24)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_certificate_checks_exactly(self, twice, shift):
+        """Shifted clouds of 1-40 half-integer points, origin inside, outside or on the boundary."""
+        h = SupportHull(tuple(
+            (HalfInt.from_twice(m + shift[0]), HalfInt.from_twice(n + shift[1])) for m, n in twice
+        ))
+        cert = hull_certificate(h)
+        check_certificate(h, cert)
+        assert cert.inside == origin_in_hull(h)
+        if len(h.points) <= 12:
+            assert cert.inside == (caratheodory_weights(h.fractions()) is not None)
+
+    @given(
+        st.lists(st.integers(-6, 6), min_size=1, max_size=6),
+        st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_collinear_supports(self, multiples, direction):
+        """Point and segment hulls: multiples k * direction, through the origin or not."""
+        h = SupportHull(tuple(
+            (HalfInt.from_twice(k * direction[0]), HalfInt.from_twice(k * direction[1])) for k in multiples
+        ))
+        cert = hull_certificate(h)
+        check_certificate(h, cert)
+        assert cert.inside == (caratheodory_weights(h.fractions()) is not None)
+
+    def test_wide_outside_support(self):
+        """120 points (x/2, (x^2 + 1)/2) on a convex arc above the m-axis, every one a hull vertex."""
+        h = SupportHull(tuple((HalfInt.from_twice(x), HalfInt.from_twice(x * x + 1)) for x in range(-60, 60)))
+        cert = hull_certificate(h)
+        assert not cert.inside
+        check_certificate(h, cert)
+        assert not origin_in_hull(h)
 
 
 class TestConvexHullChain:
@@ -225,10 +278,8 @@ class TestVanishingThreshold:
 
             def point_in(p):
                 # (-a/p, -b/p) in conv(pts) iff the origin is in the shifted hull
-                from su2haar.hull import _origin_weights
-
                 shifted = [(m.as_fraction() + a / p, n.as_fraction() + b / p) for m, n in pts]
-                return _origin_weights(shifted) is not None
+                return caratheodory_weights(shifted) is not None
 
             for p in range(p0, p0 + 30):
                 assert not point_in(p)
