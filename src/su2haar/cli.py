@@ -114,7 +114,13 @@ def _emit(env: dict, started: float) -> None:
     sys.stdout.write("\n")
 
 
+def _check_mc(ns) -> None:
+    if ns.mc < 0:
+        raise InputError("--mc must be >= 0")
+
+
 def _cmd_integrate(ns, argv, started) -> int:
+    _check_mc(ns)
     spec, shift = load_product_file(ns.file)
     value = integrate_product(spec, shift)
     env = _envelope(argv, exact=value.to_json())
@@ -134,6 +140,7 @@ def _cmd_integrate(ns, argv, started) -> int:
 def _cmd_power_scan(ns, argv, started) -> int:
     if ns.pmax < 1:
         raise InputError("--pmax must be >= 1")
+    _check_mc(ns)
     f = load_function_file(ns.file)
     witness = parse_index_flag(ns.with_h, "--with-h") if ns.with_h else None
     rows = []
@@ -195,6 +202,15 @@ def _cmd_fuzz(ns, argv, started) -> int:
         l_max = HalfInt.parse(ns.lmax)
     except ValueError as e:
         raise InputError(f"--lmax: {e}") from None
+    if l_max.twice < 0:
+        raise InputError("--lmax must be >= 0")
+    for flag, value in (("--trials", ns.trials), ("--kmax", ns.kmax), ("--pmax", ns.pmax)):
+        if value < 1:
+            raise InputError(f"{flag} must be >= 1")
+    if not 0.0 <= ns.rank2_bias <= 1.0:
+        raise InputError("--rank2-bias must be in [0, 1]")
+    if ns.rank2_bias > 0 and (ns.kmax < 3 or l_max.twice < 1):
+        raise InputError("--rank2-bias needs --kmax >= 3 and --lmax >= 1/2")
     cfg = FuzzConfig(
         seed=ns.seed,
         trials=ns.trials,

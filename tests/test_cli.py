@@ -89,6 +89,20 @@ class TestIntegrate:
         assert env["seed"] == 5
         assert abs(env["numeric"]["mean_re"] - 0.5) < 0.05
 
+    def test_empty_product_with_mc(self, capsys, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"schema": 1, "factors": []}))
+        code, out, _ = run_cli(capsys, "integrate", str(path), "--mc", "10000")
+        assert code == 0
+        env = json.loads(out)
+        assert env["exact"] == {"real": [{"radicand": 1, "coeff": "1"}], "imag": []}
+        assert env["numeric"] == {"mean_re": 1.0, "mean_im": 0.0, "std_error": 0.0, "samples": 10000}
+
+    def test_negative_mc_exits_2(self, capsys, schur_product):
+        code, out, err = run_cli(capsys, "integrate", schur_product, "--mc", "-1")
+        assert (code, out) == (2, "")
+        assert "--mc" in err
+
     def test_parse_error_names_field(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"factors": [{"l": "1/2", "m": "3/2", "n": "1/2"}]}))
@@ -139,6 +153,11 @@ class TestPowerScan:
         code, _, err = run_cli(capsys, "power-scan", single_element, "--pmax", "0")
         assert code == 2
         assert "--pmax" in err
+
+    def test_negative_mc_exits_2(self, capsys, single_element):
+        code, out, err = run_cli(capsys, "power-scan", single_element, "--pmax", "2", "--mc", "-1")
+        assert (code, out) == (2, "")
+        assert "--mc" in err
 
 
 class TestMalformedInput:
@@ -345,6 +364,26 @@ class TestFuzzCommand:
         assert code == 0
         for line in out.strip().split("\n")[:-1]:
             assert json.loads(line)["case"] == "three-term-rank-2"
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            pytest.param(["--trials", "0"], "--trials", id="trials-0"),
+            pytest.param(["--trials", "1", "--kmax", "0"], "--kmax", id="kmax-0"),
+            pytest.param(["--trials", "1", "--pmax", "0"], "--pmax", id="pmax-0"),
+            pytest.param(["--trials", "1", "--rank2-bias", "2"], "--rank2-bias", id="rank2-bias-2"),
+            pytest.param(["--trials", "1", "--rank2-bias", "nan"], "--rank2-bias", id="rank2-bias-nan"),
+            pytest.param(
+                ["--trials", "1", "--rank2-bias", "0.5", "--kmax", "2"], "--rank2-bias", id="rank2-bias-kmax-2"
+            ),
+            pytest.param(["--trials", "1", "--lmax", "-1"], "--lmax", id="lmax-negative"),
+        ],
+    )
+    def test_flag_errors_exit_2(self, capsys, flags, named):
+        code, out, err = run_cli(capsys, "fuzz", "--seed", "1", *flags)
+        assert (code, out) == (2, "")
+        assert "Traceback" not in err
+        assert named in err
 
     def test_unwritable_out_exits_2(self, capsys, tmp_path):
         code, _, err = run_cli(

@@ -6,8 +6,13 @@ import pytest
 
 from conftest import all_indices, idx, spin_half_rep, sym_power_rep
 from su2haar.integrals import ProductSpec, frequency_of, integrate_product
+from su2haar import numeric
 from su2haar.numeric import (
+    _BLOCK,
+    _CHUNK,
     EulerAngles,
+    _Block,
+    _resolve,
     compose_and_check,
     euler_from_matrix,
     eval_matrix_element,
@@ -210,3 +215,57 @@ class TestMcIntegral:
             est = mc_integral(spec, samples=150_000, seed=200 + done)
             assert abs(est.mean - exact) <= 5 * max(est.std_error, 1e-12)
             done += 1
+
+
+class TestDrawStream:
+    def test_mean_over_the_documented_draws(self):
+        """mc_integral is the mean of f^P over phi, psi, then U draws, theta = arccos(1 - 2U)."""
+        f = FiniteFunction.from_terms([((H, H, -H), (1, 0)), ((Fraction(3, 2), -H, Fraction(3, 2)), (2, -1))])
+        power, seed = 3, 21
+        n = _BLOCK + 300                    # past one block boundary, within one chunk
+        assert n <= _CHUNK
+        est = mc_integral((f, power), samples=n, seed=seed)
+
+        local = np.random.default_rng(seed)
+        phi = local.uniform(0.0, 2.0 * math.pi, n)
+        psi = local.uniform(-2.0 * math.pi, 2.0 * math.pi, n)
+        theta = np.arccos(1.0 - 2.0 * local.uniform(0.0, 1.0, n))
+        coeffs = [(index, complex(float(re), float(im))) for index, (re, im) in f.terms]
+        values = [
+            sum(a * eval_matrix_element(index, EulerAngles(*g)) for index, a in coeffs) ** power
+            for g in zip(phi, theta, psi)
+        ]
+        assert abs(est.mean - np.mean(values)) <= 1e-12
+
+    def test_terms_resolve_once_per_call(self, monkeypatch):
+        calls = []
+        original = numeric.theta_restriction
+        monkeypatch.setattr(numeric, "theta_restriction", lambda index: calls.append(index) or original(index))
+        f = FiniteFunction.from_terms([((H, H, -H), (1, 0)), ((1, 0, 1), (0, 1))])
+        mc_integral((f, 2, idx(1, 0, 0)), samples=3 * _BLOCK, seed=1)
+        assert len(calls) == 3
+
+
+class TestHighSpin:
+    """The (c, s) form stays accurate where a polynomial in u = s^2 cancels away."""
+
+    @pytest.mark.parametrize("l2", [15, 30])
+    def test_unitary(self, l2, rng):
+        gs = [EulerAngles(0.7, theta, -1.3) for theta in np.linspace(0.1, 3.1, 7)]
+        gs += [sample_haar(rng) for _ in range(3)]
+        for g in gs:
+            m = representation_matrix(HalfInt.from_twice(l2), g)
+            assert np.max(np.abs(m @ m.conj().T - np.eye(l2 + 1))) < 1e-9
+
+    def test_block_matches_single_samples(self, rng):
+        gs = [sample_haar(rng) for _ in range(12)] + [EulerAngles(6.2, 3.1, -6.2)]
+        theta = np.array([g.theta for g in gs])
+        block = _Block(
+            np.array([g.phi for g in gs]), np.cos(theta / 2), np.sin(theta / 2), np.array([g.psi for g in gs])
+        )
+        for index in all_indices(Fraction(15, 2)):
+            if index.l.twice != 15:
+                continue
+            values = block.element(_resolve(index))
+            for g, value in zip(gs, values):
+                assert abs(value - eval_matrix_element(index, g)) <= 1e-12
