@@ -10,13 +10,11 @@ that cross-checks every exact result.
 __version__ = "0.1.0"
 
 from ._kernel import backend_name
-from .scalars import HalfInt, Rational, RadicalScalar, radical_normalize
+from .scalars import HalfInt, RadicalScalar, radical_normalize
 from .wigner import (
     MatrixElementIndex,
-    RationalPolynomial,
     TrigPolynomial,
     conjugate_index,
-    legendre_poly,
     matrix_element_trigpoly,
 )
 from .integrals import (
@@ -25,13 +23,11 @@ from .integrals import (
     ProductSpec,
     frequency_of,
     integrate_product,
-    monomial_theta_integral,
 )
 from .powers import (
     FiniteFunction,
     NoSolutionError,
     enumerate_balanced_compositions,
-    gaussian_pow,
     minimal_balanced_pair,
     power_integral,
     power_integral_with_witness,
@@ -55,43 +51,33 @@ from .harness import (
     check_proven_direction,
     classify_instance,
     fuzz,
-    legendre_moment_scan,
-    legendre_power_moments,
     run_verification_suite,
 )
 from .numeric import (
     EulerAngles,
     McEstimate,
-    compose_and_check,
     eval_matrix_element,
     mc_integral,
-    representation_matrix,
-    sample_haar,
 )
 
 __all__ = [
     "__version__",
     "backend_name",
     "HalfInt",
-    "Rational",
     "RadicalScalar",
     "radical_normalize",
     "MatrixElementIndex",
-    "RationalPolynomial",
     "TrigPolynomial",
     "conjugate_index",
-    "legendre_poly",
     "matrix_element_trigpoly",
     "FrequencyPair",
     "ParityError",
     "ProductSpec",
     "frequency_of",
     "integrate_product",
-    "monomial_theta_integral",
     "FiniteFunction",
     "NoSolutionError",
     "enumerate_balanced_compositions",
-    "gaussian_pow",
     "minimal_balanced_pair",
     "power_integral",
     "power_integral_with_witness",
@@ -111,14 +97,9 @@ __all__ = [
     "check_proven_direction",
     "classify_instance",
     "fuzz",
-    "legendre_moment_scan",
-    "legendre_power_moments",
     "run_verification_suite",
     "EulerAngles",
     "McEstimate",
-    "compose_and_check",
     "eval_matrix_element",
     "mc_integral",
-    "representation_matrix",
-    "sample_haar",
 ]

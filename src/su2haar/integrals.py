@@ -17,16 +17,16 @@ on [0, 1].  `integrate_product` works on the u-form of each element
 the factors' integer u-polynomials, sums their parities (a balanced product
 has even ones, so c^2 folds in as 1 - u and s^2 as u) and reads the integral
 off as sum_j c_j / (j + 1) with `u_integral`, the read-out `power_scan`
-shares.  `monomial_theta_integral` keeps the closed form
-2 * (a/2)! * (b/2)! / ((a+b)/2 + 1)! of a single monomial c^a s^b for the
-(c, s) route the tests compare against.  No pi ever appears in a stored value.
+shares.  The closed form 2 * (a/2)! * (b/2)! / ((a+b)/2 + 1)! of a single
+monomial c^a s^b, for the (c, s) route the tests compare against, lives with
+the test oracles (`tests/oracles.py`).  No pi ever appears in a stored value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from math import lcm
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 from . import _kernel
@@ -96,9 +96,6 @@ class ProductSpec:
             return self
         return ProductSpec(self.factors + ((extra, 1),))
 
-    def __iter__(self):
-        return iter(self.factors)
-
 
 def frequency_of(
     spec: ProductSpec, shift: Optional[MatrixElementIndex] = None
@@ -110,23 +107,6 @@ def frequency_of(
         m2 += shift.m.twice
         n2 += shift.n.twice
     return FrequencyPair(HalfInt.from_twice(m2), HalfInt.from_twice(n2))
-
-
-def monomial_theta_integral(c_exp: int, s_exp: int) -> Fraction:
-    """Exact value of integral_0^pi c^a s^b sin(theta) d(theta) for even a, b.
-
-    Equals 2 * (a/2)! * (b/2)! / ((a+b)/2 + 1)! by the substitution
-    u = sin(theta/2)^2.
-    """
-    if c_exp < 0 or s_exp < 0:
-        raise ValueError(f"exponents must be nonnegative, got ({c_exp}, {s_exp})")
-    if c_exp % 2 or s_exp % 2:
-        raise ParityError(
-            f"odd exponent in theta integral ({c_exp}, {s_exp}); "
-            "this indicates an upstream frequency-filter bug"
-        )
-    half_a, half_b = c_exp // 2, s_exp // 2
-    return Fraction(2 * factorial(half_a) * factorial(half_b), factorial(half_a + half_b + 1))
 
 
 def u_integral(coeffs: Sequence[int], scale: int = 1) -> Fraction:

@@ -1,9 +1,10 @@
-"""Floating-point Monte Carlo Haar integration and numeric representation matrices.
+"""Floating-point Monte Carlo Haar integration and numeric matrix elements.
 
 Everything here is an independent double-precision check on the exact engine:
-Haar sampling in Euler coordinates, matrix-element evaluation from the same
-pinned phase convention, and a 2x2 composition check that validates the
-homomorphism property of every spin.
+Haar sampling in Euler coordinates and matrix-element evaluation from the
+same pinned phase convention.  The test suite builds its numeric
+representation matrices and the 2x2 composition check of every spin on
+`eval_matrix_element` (`tests/oracles.py`).
 
 Draws.  `mc_integral` draws chunks of `_CHUNK` samples from one PCG64 stream,
 in a fixed order per chunk: phi uniform on [0, 2pi), then psi uniform on
@@ -23,7 +24,7 @@ from them, with no complex exp and no float pow per element; f^P is one
 repeated squaring.  The (c, s) terms are summed as they are: expanding
 c^2 = 1 - u into a polynomial in u loses digits to the cancelling binomials
 (up to 4e-3 absolute at spin 20, against 1e-11 here).
-`eval_matrix_element` and `representation_matrix` read one-sample blocks.
+`eval_matrix_element` reads a one-sample block.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ import numpy as np
 
 from .integrals import ProductSpec
 from .powers import FiniteFunction
-from .scalars import HalfInt
 from .wigner import MatrixElementIndex, theta_restriction
 
 _CHUNK = 1 << 16
@@ -54,14 +54,6 @@ class McEstimate(NamedTuple):
     std_error: float
     samples: int
     seed: int
-
-
-def sample_haar(rng: np.random.Generator) -> EulerAngles:
-    """One Haar-distributed coordinate triple (density sin(theta) in theta)."""
-    phi = float(rng.uniform(0.0, 2.0 * math.pi))
-    psi = float(rng.uniform(-2.0 * math.pi, 2.0 * math.pi))
-    theta = float(np.arccos(1.0 - 2.0 * rng.uniform(0.0, 1.0)))
-    return EulerAngles(phi, theta, psi)
 
 
 class _Element(NamedTuple):
@@ -229,73 +221,3 @@ def mc_integral(target: McTarget, samples: int = 1_000_000, seed: int = 0) -> Mc
     else:
         std_error = 0.0
     return McEstimate(mean=complex(mean), std_error=std_error, samples=samples, seed=seed)
-
-
-def representation_matrix(l: HalfInt, g: EulerAngles) -> np.ndarray:
-    """Matrix of all t[l,m,n](g); rows and columns ordered m, n = l, l-1, ..., -l."""
-    l = HalfInt(l)
-    dim = l.twice + 1
-    block = _Block.at(g)
-    out = np.zeros((dim, dim), dtype=complex)
-    for i in range(dim):
-        m2 = l.twice - 2 * i
-        for j in range(dim):
-            n2 = l.twice - 2 * j
-            idx = MatrixElementIndex(l, HalfInt.from_twice(m2), HalfInt.from_twice(n2))
-            out[i, j] = block.element(_resolve(idx))[0]
-    return out
-
-
-def group_matrix(g: EulerAngles) -> np.ndarray:
-    """The 2x2 special-unitary matrix k(phi) a(theta) k(psi)."""
-    c = math.cos(g.theta / 2.0)
-    s = math.sin(g.theta / 2.0)
-    k1 = np.array([[np.exp(0.5j * g.phi), 0], [0, np.exp(-0.5j * g.phi)]])
-    a = np.array([[c, 1j * s], [1j * s, c]])
-    k2 = np.array([[np.exp(0.5j * g.psi), 0], [0, np.exp(-0.5j * g.psi)]])
-    return k1 @ a @ k2
-
-
-_TWO_PI = 2.0 * math.pi
-_FOUR_PI = 4.0 * math.pi
-
-
-def euler_from_matrix(u: np.ndarray, eps: float = 1e-12) -> EulerAngles:
-    """Euler coordinates of a 2x2 special-unitary matrix.
-
-    The factorization is non-unique at theta in {0, pi}; there the branch puts
-    the whole phase on psi.  Generic phi lands in [0, 2pi), psi in [-2pi, 2pi).
-    """
-    absc = abs(u[0, 0])
-    abss = abs(u[1, 0])
-    theta = 2.0 * math.atan2(abss, absc)
-    if abss <= eps:
-        total = 2.0 * np.angle(u[0, 0])
-        return EulerAngles(0.0, 0.0, _wrap_psi(total))
-    if absc <= eps:
-        # with phi = 0: u[1,0] = i exp(i psi / 2)
-        psi = 2.0 * np.angle(u[1, 0]) - math.pi
-        return EulerAngles(0.0, math.pi, _wrap_psi(psi))
-    total = 2.0 * np.angle(u[0, 0])          # phi + psi
-    diff = 2.0 * np.angle(u[0, 1]) - math.pi  # phi - psi
-    phi = (total + diff) / 2.0
-    psi = (total - diff) / 2.0
-    shift = math.floor(phi / _TWO_PI)
-    phi -= shift * _TWO_PI                    # into [0, 2pi)
-    psi += shift * _TWO_PI                    # k(phi+2pi) = -k(phi) pairs with k(psi-2pi)
-    return EulerAngles(phi, theta, _wrap_psi(psi))
-
-
-def _wrap_psi(psi: float) -> float:
-    return (psi + _TWO_PI) % _FOUR_PI - _TWO_PI
-
-
-def compose_and_check(l: HalfInt, g1: EulerAngles, g2: EulerAngles, tol: float) -> bool:
-    """Check T(g1) T(g2) = T(g1 g2) at spin l within tol (max-abs entrywise)."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    product = group_matrix(g1) @ group_matrix(g2)
-    g12 = euler_from_matrix(product)
-    lhs = representation_matrix(l, g1) @ representation_matrix(l, g2)
-    rhs = representation_matrix(l, g12)
-    return bool(np.max(np.abs(lhs - rhs)) <= tol)

@@ -43,8 +43,8 @@ every state dies at step 1.
 Read-out.  integral(f^P [h]) is the zero-frequency state after step P, read
 per radicand as sum_j c_j / (j + 1) / (E_h E^P) by `integrals.u_integral`.
 
-The test suite's oracle for this pass is the multinomial sum over
-frequency-balanced compositions.  `enumerate_balanced_compositions` lists
+The test suite's oracle for this pass (`tests/conftest.py`) is the
+multinomial sum over frequency-balanced compositions.  `enumerate_balanced_compositions` lists
 those compositions with `_kernel.balanced_compositions`; the pass itself
 never calls the kernel.
 """
@@ -82,20 +82,6 @@ def _as_gaussian(coeff) -> GaussianRational:
 
 def gaussian_mul(a: GaussianRational, b: GaussianRational) -> GaussianRational:
     return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
-def gaussian_pow(a: GaussianRational, n: int) -> GaussianRational:
-    """Exact binary exponentiation over Gaussian rationals."""
-    if n < 0:
-        raise ValueError("negative power")
-    result = (Fraction(1), Fraction(0))
-    base = a
-    while n:
-        if n & 1:
-            result = gaussian_mul(result, base)
-        base = gaussian_mul(base, base)
-        n >>= 1
-    return result
 
 
 def _is_json_int_or_str(value) -> bool:

@@ -16,8 +16,6 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Tuple, Union
 
-Rational = Fraction
-
 
 def _twice_of(value) -> int:
     """Twice the value of an int, HalfInt, or Fraction with denominator 1 or 2."""
@@ -63,10 +61,6 @@ class HalfInt:
             raise ValueError(f"not a half-integer: {text!r}")
         return HalfInt.from_twice(2 * int(s))
 
-    @property
-    def is_integer(self) -> bool:
-        return self.twice % 2 == 0
-
     def as_fraction(self) -> Fraction:
         return Fraction(self.twice, 2)
 
@@ -75,9 +69,6 @@ class HalfInt:
             raise ValueError(f"{self} is not an integer")
         return self.twice // 2
 
-    def __float__(self) -> float:
-        return self.twice / 2.0
-
     def __add__(self, other) -> "HalfInt":
         return HalfInt.from_twice(self.twice + _twice_of(other))
 
@@ -85,9 +76,6 @@ class HalfInt:
 
     def __sub__(self, other) -> "HalfInt":
         return HalfInt.from_twice(self.twice - _twice_of(other))
-
-    def __rsub__(self, other) -> "HalfInt":
-        return HalfInt.from_twice(_twice_of(other) - self.twice)
 
     def __neg__(self) -> "HalfInt":
         return HalfInt.from_twice(-self.twice)
@@ -183,7 +171,7 @@ class RadicalScalar:
     and ``is_zero`` is decidable.
     """
 
-    __slots__ = ("_re", "_im", "_key")
+    __slots__ = ("_re", "_im")
 
     def __init__(self, re: Mapping[int, Fraction] = None, im: Mapping[int, Fraction] = None, *, _canonical=False):
         if _canonical:
@@ -192,7 +180,6 @@ class RadicalScalar:
         else:
             self._re = _canonical_map((c, r) for r, c in (re or {}).items())
             self._im = _canonical_map((c, r) for r, c in (im or {}).items())
-        self._key = None
 
     # ---- constructors -------------------------------------------------
 
@@ -323,18 +310,13 @@ class RadicalScalar:
 
     # ---- comparison / hashing ------------------------------------------
 
-    def _cache_key(self):
-        if self._key is None:
-            self._key = (self.real_terms(), self.imag_terms())
-        return self._key
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, RadicalScalar):
             return NotImplemented
         return self._re == other._re and self._im == other._im
 
     def __hash__(self) -> int:
-        return hash(self._cache_key())
+        return hash((self.real_terms(), self.imag_terms()))
 
     def __bool__(self) -> bool:
         return not self.is_zero()

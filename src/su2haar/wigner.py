@@ -25,7 +25,8 @@ right one-parameter phase laws
 this pins the phase convention completely: at l = 1/2 the matrix of t over
 a(theta) reproduces a(theta) itself (rows ordered m = +1/2, -1/2), and the
 diagonal entries t[l, 0, 0](a(theta)) equal the Legendre polynomial
-P_l(cos theta).
+P_l(cos theta) (the tests check both against their own oracles in
+`tests/oracles.py`).
 
 `u_form` rewrites the same expansion in u = s**2 as
 
@@ -175,19 +176,10 @@ class TrigPolynomial:
     def terms(self) -> Dict[Tuple[int, int], RadicalScalar]:
         return dict(self._terms)
 
-    def sorted_terms(self):
-        return tuple(sorted(self._terms.items()))
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, TrigPolynomial):
             return NotImplemented
         return self._terms == other._terms
-
-    def __hash__(self):
-        return hash(self.sorted_terms())
 
     def __add__(self, other: "TrigPolynomial") -> "TrigPolynomial":
         data = dict(self._terms)
@@ -198,9 +190,6 @@ class TrigPolynomial:
             else:
                 data[mono] = acc
         return TrigPolynomial(data)
-
-    def __sub__(self, other: "TrigPolynomial") -> "TrigPolynomial":
-        return self + other.scale(RadicalScalar.from_rational(-1))
 
     def __mul__(self, other: "TrigPolynomial") -> "TrigPolynomial":
         data: dict = {}
@@ -233,9 +222,6 @@ class TrigPolynomial:
     def conjugate(self) -> "TrigPolynomial":
         return TrigPolynomial({mono: coeff.conjugate() for mono, coeff in self._terms.items()})
 
-    def eval_complex(self, c: float, s: float) -> complex:
-        return sum(coeff.to_complex() * (c ** p) * (s ** q) for (p, q), coeff in self._terms.items())
-
     def eliminate_sin(self) -> Dict[int, RadicalScalar]:
         """Substitute s**2 = 1 - c**2; requires every s-exponent to be even.
 
@@ -260,17 +246,8 @@ class TrigPolynomial:
     def to_json(self) -> list:
         return [
             {"c_exp": p, "s_exp": q, "coeff": coeff.to_json()}
-            for (p, q), coeff in self.sorted_terms()
+            for (p, q), coeff in sorted(self._terms.items())
         ]
-
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        bits = []
-        for (p, q), coeff in self.sorted_terms():
-            mono = "".join([f"c^{p}" if p else "", f"s^{q}" if q else ""]) or "1"
-            bits.append(f"({coeff})*{mono}")
-        return " + ".join(bits)
 
 
 @functools.lru_cache(maxsize=None)
@@ -282,62 +259,3 @@ def matrix_element_trigpoly(idx: MatrixElementIndex) -> TrigPolynomial:
         scalar = RadicalScalar.from_terms(real=[(coeff, data.radicand)]).times_i_power(data.phase)
         terms[(c_exp, s_exp)] = scalar
     return TrigPolynomial(terms)
-
-
-class RationalPolynomial:
-    """Univariate polynomial with exact rational coefficients, ascending powers."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __call__(self, x):
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __eq__(self, other):
-        if not isinstance(other, RationalPolynomial):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        return f"RationalPolynomial({list(self.coeffs)})"
-
-
-@functools.lru_cache(maxsize=None)
-def legendre_poly(l: int) -> RationalPolynomial:
-    """Legendre polynomial P_l with P_l(1) = 1, by the three-term recurrence."""
-    if isinstance(l, HalfInt):
-        if not l.is_integer:
-            raise ValueError(f"Legendre polynomials need integer degree, got {l}")
-        l = int(l)
-    if not isinstance(l, int) or l < 0:
-        raise ValueError(f"degree must be a nonnegative integer, got {l!r}")
-    if l == 0:
-        return RationalPolynomial([1])
-    if l == 1:
-        return RationalPolynomial([0, 1])
-    p_prev = [Fraction(1)]
-    p_cur = [Fraction(0), Fraction(1)]
-    for n in range(1, l):
-        # (n+1) P_{n+1} = (2n+1) x P_n - n P_{n-1}
-        nxt = [Fraction(0)] * (n + 2)
-        for j, c in enumerate(p_cur):
-            nxt[j + 1] += Fraction(2 * n + 1, n + 1) * c
-        for j, c in enumerate(p_prev):
-            nxt[j] -= Fraction(n, n + 1) * c
-        p_prev, p_cur = p_cur, nxt
-    return RationalPolynomial(p_cur)

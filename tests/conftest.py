@@ -1,4 +1,4 @@
-"""Shared builders and independent oracles for the test suite."""
+"""Shared builders and independent oracles for the test suite (see also oracles.py)."""
 
 from __future__ import annotations
 
@@ -8,14 +8,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from su2haar.integrals import ProductSpec, frequency_of, integrate_product, monomial_theta_integral
-from su2haar.numeric import group_matrix
-from su2haar.powers import (
-    FiniteFunction,
-    enumerate_balanced_compositions,
-    gaussian_mul,
-    gaussian_pow,
-)
+from oracles import gaussian_pow, group_matrix, monomial_theta_integral
+from su2haar.integrals import ProductSpec, frequency_of, integrate_product
+from su2haar.powers import FiniteFunction, enumerate_balanced_compositions, gaussian_mul
 from su2haar.scalars import HalfInt, RadicalScalar
 from su2haar.wigner import MatrixElementIndex, matrix_element_trigpoly
 

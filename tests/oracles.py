@@ -1,0 +1,142 @@
+"""Reference oracles the tests compare the package against.
+
+None of these is reached by a command or by another library function; each
+is an independent route to a value the package computes another way:
+
+* `legendre_poly`: Legendre coefficients by the three-term recurrence, for
+  the diagonal elements t[l,0,0](a(theta)) = P_l(cos theta);
+* `monomial_theta_integral`: the closed-form theta integral of c^a s^b, for
+  the (c, s) route to `integrate_product`;
+* `gaussian_pow`: exact powers of Gaussian rationals, for the multinomial
+  sums that check `power_scan`;
+* numeric group matrices: Haar sampling, the 2x2 matrix of Euler angles and
+  back, spin-l representation matrices built on `eval_matrix_element`, and
+  the homomorphism check T(g1) T(g2) = T(g1 g2).
+"""
+
+from __future__ import annotations
+
+import functools
+import math
+from fractions import Fraction
+from typing import Tuple
+
+import numpy as np
+
+from su2haar.integrals import ParityError
+from su2haar.numeric import EulerAngles, eval_matrix_element
+from su2haar.powers import GaussianRational, gaussian_mul
+from su2haar.scalars import HalfInt
+from su2haar.wigner import MatrixElementIndex
+
+
+@functools.lru_cache(maxsize=None)
+def legendre_poly(l: int) -> Tuple[Fraction, ...]:
+    """Coefficients of the Legendre polynomial P_l (P_l(1) = 1), ascending powers."""
+    if not isinstance(l, int) or l < 0:
+        raise ValueError(f"degree must be a nonnegative integer, got {l!r}")
+    p_prev, p_cur = [Fraction(1)], [Fraction(0), Fraction(1)]
+    if l == 0:
+        return tuple(p_prev)
+    for n in range(1, l):
+        # (n+1) P_{n+1} = (2n+1) x P_n - n P_{n-1}
+        nxt = [Fraction(0)] * (n + 2)
+        for j, c in enumerate(p_cur):
+            nxt[j + 1] += Fraction(2 * n + 1, n + 1) * c
+        for j, c in enumerate(p_prev):
+            nxt[j] -= Fraction(n, n + 1) * c
+        p_prev, p_cur = p_cur, nxt
+    return tuple(p_cur)
+
+
+def monomial_theta_integral(c_exp: int, s_exp: int) -> Fraction:
+    """Exact value of integral_0^pi c^a s^b sin(theta) d(theta) for even a, b.
+
+    Equals 2 * (a/2)! * (b/2)! / ((a+b)/2 + 1)! by the substitution
+    u = sin(theta/2)^2.
+    """
+    if c_exp < 0 or s_exp < 0:
+        raise ValueError(f"exponents must be nonnegative, got ({c_exp}, {s_exp})")
+    if c_exp % 2 or s_exp % 2:
+        raise ParityError(f"odd exponent in theta integral ({c_exp}, {s_exp})")
+    half_a, half_b = c_exp // 2, s_exp // 2
+    fact = math.factorial
+    return Fraction(2 * fact(half_a) * fact(half_b), fact(half_a + half_b + 1))
+
+
+def gaussian_pow(a: GaussianRational, n: int) -> GaussianRational:
+    """Exact binary exponentiation over Gaussian rationals."""
+    if n < 0:
+        raise ValueError("negative power")
+    result = (Fraction(1), Fraction(0))
+    while n:
+        if n & 1:
+            result = gaussian_mul(result, a)
+        a = gaussian_mul(a, a)
+        n >>= 1
+    return result
+
+
+def sample_haar(rng: np.random.Generator) -> EulerAngles:
+    """One Haar-distributed coordinate triple (density sin(theta) in theta)."""
+    phi = float(rng.uniform(0.0, 2.0 * math.pi))
+    psi = float(rng.uniform(-2.0 * math.pi, 2.0 * math.pi))
+    theta = float(np.arccos(1.0 - 2.0 * rng.uniform(0.0, 1.0)))
+    return EulerAngles(phi, theta, psi)
+
+
+def representation_matrix(l, g: EulerAngles) -> np.ndarray:
+    """Matrix of all t[l,m,n](g); rows and columns ordered m, n = l, l-1, ..., -l."""
+    l = HalfInt(l)
+    spins = [HalfInt.from_twice(l.twice - 2 * i) for i in range(l.twice + 1)]
+    return np.array(
+        [[eval_matrix_element(MatrixElementIndex(l, m, n), g) for n in spins] for m in spins]
+    )
+
+
+def group_matrix(g: EulerAngles) -> np.ndarray:
+    """The 2x2 special-unitary matrix k(phi) a(theta) k(psi)."""
+    c = math.cos(g.theta / 2.0)
+    s = math.sin(g.theta / 2.0)
+    k1 = np.array([[np.exp(0.5j * g.phi), 0], [0, np.exp(-0.5j * g.phi)]])
+    a = np.array([[c, 1j * s], [1j * s, c]])
+    k2 = np.array([[np.exp(0.5j * g.psi), 0], [0, np.exp(-0.5j * g.psi)]])
+    return k1 @ a @ k2
+
+
+def _wrap_psi(psi: float) -> float:
+    return (psi + 2.0 * math.pi) % (4.0 * math.pi) - 2.0 * math.pi
+
+
+def euler_from_matrix(u: np.ndarray, eps: float = 1e-12) -> EulerAngles:
+    """Euler coordinates of a 2x2 special-unitary matrix.
+
+    The factorization is non-unique at theta in {0, pi}; there the branch puts
+    the whole phase on psi.  Generic phi lands in [0, 2pi), psi in [-2pi, 2pi).
+    """
+    absc = abs(u[0, 0])
+    abss = abs(u[1, 0])
+    theta = 2.0 * math.atan2(abss, absc)
+    if abss <= eps:
+        return EulerAngles(0.0, 0.0, _wrap_psi(2.0 * np.angle(u[0, 0])))
+    if absc <= eps:
+        # with phi = 0: u[1,0] = i exp(i psi / 2)
+        return EulerAngles(0.0, math.pi, _wrap_psi(2.0 * np.angle(u[1, 0]) - math.pi))
+    total = 2.0 * np.angle(u[0, 0])          # phi + psi
+    diff = 2.0 * np.angle(u[0, 1]) - math.pi  # phi - psi
+    phi = (total + diff) / 2.0
+    psi = (total - diff) / 2.0
+    shift = math.floor(phi / (2.0 * math.pi))
+    phi -= shift * 2.0 * math.pi              # into [0, 2pi)
+    psi += shift * 2.0 * math.pi              # k(phi+2pi) = -k(phi) pairs with k(psi-2pi)
+    return EulerAngles(phi, theta, _wrap_psi(psi))
+
+
+def compose_and_check(l, g1: EulerAngles, g2: EulerAngles, tol: float) -> bool:
+    """Check T(g1) T(g2) = T(g1 g2) at spin l within tol (max-abs entrywise)."""
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    g12 = euler_from_matrix(group_matrix(g1) @ group_matrix(g2))
+    lhs = representation_matrix(l, g1) @ representation_matrix(l, g2)
+    rhs = representation_matrix(l, g12)
+    return bool(np.max(np.abs(lhs - rhs)) <= tol)

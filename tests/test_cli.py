@@ -468,3 +468,25 @@ class TestBackendContract:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "pure"
+
+    def test_names_the_benchmark_reads_resolve(self):
+        """clibench/ reads these after `import su2haar.cli` alone; a missing one fails its install."""
+        root = pathlib.Path(__file__).resolve().parents[1]
+        src = str(root / "src")
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        script = (
+            "import sys\n"
+            "import su2haar.cli\n"
+            "assert 'su2haar.numeric' in sys.modules\n"
+            "assert 'to_json' in sys.modules['su2haar.scalars'].RadicalScalar.__dict__\n"
+            "assert su2haar.cli.backend_name() == 'pure'\n"
+            f"sys.path.insert(0, {str(root / 'clibench')!r})\n"
+            "import tracer\n"
+            "for module, attr, _ in tracer.FUNCTIONS:\n"
+            "    assert callable(getattr(sys.modules[module], attr)), (module, attr)\n"
+            "print(len(tracer.FUNCTIONS))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1"))
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) > 0

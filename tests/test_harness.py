@@ -11,12 +11,11 @@ from su2haar.harness import (
     classify_instance,
     fuzz,
     generate_instance,
-    legendre_moment_scan,
-    legendre_power_moments,
     run_verification_suite,
     trial_rng,
 )
-from su2haar.scalars import HalfInt
+from su2haar.powers import power_scan
+from su2haar.scalars import HalfInt, RadicalScalar
 
 H = Fraction(1, 2)
 
@@ -125,47 +124,35 @@ class TestFuzz:
         with pytest.raises(ValueError):
             FuzzConfig(seed=0, trials=1, rank2_bias=1.5)
         with pytest.raises(ValueError):
-            FuzzConfig(seed=0, trials=1, coeff_pool=((Fraction(0), Fraction(0)),))
-        with pytest.raises(ValueError):
             FuzzConfig(seed=0, trials=1, rank2_bias=0.5, k_max=2)
         with pytest.raises(ValueError):
             FuzzConfig(seed=0, trials=1, rank2_bias=0.5, l_max=HalfInt(0))
+        with pytest.raises(ValueError, match="l_max"):
+            FuzzConfig(seed=0, trials=1, l_max=HalfInt(-1))
 
 
 class TestLegendreMoments:
+    """integral(f^P) for f = sum_l A_l t[l,0,0] is the moment (1/2) integral_{-1}^{1} (sum_l A_l P_l)^P dx."""
+
+    @staticmethod
+    def first_nonzero(f, pmax):
+        return next(((p, v) for p, v in power_scan(f, pmax) if not v.is_zero()), None)
+
     def test_constant(self):
-        assert legendre_moment_scan({0: (Fraction(1), Fraction(0))}, 3) == (
-            1,
-            (Fraction(1), Fraction(0)),
-        )
+        assert self.first_nonzero(ff(((0, 0, 0), 1)), 3) == (1, RadicalScalar.one())
 
     def test_pure_p1(self):
-        result = legendre_moment_scan({1: (Fraction(1), Fraction(0))}, 4)
-        assert result == (2, (Fraction(1, 3), Fraction(0)))
+        assert self.first_nonzero(ff(((1, 0, 0), 1)), 4) == (2, RadicalScalar.from_rational(Fraction(1, 3)))
 
     def test_mixed(self):
-        result = legendre_moment_scan(
-            {1: (Fraction(1), Fraction(0)), 2: (Fraction(1), Fraction(0))}, 4
-        )
-        assert result == (2, (Fraction(8, 15), Fraction(0)))
-
-    def test_all_zero_rejected(self):
-        with pytest.raises(ValueError):
-            legendre_moment_scan({1: (Fraction(0), Fraction(0))}, 3)
-        with pytest.raises(ValueError):
-            legendre_moment_scan({}, 3)
+        f = ff(((1, 0, 0), 1), ((2, 0, 0), 1))
+        assert self.first_nonzero(f, 4) == (2, RadicalScalar.from_rational(Fraction(8, 15)))
 
     @pytest.mark.parametrize("l", range(0, 5))
     def test_cross_check_against_power_scan(self, l):
-        """Moments of A*P_l match the composition oracle on A*t[l,0,0] term by term."""
-        from su2haar.scalars import RadicalScalar
-
-        coeff = (Fraction(1), Fraction(2))
-        moments = legendre_power_moments({l: coeff}, 6)
-        assert len(moments) == 6
-        f = ff(((l, 0, 0), coeff))
-        for (p, value), (re, im) in zip(composition_power_scan(f, 6), moments):
-            assert value == RadicalScalar.from_gaussian(re, im), f"P={p}"
+        """power_scan on A*t[l,0,0] matches the composition oracle term by term."""
+        f = ff(((l, 0, 0), (Fraction(1), Fraction(2))))
+        assert power_scan(f, 6) == composition_power_scan(f, 6)
 
 
 class TestVerificationSuite:

@@ -4,13 +4,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import all_indices, idx, integrate_via_trigpoly
-from su2haar.integrals import (
-    ParityError,
-    ProductSpec,
-    frequency_of,
-    integrate_product,
-    monomial_theta_integral,
-)
+from oracles import monomial_theta_integral
+from su2haar.integrals import ParityError, ProductSpec, frequency_of, integrate_product
 from su2haar.scalars import HalfInt, RadicalScalar
 
 H = Fraction(1, 2)

@@ -5,13 +5,13 @@ from fractions import Fraction
 import pytest
 
 from conftest import all_indices, brute_force_power_integral, ff, hi, idx
+from oracles import gaussian_pow
 from su2haar.hull import SupportHull, origin_in_hull
 from su2haar.integrals import ProductSpec, integrate_product
 from su2haar.powers import (
     FiniteFunction,
     NoSolutionError,
     enumerate_balanced_compositions,
-    gaussian_pow,
     minimal_balanced_pair,
     power_integral,
     power_integral_with_witness,
