@@ -1,15 +1,19 @@
-"""Integer kernels: dense polynomial convolution and constrained composition search.
+"""Integer kernels: packed polynomial products and constrained composition search.
 
-`convolve` and `vec_pow` multiply the integer u-polynomials of a product in
-`integrate_product`.  `balanced_compositions` lists the frequency-balanced
-compositions behind `enumerate_balanced_compositions`, which the test suite's
-composition oracle sums over.  Coefficients are Python ints throughout, so
-there is no overflow.
+`pack` writes an integer u-polynomial as one int, sum_j c_j 2^(w j), with a
+signed slot of w bits per power of u (Kronecker substitution); `unpack`
+reads it back while every |c_j| < 2^(w-1).  `convolve` and `vec_pow`, the
+products `integrate_product` uses, are one big-integer multiply or power
+between the two, at a slot width taken from the bit lengths of the factors'
+L1 norms; `power_scan` packs its states with the same pair.
+`balanced_compositions` lists the frequency-balanced compositions behind
+`enumerate_balanced_compositions`, which the test suite's composition oracle
+sums over.  Coefficients are Python ints throughout, so there is no overflow.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 
 def backend_name() -> str:
@@ -17,34 +21,46 @@ def backend_name() -> str:
     return "pure"
 
 
+def pack(coeffs: Iterable[int], width: int) -> int:
+    """Kronecker substitution u = 2^width; slots are signed."""
+    return sum(c << (width * j) for j, c in enumerate(coeffs))
+
+
+def unpack(packed: int, width: int, length: int = 0) -> List[int]:
+    """Coefficients of a packed polynomial with slots |c| < 2^(width-1), zero-padded to length."""
+    mask, half, coeffs = (1 << width) - 1, 1 << (width - 1), []
+    while packed:
+        c = packed & mask
+        if c >= half:
+            c -= 1 << width
+        coeffs.append(c)
+        packed = (packed - c) >> width
+    return coeffs + [0] * (length - len(coeffs))
+
+
+def _norm_bits(v: Sequence[int]) -> int:
+    """Bit length of the L1 norm of v, so every |c| <= ||v|| < 2^_norm_bits(v)."""
+    return sum(abs(c) for c in v).bit_length()
+
+
 def convolve(a: Sequence[int], b: Sequence[int]) -> List[int]:
     """Product of two dense integer coefficient vectors."""
-    la, lb = len(a), len(b)
-    if la == 0 or lb == 0:
+    if not a or not b:
         return []
-    out = [0] * (la + lb - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            if bj:
-                out[i + j] += ai * bj
-    return out
+    width = _norm_bits(a) + _norm_bits(b) + 1
+    return unpack(pack(a, width) * pack(b, width), width, len(a) + len(b) - 1)
 
 
 def vec_pow(v: Sequence[int], p: int) -> List[int]:
     """p-th convolution power of v (p = 0 gives the unit [1])."""
     if p < 0:
         raise ValueError("negative power")
-    result = [1]
-    base = list(v)
-    while p:
-        if p & 1:
-            result = convolve(result, base)
-        p >>= 1
-        if p:
-            base = convolve(base, base)
-    return result
+    if p == 0:
+        return [1]
+    if not v:
+        return []
+    width = p * _norm_bits(v) + 1
+    return unpack(pack(v, width) ** p, width, p * (len(v) - 1) + 1)
 
 
 def balanced_compositions(

@@ -35,7 +35,7 @@ def _load_json(path: str) -> dict:
             obj = json.load(fh)
     except OSError as e:
         raise InputError(f"cannot read {path}: {e}") from None
-    except json.JSONDecodeError as e:
+    except ValueError as e:             # bad JSON, bad UTF-8, or an integer over the digit limit
         raise InputError(f"{path}: invalid JSON: {e}") from None
     if not isinstance(obj, dict):
         raise InputError(f"{path}: expected a JSON object at the top level")
@@ -119,19 +119,26 @@ def _check_mc(ns) -> None:
         raise InputError("--mc must be >= 0")
 
 
+def _mc_block(target, samples: int, seed: int) -> dict:
+    try:
+        est = mc_integral(target, samples=samples, seed=seed)
+    except OverflowError:
+        raise InputError("--mc: a coefficient is too large for floating point") from None
+    return {
+        "mean_re": est.mean.real,
+        "mean_im": est.mean.imag,
+        "std_error": est.std_error,
+        "samples": est.samples,
+    }
+
+
 def _cmd_integrate(ns, argv, started) -> int:
     _check_mc(ns)
     spec, shift = load_product_file(ns.file)
     value = integrate_product(spec, shift)
     env = _envelope(argv, exact=value.to_json())
     if ns.mc:
-        est = mc_integral(spec.with_extra(shift), samples=ns.mc, seed=ns.seed)
-        env["numeric"] = {
-            "mean_re": est.mean.real,
-            "mean_im": est.mean.imag,
-            "std_error": est.std_error,
-            "samples": est.samples,
-        }
+        env["numeric"] = _mc_block(spec.with_extra(shift), ns.mc, ns.seed)
         env["seed"] = ns.seed
     _emit(env, started)
     return 0
@@ -148,13 +155,7 @@ def _cmd_power_scan(ns, argv, started) -> int:
         row = {"P": p, "exact": value.to_json()}
         if ns.mc:
             target = (f, p, witness) if witness is not None else (f, p)
-            est = mc_integral(target, samples=ns.mc, seed=ns.seed + p)
-            row["numeric"] = {
-                "mean_re": est.mean.real,
-                "mean_im": est.mean.imag,
-                "std_error": est.std_error,
-                "samples": est.samples,
-            }
+            row["numeric"] = _mc_block(target, ns.mc, ns.seed + p)
         rows.append(row)
     env = _envelope(argv, scan=rows, pmax=ns.pmax)
     if ns.with_h:

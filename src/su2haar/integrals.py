@@ -12,14 +12,16 @@ M - N is always an integer).  Surviving integrals reduce to
   = 1/2 * integral_0^pi ... ,
 
 and with u = sin^2(theta/2) the measure 1/2 * sin(theta) d(theta) becomes du
-on [0, 1].  `integrate_product` works on the u-form of each element
-(`wigner.u_form`, i^phase * sqrt(r) * c^eps * s^delta * q(u)): it multiplies
-the factors' integer u-polynomials, sums their parities (a balanced product
-has even ones, so c^2 folds in as 1 - u and s^2 as u) and reads the integral
-off as sum_j c_j / (j + 1) with `u_integral`, the read-out `power_scan`
-shares.  The closed form 2 * (a/2)! * (b/2)! / ((a+b)/2 + 1)! of a single
-monomial c^a s^b, for the (c, s) route the tests compare against, lives with
-the test oracles (`tests/oracles.py`).  No pi ever appears in a stored value.
+on [0, 1].  `integrate_product` works on the u-form of each element, the
+`eps`, `delta`, `denom` and `poly` fields of `wigner.theta_restriction`
+(i^phase * sqrt(r) * c^eps * s^delta * q(u)): it multiplies the factors'
+integer u-polynomials with the packed products of `_kernel`, sums their
+parities (a balanced product has even ones, so c^2 folds in as 1 - u and s^2
+as u) and reads the integral off as sum_j c_j / (j + 1) with `u_integral`,
+the read-out `power_scan` shares.  The closed form
+2 * (a/2)! * (b/2)! / ((a+b)/2 + 1)! of a single monomial c^a s^b, for the
+(c, s) route the tests compare against, lives with the test oracles
+(`tests/oracles.py`).  No pi ever appears in a stored value.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 
 from . import _kernel
 from .scalars import HalfInt, RadicalScalar, radical_normalize
-from .wigner import MatrixElementIndex, u_form
+from .wigner import MatrixElementIndex, theta_restriction
 
 
 class ParityError(ArithmeticError):
@@ -131,7 +133,7 @@ def integrate_product(
     mult = sqfree_prod = denom = 1
     poly = [1]
     for idx, power in merged.factors:
-        form = u_form(idx)
+        form = theta_restriction(idx)
         phase += form.phase * power
         eps += form.eps * power
         delta += form.delta * power

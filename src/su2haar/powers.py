@@ -7,7 +7,8 @@ P = 1..pmax in a single pass that multiplies by f once per step.
 The u-form.  In Euler coordinates g = k(phi) a(theta) k(psi) the phi and psi
 integrals keep only the part of a product with total frequency (M, N) = 0,
 and with u = sin^2(theta/2) the rest of the normalized Haar measure is du on
-[0, 1].  Each element restricted to a(theta) reads (`wigner.u_form`)
+[0, 1].  Each element restricted to a(theta) reads (the u-form fields of
+`wigner.theta_restriction`)
 
     t[l, m, n](a(theta)) = i^phase * sqrt(r) * c^eps * s^delta * q(u),
 
@@ -21,10 +22,11 @@ States.  After step P a state is the part of f^P (times h, folded in as the
 starting state) with total frequency (M, N), keyed by
 (2M, 2N, eps, delta, r).  Every coefficient is scaled by one common integer
 E per factor of f, so the state's polynomial has Gaussian-integer
-coefficients.  Each polynomial is Kronecker-packed into two Python ints, its
-real and imaginary parts, with one signed slot of w bits per power of u.  A
-step is a few big-integer multiplies per (state, element): c^2 folds in as
-1 - u, s^2 as u, and sqrt(a) * sqrt(b) as g * sqrt(ab / g^2), g = gcd(a, b).
+coefficients.  Each polynomial is Kronecker-packed (`_kernel.pack`) into two
+Python ints, its real and imaginary parts, with one signed slot of w bits per
+power of u.  A step is a few big-integer multiplies per (state, element):
+c^2 folds in as 1 - u, s^2 as u, and sqrt(a) * sqrt(b) as
+g * sqrt(ab / g^2), g = gcd(a, b).
 
 Slot bound.  Writing ||.|| for the sum of |re| + |im| over all coefficients,
 one step multiplies the summed norm of all states by at most
@@ -44,9 +46,10 @@ Read-out.  integral(f^P [h]) is the zero-frequency state after step P, read
 per radicand as sum_j c_j / (j + 1) / (E_h E^P) by `integrals.u_integral`.
 
 The test suite's oracle for this pass (`tests/conftest.py`) is the
-multinomial sum over frequency-balanced compositions.  `enumerate_balanced_compositions` lists
-those compositions with `_kernel.balanced_compositions`; the pass itself
-never calls the kernel.
+multinomial sum over frequency-balanced compositions.
+`enumerate_balanced_compositions` lists those compositions with
+`_kernel.balanced_compositions`; of the kernel the pass itself uses only
+`pack` and `unpack`, at its own slot width.
 """
 
 from __future__ import annotations
@@ -57,10 +60,11 @@ from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import _kernel
+from ._kernel import pack, unpack
 from .hull import _halfplanes, convex_hull_ccw
 from .integrals import u_integral
 from .scalars import HalfInt, RadicalScalar
-from .wigner import MatrixElementIndex, u_form
+from .wigner import MatrixElementIndex, theta_restriction
 
 GaussianRational = Tuple[Fraction, Fraction]
 
@@ -169,6 +173,11 @@ class FiniteFunction:
             parts = (coeff.get("re", "0"), coeff.get("im", "0"))
             if not all(_is_json_int_or_str(x) or isinstance(x, float) for x in parts):
                 raise ValueError(f"terms[{i}].coeff: re and im must be rationals such as \"-3/4\"")
+            if any(isinstance(x, str) and "e" in x.lower() for x in parts):
+                # Fraction("1e200000000") would build the integer 10^200000000
+                raise ValueError(
+                    f"terms[{i}].coeff: exponent notation is not accepted; write an integer, p/q or a decimal"
+                )
             try:
                 re, im = Fraction(parts[0]), Fraction(parts[1])
             except (ValueError, ZeroDivisionError, OverflowError):
@@ -205,7 +214,7 @@ def _scaled_u_polys(terms) -> Tuple[int, Dict[_StateKey, List[Tuple[int, int]]]]
     """
     parts = []
     for idx, coeff in terms:
-        form = u_form(idx)
+        form = theta_restriction(idx)
         re, im = gaussian_mul(coeff, _I_POWERS[form.phase])
         unit = lcm(re.denominator, im.denominator)
         key = (idx.m.twice, idx.n.twice, form.eps, form.delta, form.radicand)
@@ -224,23 +233,6 @@ def _scaled_u_polys(terms) -> Tuple[int, Dict[_StateKey, List[Tuple[int, int]]]]
 
 def _norm(poly: List[Tuple[int, int]]) -> int:
     return sum(abs(re) + abs(im) for re, im in poly)
-
-
-def _pack(coeffs: Iterable[int], width: int) -> int:
-    """Kronecker substitution u = 2^width; slots are signed."""
-    return sum(c << (width * j) for j, c in enumerate(coeffs))
-
-
-def _unpack(packed: int, width: int) -> List[int]:
-    """Coefficients of a packed polynomial with slots |c| < 2^(width-1)."""
-    mask, half, coeffs = (1 << width) - 1, 1 << (width - 1), []
-    while packed:
-        c = packed & mask
-        if c >= half:
-            c -= 1 << width
-        coeffs.append(c)
-        packed = (packed - c) >> width
-    return coeffs
 
 
 def _reachable(pos: Tuple[int, int], rem: int, hull) -> bool:
@@ -266,14 +258,11 @@ def power_scan(
     growth = sum(2 * key[4] * _norm(poly) for key, poly in elements.items())
     width = (sum(_norm(poly) for poly in start.values()) * growth ** pmax).bit_length() + 1
 
-    packed = [
-        (key, _pack((re for re, _ in poly), width), _pack((im for _, im in poly), width))
-        for key, poly in elements.items()
-    ]
-    states = {
-        key: (_pack((re for re, _ in poly), width), _pack((im for _, im in poly), width))
-        for key, poly in start.items()
-    }
+    def pack_parts(poly):
+        return pack((re for re, _ in poly), width), pack((im for _, im in poly), width)
+
+    packed = [(key, *pack_parts(poly)) for key, poly in elements.items()]
+    states = {key: pack_parts(poly) for key, poly in start.items()}
     hull = _halfplanes(convex_hull_ccw([k[:2] for k in elements] + [(0, 0)]))
     one_minus_u = 1 - (1 << width)
     folded: dict = {}            # (state eps, delta, r, element) -> folded element and new parities
@@ -321,11 +310,11 @@ def power_scan(
                 continue
             assert not (eps or delta), "a zero-frequency product has even parities"
             for part, packed_part in ((real, sr), (imag, si)):
-                value = u_integral(_unpack(packed_part, width), denom)
+                value = u_integral(unpack(packed_part, width), denom)
                 if value:
                     part[r] = value
         # each radicand is squarefree and keys one state: the maps are canonical
-        values.append((p, RadicalScalar(real, imag, _canonical=True)))
+        values.append((p, RadicalScalar(real, imag)))
     return values
 
 

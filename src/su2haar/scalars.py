@@ -31,7 +31,7 @@ def _twice_of(value) -> int:
 
 
 class HalfInt:
-    """A half-integer stored as twice its value, so all arithmetic is integral."""
+    """A half-integer, stored as twice its value."""
 
     __slots__ = ("twice",)
 
@@ -64,51 +64,14 @@ class HalfInt:
     def as_fraction(self) -> Fraction:
         return Fraction(self.twice, 2)
 
-    def __int__(self) -> int:
-        if self.twice % 2:
-            raise ValueError(f"{self} is not an integer")
-        return self.twice // 2
-
-    def __add__(self, other) -> "HalfInt":
-        return HalfInt.from_twice(self.twice + _twice_of(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "HalfInt":
-        return HalfInt.from_twice(self.twice - _twice_of(other))
-
     def __neg__(self) -> "HalfInt":
         return HalfInt.from_twice(-self.twice)
-
-    def __abs__(self) -> "HalfInt":
-        return HalfInt.from_twice(abs(self.twice))
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return HalfInt.from_twice(self.twice * other)
-        if isinstance(other, HalfInt):
-            return Fraction(self.twice * other.twice, 4)
-        return NotImplemented
-
-    __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
         try:
             return self.twice == _twice_of(other)
         except (TypeError, ValueError):
             return NotImplemented
-
-    def __lt__(self, other) -> bool:
-        return self.twice < _twice_of(other)
-
-    def __le__(self, other) -> bool:
-        return self.twice <= _twice_of(other)
-
-    def __gt__(self, other) -> bool:
-        return self.twice > _twice_of(other)
-
-    def __ge__(self, other) -> bool:
-        return self.twice >= _twice_of(other)
 
     def __hash__(self) -> int:
         return hash(self.as_fraction())
@@ -173,19 +136,16 @@ class RadicalScalar:
 
     __slots__ = ("_re", "_im")
 
-    def __init__(self, re: Mapping[int, Fraction] = None, im: Mapping[int, Fraction] = None, *, _canonical=False):
-        if _canonical:
-            self._re = dict(re or {})
-            self._im = dict(im or {})
-        else:
-            self._re = _canonical_map((c, r) for r, c in (re or {}).items())
-            self._im = _canonical_map((c, r) for r, c in (im or {}).items())
+    def __init__(self, re: Mapping[int, Fraction] = None, im: Mapping[int, Fraction] = None):
+        """Wrap maps that are already canonical; `from_terms` normalises arbitrary terms."""
+        self._re = dict(re or {})
+        self._im = dict(im or {})
 
     # ---- constructors -------------------------------------------------
 
     @staticmethod
     def zero() -> "RadicalScalar":
-        return RadicalScalar({}, {}, _canonical=True)
+        return RadicalScalar({}, {})
 
     @staticmethod
     def one() -> "RadicalScalar":
@@ -194,25 +154,21 @@ class RadicalScalar:
     @staticmethod
     def from_rational(q) -> "RadicalScalar":
         q = Fraction(q)
-        return RadicalScalar({1: q} if q else {}, {}, _canonical=True)
+        return RadicalScalar({1: q} if q else {}, {})
 
     @staticmethod
     def from_gaussian(re, im) -> "RadicalScalar":
         re, im = Fraction(re), Fraction(im)
-        return RadicalScalar({1: re} if re else {}, {1: im} if im else {}, _canonical=True)
+        return RadicalScalar({1: re} if re else {}, {1: im} if im else {})
 
     @staticmethod
     def from_terms(real: Iterable[Tuple[Fraction, int]] = (), imag: Iterable[Tuple[Fraction, int]] = ()) -> "RadicalScalar":
         """Build from (coefficient, radicand) pairs; radicands need not be squarefree."""
-        return RadicalScalar.__new_canonical(_canonical_map(real), _canonical_map(imag))
+        return RadicalScalar(_canonical_map(real), _canonical_map(imag))
 
     @staticmethod
     def sqrt_int(n: int, coeff=1) -> "RadicalScalar":
         return RadicalScalar.from_terms(real=[(Fraction(coeff), n)])
-
-    @classmethod
-    def __new_canonical(cls, re: dict, im: dict) -> "RadicalScalar":
-        return cls(re, im, _canonical=True)
 
     # ---- structure ----------------------------------------------------
 
@@ -255,7 +211,7 @@ class RadicalScalar:
                 im[r] = acc
             elif r in im:
                 del im[r]
-        return RadicalScalar(re, im, _canonical=True)
+        return RadicalScalar(re, im)
 
     def __sub__(self, other: "RadicalScalar") -> "RadicalScalar":
         return self + (-other)
@@ -264,7 +220,6 @@ class RadicalScalar:
         return RadicalScalar(
             {r: -c for r, c in self._re.items()},
             {r: -c for r, c in self._im.items()},
-            _canonical=True,
         )
 
     @staticmethod
@@ -290,12 +245,12 @@ class RadicalScalar:
         RadicalScalar._map_mul(self._im, other._im, re, -1)
         RadicalScalar._map_mul(self._re, other._im, im, +1)
         RadicalScalar._map_mul(self._im, other._re, im, +1)
-        return RadicalScalar(re, im, _canonical=True)
+        return RadicalScalar(re, im)
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "RadicalScalar":
-        return RadicalScalar(dict(self._re), {r: -c for r, c in self._im.items()}, _canonical=True)
+        return RadicalScalar(self._re, {r: -c for r, c in self._im.items()})
 
     def times_i_power(self, k: int) -> "RadicalScalar":
         """Multiply by i**k exactly (k may be negative)."""
@@ -303,10 +258,10 @@ class RadicalScalar:
         if k == 0:
             return self
         if k == 1:
-            return RadicalScalar({r: -c for r, c in self._im.items()}, dict(self._re), _canonical=True)
+            return RadicalScalar({r: -c for r, c in self._im.items()}, self._re)
         if k == 2:
             return -self
-        return RadicalScalar(dict(self._im), {r: -c for r, c in self._re.items()}, _canonical=True)
+        return RadicalScalar(self._im, {r: -c for r, c in self._re.items()})
 
     # ---- comparison / hashing ------------------------------------------
 

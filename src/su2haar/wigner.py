@@ -28,14 +28,16 @@ diagonal entries t[l, 0, 0](a(theta)) equal the Legendre polynomial
 P_l(cos theta) (the tests check both against their own oracles in
 `tests/oracles.py`).
 
-`u_form` rewrites the same expansion in u = s**2 as
+`theta_restriction` returns the one exact record of an element.  Beside
+the (c, s) terms it carries the same expansion in u = s**2,
 
     t[l, m, n](a(theta)) = i**phase * sqrt(r) * c**eps * s**delta * q(u),
 
 with r squarefree, q an integer polynomial over one denominator and the
-parities eps, delta fixed by (m, n).  It is the one exact form the
-integration engines (`integrate_product`, `power_scan`) compute with;
-`TrigPolynomial` keeps the (c, s) form as an independent route for tests.
+parities eps, delta fixed by (m, n).  The integration engines
+(`integrate_product`, `power_scan`) compute with the u-form, the Monte Carlo
+evaluator with the (c, s) terms; `TrigPolynomial` keeps the (c, s) form as
+an independent route for tests.
 """
 
 from __future__ import annotations
@@ -90,16 +92,28 @@ def conjugate_index(idx: MatrixElementIndex) -> Tuple[int, MatrixElementIndex]:
 
 
 class ThetaRestriction(NamedTuple):
-    """Exact data of t[l,m,n](a(theta)) = i**phase * sqrt(radicand) * sum coeff*c^p*s^q."""
+    """Exact data of t[l,m,n](a(theta)) in two forms over one phase and radicand.
 
-    degree: int                 # 2l; every monomial has p + q = degree
+    t[l,m,n](a(theta)) = i^phase * sqrt(radicand) * sum coeff * c^p * s^q
+                       = i^phase * sqrt(radicand) * c^eps * s^delta * sum_j poly[j] u^j / denom.
+    """
+
     phase: int                  # (n - m) mod 4
     radicand: int               # squarefree part of (l+m)!(l-m)!(l+n)!(l-n)!
-    terms: Tuple[Tuple[int, int, Fraction], ...]   # (c_exp, s_exp, rational coeff)
+    terms: Tuple[Tuple[int, int, Fraction], ...]   # (c_exp, s_exp, rational coeff), c_exp + s_exp = 2l
+    eps: int                    # parity of every c_exp
+    delta: int                  # parity of every s_exp
+    denom: int                  # lcm of the coefficient denominators
+    poly: Tuple[int, ...]       # integer u-polynomial with floor(l) + 1 coefficients
 
 
 @functools.lru_cache(maxsize=None)
 def theta_restriction(idx: MatrixElementIndex) -> ThetaRestriction:
+    """Both forms of the element on a(theta); each c^p s^q is c^eps s^delta (1-u)^a u^b.
+
+    All exponents of one element share their parities (c_exp + s_exp = 2l and
+    s_exp = m - n + 2k), so eps and delta are the same for every term.
+    """
     l2, m2, n2 = idx.l.twice, idx.m.twice, idx.n.twice
     lpm = (l2 + m2) // 2
     lmm = (l2 - m2) // 2
@@ -112,42 +126,24 @@ def theta_restriction(idx: MatrixElementIndex) -> ThetaRestriction:
 
     terms = []
     for k in range(max(0, -mn), min(lpn, lmm) + 1):
-        denom = factorial(lpn - k) * factorial(k) * factorial(mn + k) * factorial(lmm - k)
+        k_denom = factorial(lpn - k) * factorial(k) * factorial(mn + k) * factorial(lmm - k)
         sign = -1 if (mn + k) % 2 else 1
-        coeff = Fraction(sign) * root_scale / denom
+        coeff = Fraction(sign) * root_scale / k_denom
         c_exp = l2 - mn - 2 * k
         s_exp = mn + 2 * k
         terms.append((c_exp, s_exp, coeff))
-    return ThetaRestriction(degree=l2, phase=(-mn) % 4, radicand=radicand, terms=tuple(terms))
 
-
-class UForm(NamedTuple):
-    """t[l,m,n](a(theta)) = i^phase * sqrt(radicand) * c^eps * s^delta * sum_j poly[j] u^j / denom."""
-
-    eps: int
-    delta: int
-    phase: int
-    radicand: int
-    denom: int
-    poly: Tuple[int, ...]
-
-
-def u_form(idx: MatrixElementIndex) -> UForm:
-    """The element on a(theta) in u = s^2: each c^p s^q becomes c^eps s^delta (1-u)^a u^b.
-
-    All exponents of one element share their parities (c_exp + s_exp = 2l and
-    s_exp = m - n + 2k), so eps and delta are the same for every term.
-    """
-    data = theta_restriction(idx)
-    eps, delta = data.terms[0][0] % 2, data.terms[0][1] % 2
-    denom = lcm(*(coeff.denominator for _, _, coeff in data.terms))
-    poly = [0] * (data.degree // 2 + 1)
-    for c_exp, s_exp, coeff in data.terms:
+    denom = lcm(*(coeff.denominator for _, _, coeff in terms))
+    poly = [0] * (l2 // 2 + 1)
+    for c_exp, s_exp, coeff in terms:
         a, b = c_exp // 2, s_exp // 2
         scaled = coeff.numerator * (denom // coeff.denominator)
         for j in range(a + 1):
             poly[b + j] += -scaled * comb(a, j) if j % 2 else scaled * comb(a, j)
-    return UForm(eps, delta, data.phase, data.radicand, denom, tuple(poly))
+    return ThetaRestriction(
+        phase=(-mn) % 4, radicand=radicand, terms=tuple(terms),
+        eps=(l2 - mn) % 2, delta=mn % 2, denom=denom, poly=tuple(poly),
+    )
 
 
 class TrigPolynomial:

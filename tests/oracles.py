@@ -9,6 +9,8 @@ is an independent route to a value the package computes another way:
   the (c, s) route to `integrate_product`;
 * `gaussian_pow`: exact powers of Gaussian rationals, for the multinomial
   sums that check `power_scan`;
+* `dense_convolve` and `dense_vec_pow`: the schoolbook coefficient loop, for
+  the packed products of `_kernel.convolve` and `_kernel.vec_pow`;
 * numeric group matrices: Haar sampling, the 2x2 matrix of Euler angles and
   back, spin-l representation matrices built on `eval_matrix_element`, and
   the homomorphism check T(g1) T(g2) = T(g1 g2).
@@ -19,7 +21,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -74,6 +76,25 @@ def gaussian_pow(a: GaussianRational, n: int) -> GaussianRational:
             result = gaussian_mul(result, a)
         a = gaussian_mul(a, a)
         n >>= 1
+    return result
+
+
+def dense_convolve(a: Sequence[int], b: Sequence[int]) -> List[int]:
+    """Product of two dense integer coefficient vectors, one coefficient pair at a time."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return out
+
+
+def dense_vec_pow(v: Sequence[int], p: int) -> List[int]:
+    """p-th convolution power of v by p dense products from [1] (p = 0 gives [1])."""
+    result = [1]
+    for _ in range(p):
+        result = dense_convolve(result, v)
     return result
 
 

@@ -159,6 +159,17 @@ class TestPowerScan:
         assert (code, out) == (2, "")
         assert "--mc" in err
 
+    def test_mc_with_float_overflowing_coefficient_exits_2(self, capsys, tmp_path):
+        """The exact scan takes any rational; the float Monte Carlo path cannot take 10^400."""
+        path = tmp_path / "huge.json"
+        term = {"l": "1", "m": "0", "n": "0", "coeff": {"re": str(10**400), "im": "0"}}
+        path.write_text(json.dumps({"terms": [term]}))
+        assert run_cli(capsys, "power-scan", str(path), "--pmax", "2")[0] == 0
+        code, out, err = run_cli(capsys, "power-scan", str(path), "--pmax", "2", "--mc", "100")
+        assert (code, out) == (2, "")
+        assert "--mc" in err
+        assert "Traceback" not in err
+
 
 class TestMalformedInput:
     """Every malformed file exits 2 with one error line and no traceback."""
@@ -185,6 +196,33 @@ class TestMalformedInput:
         assert message in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "command, template",
+        [
+            ("hull", '{"terms": [{"l": "1", "m": "0", "n": "0", "coeff": {"re": 1%s, "im": "0"}}]}'),
+            ("integrate", '{"factors": [{"l": "1", "m": "0", "n": "0", "power": 1%s}]}'),
+        ],
+        ids=["hull-coeff", "integrate-power"],
+    )
+    def test_integer_literal_over_the_digit_limit(self, capsys, tmp_path, command, template):
+        path = tmp_path / "big.json"
+        path.write_text(template % ("0" * 5000))
+        code, out, err = run_cli(capsys, command, str(path))
+        assert (code, out) == (2, "")
+        assert "invalid JSON" in err
+
+    def test_exponent_notation_coefficient_rejected(self, capsys, tmp_path):
+        """Fraction("1e200000000") would build 10^200000000; exponents are refused up front."""
+        path = tmp_path / "f.json"
+        for re in ("1e5", "1E-3", "2.5e200000000"):
+            path.write_text(json.dumps({"terms": [dict(self.TERM, coeff={"re": re, "im": "0"})]}))
+            code, out, err = run_cli(capsys, "hull", str(path))
+            assert (code, out) == (2, ""), re
+            assert "terms[0].coeff" in err
+        for re in ("3", "-3/4", "0.25", 7):
+            path.write_text(json.dumps({"terms": [dict(self.TERM, coeff={"re": re, "im": "0"})]}))
+            assert run_cli(capsys, "hull", str(path))[0] == 0, re
+
     def test_boolean_power_rejected(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"factors": [{"l": "0", "m": "0", "n": "0", "power": True}]}))
@@ -200,7 +238,7 @@ json_values = st.recursive(
     max_leaves=12,
 )
 spin_like = st.sampled_from(["0", "1/2", "1", "-1/2", "-1", "3/2", "2", "1/0", "x", ""]) | st.integers(-3, 3) | json_values
-rational_like = st.sampled_from(["0", "1", "-3/4", "1/0", "nan"]) | st.integers() | json_values
+rational_like = st.sampled_from(["0", "1", "-3/4", "1/0", "nan", "1e5", "0.25"]) | st.integers() | json_values
 term_like = st.fixed_dictionaries(
     {},
     optional={
@@ -227,18 +265,64 @@ function_file_like = st.one_of(
     ),
 )
 
+# integrate and power-scan do work proportional to spin and power: keep those small
+small_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-8, 8) | st.floats() | st.text(alphabet="x/-.e ", max_size=4),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=6,
+)
+small_spin_like = st.sampled_from(["0", "1/2", "1", "-1/2", "-1", "3/2", "2", "1/0", "x", ""]) | small_json_values
+index_like = st.fixed_dictionaries({}, optional={"l": small_spin_like, "m": small_spin_like, "n": small_spin_like})
+valid_index = valid_term.map(lambda term: {key: term[key] for key in ("l", "m", "n")})
+valid_factor = st.builds(lambda index, power: dict(index, power=power), valid_index, st.integers(1, 4))
+factor_like = st.builds(
+    lambda index, power: dict(index, **power),
+    index_like | valid_index,
+    st.fixed_dictionaries({}, optional={"power": st.integers(-2, 4) | small_json_values}),
+)
+product_file_like = st.one_of(
+    small_json_values,
+    st.fixed_dictionaries({"factors": st.lists(valid_factor, min_size=1, max_size=4)}, optional={"shift": valid_index}),
+    st.fixed_dictionaries(
+        {"factors": st.lists(valid_factor | factor_like, max_size=4) | small_json_values},
+        optional={"shift": valid_index | index_like | st.none() | small_json_values, "schema": st.just(1) | small_json_values},
+    ),
+)
+bounded_term_like = st.fixed_dictionaries(
+    {},
+    optional={
+        "l": small_spin_like,
+        "m": small_spin_like,
+        "n": small_spin_like,
+        "coeff": st.fixed_dictionaries({}, optional={"re": rational_like, "im": rational_like}) | small_json_values,
+    },
+)
+bounded_function_file_like = st.one_of(
+    small_json_values,
+    st.fixed_dictionaries({"terms": st.lists(valid_term, min_size=1, max_size=4)}),
+    st.fixed_dictionaries(
+        {"terms": st.lists(valid_term | bounded_term_like, max_size=4) | small_json_values},
+        optional={"schema": st.just(1) | small_json_values},
+    ),
+)
+
 
 class TestArbitraryJsonInput:
-    """hull and threshold on any JSON value: exit 0, 2 or 3, no traceback, JSON-only stdout."""
+    """Commands on any JSON value: exit 0, 2 or 3, no traceback, JSON-only stdout.
 
-    @given(function_file_like)
-    @settings(max_examples=300, deadline=None)
-    def test_hull_and_threshold(self, obj):
+    Spin and power caps are still open (a spin or power in the millions runs
+    unbounded), so the generators for integrate and power-scan draw spins and
+    powers from small ranges; every other field is arbitrary JSON.
+    """
+
+    @staticmethod
+    def _check(obj, commands):
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "f.json")
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump(obj, fh)
-            for argv in (["hull", path], ["threshold", path, "--h", "1,0,0"]):
+            for argv in commands:
+                argv = [arg.format(path) for arg in argv]
                 out, err = io.StringIO(), io.StringIO()
                 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                     code = main(argv)
@@ -248,6 +332,21 @@ class TestArbitraryJsonInput:
                 if text:
                     assert text.endswith("\n") and text.count("\n") == 1
                     assert isinstance(json.loads(text), dict)
+
+    @given(function_file_like)
+    @settings(max_examples=300, deadline=None)
+    def test_hull_and_threshold(self, obj):
+        self._check(obj, [["hull", "{}"], ["threshold", "{}", "--h", "1,0,0"]])
+
+    @given(product_file_like)
+    @settings(max_examples=200, deadline=None)
+    def test_integrate(self, obj):
+        self._check(obj, [["integrate", "{}"]])
+
+    @given(bounded_function_file_like)
+    @settings(max_examples=200, deadline=None)
+    def test_power_scan(self, obj):
+        self._check(obj, [["power-scan", "{}", "--pmax", "2"]])
 
 
 class TestHullAndThreshold:
@@ -445,10 +544,13 @@ class TestVerifyCommand:
 
 class TestEntryPoint:
     def test_console_script(self, schur_product):
+        src = str(pathlib.Path(su2haar.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-m", "su2haar.cli", "integrate", schur_product],
             capture_output=True,
             text=True,
+            env=dict(os.environ, PYTHONPATH=path),
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["exact"]["real"][0]["coeff"] == "1/2"

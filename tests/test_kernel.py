@@ -1,4 +1,4 @@
-"""Integer kernels: composition search against brute force, convolution basics."""
+"""Integer kernels: composition search against brute force, packed products against the dense loop."""
 
 import itertools
 
@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import dense_convolve, dense_vec_pow
 from su2haar import _kernel
 
 
@@ -23,6 +24,10 @@ def brute_compositions(ms, ns, total, tm, tn):
 
 
 coords = st.lists(st.integers(-4, 4), min_size=1, max_size=5)
+
+# signed coefficients up to 2^200 in size, with zeros (also trailing) and empty vectors
+coefficient = st.integers(-(2**200), 2**200) | st.integers(-3, 3) | st.just(0)
+signed_vectors = st.lists(coefficient, max_size=8) | st.lists(coefficient, max_size=5).map(lambda v: v + [0, 0])
 
 
 class TestBalancedCompositions:
@@ -59,6 +64,27 @@ class TestConvolve:
         assert _kernel.vec_pow([1, 1], 4) == [1, 4, 6, 4, 1]
         with pytest.raises(ValueError):
             _kernel.vec_pow([1], -1)
+
+    @given(signed_vectors, signed_vectors)
+    @settings(max_examples=300, deadline=None)
+    def test_convolve_matches_dense_loop(self, a, b):
+        assert _kernel.convolve(a, b) == dense_convolve(a, b)
+
+    @given(signed_vectors, st.integers(0, 6))
+    @settings(max_examples=300, deadline=None)
+    def test_vec_pow_matches_dense_loop(self, v, p):
+        assert _kernel.vec_pow(v, p) == dense_vec_pow(v, p)
+
+    @given(signed_vectors, signed_vectors)
+    @settings(max_examples=100, deadline=None)
+    def test_pack_round_trip(self, a, b):
+        """Slots wide enough for the product also read every factor back, trailing zeros dropped."""
+        width = sum(map(abs, a)).bit_length() + sum(map(abs, b)).bit_length() + 1
+        packed = _kernel.pack(a, width)
+        stripped = list(a)
+        while stripped and not stripped[-1]:
+            stripped.pop()
+        assert _kernel.unpack(packed, width) == stripped
 
 
 class TestSelection:

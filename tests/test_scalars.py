@@ -18,22 +18,7 @@ class TestHalfInt:
 
     def test_arithmetic(self):
         a = HalfInt(Fraction(1, 2))
-        b = HalfInt(Fraction(3, 2))
-        assert (a + b) == HalfInt(2)
-        assert (a - b) == HalfInt(-1)
         assert (-a).twice == -1
-        assert a * 3 == HalfInt(Fraction(3, 2))
-        assert a * b == Fraction(3, 4)
-
-    def test_ordering(self):
-        assert HalfInt(Fraction(1, 2)) < HalfInt(1) <= HalfInt(1)
-        assert HalfInt(0) >= 0
-        assert abs(HalfInt(Fraction(-3, 2))) == HalfInt(Fraction(3, 2))
-
-    def test_int_conversion(self):
-        assert int(HalfInt(2)) == 2
-        with pytest.raises(ValueError):
-            int(HalfInt(Fraction(1, 2)))
 
     def test_rejects_non_half_integers(self):
         with pytest.raises(ValueError):
