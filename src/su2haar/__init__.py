@@ -10,7 +10,7 @@ that cross-checks every exact result.
 __version__ = "0.1.0"
 
 from ._kernel import backend_name
-from .scalars import HalfInt, RadicalScalar, radical_normalize
+from .scalars import RadicalScalar, half_str, parse_half, radical_normalize
 from .wigner import (
     MatrixElementIndex,
     TrigPolynomial,
@@ -18,7 +18,6 @@ from .wigner import (
     matrix_element_trigpoly,
 )
 from .integrals import (
-    FrequencyPair,
     ParityError,
     ProductSpec,
     frequency_of,
@@ -36,7 +35,6 @@ from .powers import (
 from .hull import (
     HullCertificate,
     OriginInHullError,
-    RankClass,
     SupportHull,
     hull_certificate,
     origin_in_hull,
@@ -63,14 +61,14 @@ from .numeric import (
 __all__ = [
     "__version__",
     "backend_name",
-    "HalfInt",
+    "parse_half",
+    "half_str",
     "RadicalScalar",
     "radical_normalize",
     "MatrixElementIndex",
     "TrigPolynomial",
     "conjugate_index",
     "matrix_element_trigpoly",
-    "FrequencyPair",
     "ParityError",
     "ProductSpec",
     "frequency_of",
@@ -84,7 +82,6 @@ __all__ = [
     "power_scan",
     "HullCertificate",
     "OriginInHullError",
-    "RankClass",
     "SupportHull",
     "hull_certificate",
     "origin_in_hull",

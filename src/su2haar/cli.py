@@ -21,7 +21,7 @@ from .hull import OriginInHullError, SupportHull, hull_certificate, vanishing_th
 from .integrals import ProductSpec, integrate_product
 from .numeric import mc_integral
 from .powers import FiniteFunction, power_scan
-from .scalars import HalfInt
+from .scalars import half_str, parse_half
 from .wigner import MatrixElementIndex
 
 
@@ -47,20 +47,6 @@ def _check_schema(obj: dict, path: str) -> None:
         raise InputError(f"{path}: unsupported schema {obj['schema']!r}")
 
 
-def _parse_index_obj(obj: dict, where: str) -> MatrixElementIndex:
-    if not isinstance(obj, dict):
-        raise InputError(f"{where}: expected an object with fields l, m, n")
-    for field in ("l", "m", "n"):
-        if field not in obj:
-            raise InputError(f"{where}: missing field {field!r}")
-        if isinstance(obj[field], bool):
-            raise InputError(f"{where}: {field} must be a string such as \"1/2\" or an integer")
-    try:
-        return MatrixElementIndex.of(obj["l"], obj["m"], obj["n"])
-    except (ValueError, TypeError) as e:
-        raise InputError(f"{where}: {e}") from None
-
-
 def load_function_file(path: str) -> FiniteFunction:
     obj = _load_json(path)
     _check_schema(obj, path)
@@ -77,16 +63,19 @@ def load_product_file(path: str) -> tuple[ProductSpec, Optional[MatrixElementInd
         raise InputError(f"{path}: missing field 'factors'")
     if not isinstance(obj["factors"], list):
         raise InputError(f"{path}: factors must be a list of factor objects")
-    factors = []
-    for i, fac in enumerate(obj["factors"]):
-        idx = _parse_index_obj(fac, f"{path}: factors[{i}]")
-        power = fac.get("power", 1)
-        if not isinstance(power, int) or isinstance(power, bool) or power < 1:
-            raise InputError(f"{path}: factors[{i}].power must be a positive integer")
-        factors.append((idx, power))
-    shift = None
-    if obj.get("shift") is not None:
-        shift = _parse_index_obj(obj["shift"], f"{path}: shift")
+    try:
+        factors = []
+        for i, fac in enumerate(obj["factors"]):
+            idx = MatrixElementIndex.from_json(fac, f"{path}: factors[{i}]")
+            power = fac.get("power", 1)
+            if not isinstance(power, int) or isinstance(power, bool) or power < 1:
+                raise InputError(f"{path}: factors[{i}].power must be a positive integer")
+            factors.append((idx, power))
+        shift = None
+        if obj.get("shift") is not None:
+            shift = MatrixElementIndex.from_json(obj["shift"], f"{path}: shift")
+    except ValueError as e:
+        raise InputError(str(e)) from None
     return ProductSpec(tuple(factors)), shift
 
 
@@ -174,12 +163,12 @@ def _cmd_hull(ns, argv, started) -> int:
     body = {"origin_inside": cert.inside}
     if cert.inside:
         # one weight per printed support entry: a repeated (m, n) gets 0
-        weight = dict(zip(hull.twice(), cert.weights))
-        body["weights"] = [str(weight.pop((m.twice, n.twice), 0)) for m, n in support]
+        weight = dict(zip(hull.points, cert.weights))
+        body["weights"] = [str(weight.pop(point, 0)) for point in support]
     else:
         u, v, bound = cert.separator
         body["separator"] = {"u": str(u), "v": str(v), "min_dot": str(bound)}
-    env = _envelope(argv, hull=body, support=[[str(m), str(n)] for m, n in support])
+    env = _envelope(argv, hull=body, support=[[half_str(m2), half_str(n2)] for m2, n2 in support])
     _emit(env, started)
     return 0
 
@@ -189,33 +178,33 @@ def _cmd_threshold(ns, argv, started) -> int:
     witness = parse_index_flag(ns.h, "--h")
     hull = SupportHull.from_function(f)
     try:
-        p0 = vanishing_threshold(hull, (witness.m, witness.n))
+        p0 = vanishing_threshold(hull, (witness.m2, witness.n2))
     except OriginInHullError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    env = _envelope(argv, threshold=p0, witness={"l": str(witness.l), "m": str(witness.m), "n": str(witness.n)})
+    env = _envelope(argv, threshold=p0, witness=witness.to_json())
     _emit(env, started)
     return 0
 
 
 def _cmd_fuzz(ns, argv, started) -> int:
     try:
-        l_max = HalfInt.parse(ns.lmax)
+        l_max2 = parse_half(ns.lmax)
     except ValueError as e:
         raise InputError(f"--lmax: {e}") from None
-    if l_max.twice < 0:
+    if l_max2 < 0:
         raise InputError("--lmax must be >= 0")
     for flag, value in (("--trials", ns.trials), ("--kmax", ns.kmax), ("--pmax", ns.pmax)):
         if value < 1:
             raise InputError(f"{flag} must be >= 1")
     if not 0.0 <= ns.rank2_bias <= 1.0:
         raise InputError("--rank2-bias must be in [0, 1]")
-    if ns.rank2_bias > 0 and (ns.kmax < 3 or l_max.twice < 1):
+    if ns.rank2_bias > 0 and (ns.kmax < 3 or l_max2 < 1):
         raise InputError("--rank2-bias needs --kmax >= 3 and --lmax >= 1/2")
     cfg = FuzzConfig(
         seed=ns.seed,
         trials=ns.trials,
-        l_max=l_max,
+        l_max2=l_max2,
         k_max=ns.kmax,
         p_max=ns.pmax,
         rank2_bias=ns.rank2_bias,

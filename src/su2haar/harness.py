@@ -32,7 +32,7 @@ from .powers import (
     power_scan,
 )
 from .integrals import ProductSpec, integrate_product
-from .scalars import HalfInt, RadicalScalar
+from .scalars import RadicalScalar
 from .wigner import MatrixElementIndex
 
 VERDICT_CONSISTENT = "consistent"
@@ -62,7 +62,7 @@ def classify_instance(f: FiniteFunction) -> str:
         return "two-term"
     if k == 3:
         pts = f.support_points()
-        return f"three-term-rank-{rank_classification(*pts).rank}"
+        return f"three-term-rank-{rank_classification(*pts)}"
     return "general-k"
 
 
@@ -118,14 +118,14 @@ def check_proven_direction(f: FiniteFunction, pmax: int, trial: Optional[int] = 
 class FuzzConfig:
     seed: int
     trials: int
-    l_max: HalfInt = HalfInt(2)
+    l_max2: int = 4             # twice the largest spin
     k_max: int = 4
     p_max: int = 12
     rank2_bias: float = 0.0
 
     def __post_init__(self):
-        if self.l_max.twice < 0:
-            raise ValueError("l_max must be >= 0")
+        if self.l_max2 < 0:
+            raise ValueError("l_max2 must be >= 0")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.p_max < 1:
@@ -134,8 +134,8 @@ class FuzzConfig:
             raise ValueError("k_max must be >= 1")
         if not (0.0 <= self.rank2_bias <= 1.0):
             raise ValueError("rank2_bias must be in [0, 1]")
-        if self.rank2_bias > 0 and (self.k_max < 3 or self.l_max.twice < 1):
-            raise ValueError("rank2_bias needs k_max >= 3 and l_max >= 1/2")
+        if self.rank2_bias > 0 and (self.k_max < 3 or self.l_max2 < 1):
+            raise ValueError("rank2_bias needs k_max >= 3 and l_max2 >= 1")
 
 
 @dataclass
@@ -168,44 +168,43 @@ def trial_rng(seed: int, trial: int) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-def _random_index(rng: random.Random, l_max: HalfInt) -> MatrixElementIndex:
-    l2 = rng.randint(0, l_max.twice)
+def _random_index(rng: random.Random, l_max2: int) -> MatrixElementIndex:
+    l2 = rng.randint(0, l_max2)
     m2 = -l2 + 2 * rng.randint(0, l2)
     n2 = -l2 + 2 * rng.randint(0, l2)
-    return MatrixElementIndex(HalfInt.from_twice(l2), HalfInt.from_twice(m2), HalfInt.from_twice(n2))
+    return MatrixElementIndex(l2, m2, n2)
 
 
-def _random_distinct_indices(rng: random.Random, l_max: HalfInt, k: int) -> List[MatrixElementIndex]:
+def _random_distinct_indices(rng: random.Random, l_max2: int, k: int) -> List[MatrixElementIndex]:
     chosen: List[MatrixElementIndex] = []
     while len(chosen) < k:
-        idx = _random_index(rng, l_max)
+        idx = _random_index(rng, l_max2)
         if idx not in chosen:
             chosen.append(idx)
     return chosen
 
 
-def _index_for_point(rng: random.Random, l_max: HalfInt, m2: int, n2: int) -> Optional[MatrixElementIndex]:
+def _index_for_point(rng: random.Random, l_max2: int, m2: int, n2: int) -> Optional[MatrixElementIndex]:
     """A valid index with the given (m, n), uniformly random spin, or None."""
     if (m2 - n2) % 2:
         return None
     base = max(abs(m2), abs(n2))
-    options = [l2 for l2 in range(base, l_max.twice + 1, 2)]
+    options = [l2 for l2 in range(base, l_max2 + 1, 2)]
     if not options:
         return None
-    l2 = rng.choice(options)
-    return MatrixElementIndex(HalfInt.from_twice(l2), HalfInt.from_twice(m2), HalfInt.from_twice(n2))
+    return MatrixElementIndex(rng.choice(options), m2, n2)
 
 
-def _random_rank2_indices(rng: random.Random, l_max: HalfInt) -> Optional[List[MatrixElementIndex]]:
+def _random_rank2_indices(rng: random.Random, l_max2: int) -> Optional[List[MatrixElementIndex]]:
     """Three distinct indices whose (m, n) points have rank exactly 2.
 
     The third point is a rational affine combination of the first two, kept
     on the half-integer lattice.
     """
     for _ in range(80):
-        i1, i2 = _random_distinct_indices(rng, l_max, 2)
-        p1 = (i1.m.twice, i1.n.twice)
-        p2 = (i2.m.twice, i2.n.twice)
+        i1, i2 = _random_distinct_indices(rng, l_max2, 2)
+        p1 = (i1.m2, i1.n2)
+        p2 = (i2.m2, i2.n2)
         if p1 == p2:
             continue
         t_num, t_den = rng.choice([(-1, 1), (2, 1), (3, 1), (1, 2), (3, 2), (-1, 2)])
@@ -214,13 +213,12 @@ def _random_rank2_indices(rng: random.Random, l_max: HalfInt) -> Optional[List[M
             continue
         m3 = p1[0] + (t_num * dm) // t_den
         n3 = p1[1] + (t_num * dn) // t_den
-        if abs(m3) > l_max.twice or abs(n3) > l_max.twice:
+        if abs(m3) > l_max2 or abs(n3) > l_max2:
             continue
-        i3 = _index_for_point(rng, l_max, m3, n3)
+        i3 = _index_for_point(rng, l_max2, m3, n3)
         if i3 is None or i3 == i1 or i3 == i2:
             continue
-        pts = [(i.m, i.n) for i in (i1, i2, i3)]
-        if rank_classification(*pts).rank != 2:
+        if rank_classification(p1, p2, (m3, n3)) != 2:
             continue
         return [i1, i2, i3]
     return None
@@ -229,10 +227,10 @@ def _random_rank2_indices(rng: random.Random, l_max: HalfInt) -> Optional[List[M
 def generate_instance(rng: random.Random, cfg: FuzzConfig) -> FiniteFunction:
     indices: Optional[List[MatrixElementIndex]] = None
     if cfg.rank2_bias > 0 and rng.random() < cfg.rank2_bias:
-        indices = _random_rank2_indices(rng, cfg.l_max)
+        indices = _random_rank2_indices(rng, cfg.l_max2)
     if indices is None:
         k = rng.randint(1, cfg.k_max)
-        indices = _random_distinct_indices(rng, cfg.l_max, k)
+        indices = _random_distinct_indices(rng, cfg.l_max2, k)
     coeffs = [rng.choice(DEFAULT_COEFF_POOL) for _ in indices]
     return FiniteFunction(tuple(zip(indices, coeffs)))
 
@@ -289,11 +287,7 @@ def _all_indices(l_max_twice: int) -> List[MatrixElementIndex]:
     for l2 in range(0, l_max_twice + 1):
         for m2 in range(-l2, l2 + 1, 2):
             for n2 in range(-l2, l2 + 1, 2):
-                out.append(
-                    MatrixElementIndex(
-                        HalfInt.from_twice(l2), HalfInt.from_twice(m2), HalfInt.from_twice(n2)
-                    )
-                )
+                out.append(MatrixElementIndex(l2, m2, n2))
     return out
 
 
@@ -308,12 +302,12 @@ def _suite_schur() -> SuiteItem:
     for a in indices:
         for b in indices:
             checked += 1
-            if b.m.twice != -a.m.twice or b.n.twice != -a.n.twice:
+            if b.m2 != -a.m2 or b.n2 != -a.n2:
                 continue
             value = integrate_product(ProductSpec(((a, 1), (b, 1))))
-            if b.l == a.l:
-                sign = -1 if ((a.m.twice - a.n.twice) // 2) % 2 else 1
-                expected = RadicalScalar.from_rational(Fraction(sign, a.l.twice + 1))
+            if b.l2 == a.l2:
+                sign = -1 if ((a.m2 - a.n2) // 2) % 2 else 1
+                expected = RadicalScalar.from_rational(Fraction(sign, a.l2 + 1))
             else:
                 expected = RadicalScalar.zero()
             if value != expected:
@@ -332,7 +326,7 @@ def _suite_single_scans() -> SuiteItem:
         f = FiniteFunction(((idx, (Fraction(1), Fraction(0))),))
         scan = power_scan(f, horizon)
         nonzero = [p for p, v in scan if not v.is_zero()]
-        if idx.m.twice == 0 and idx.n.twice == 0:
+        if idx.m2 == 0 and idx.n2 == 0:
             p2 = scan[1][1]
             if not (p2.is_rational() and p2.as_rational() > 0):
                 return SuiteItem(
@@ -351,19 +345,14 @@ def _suite_single_scans() -> SuiteItem:
     )
 
 
-def _lattice_points(bound_twice: int) -> List[Tuple[HalfInt, HalfInt]]:
-    pts = []
-    for m2 in range(-bound_twice, bound_twice + 1):
-        for n2 in range(-bound_twice, bound_twice + 1):
-            if (m2 - n2) % 2 == 0:
-                pts.append((HalfInt.from_twice(m2), HalfInt.from_twice(n2)))
-    return pts
+def _lattice_points(bound_twice: int) -> List[Tuple[int, int]]:
+    return [(m2, n2) for m2 in range(-bound_twice, bound_twice + 1)
+            for n2 in range(-bound_twice, bound_twice + 1) if (m2 - n2) % 2 == 0]
 
 
-def _min_spin_index(point: Tuple[HalfInt, HalfInt]) -> MatrixElementIndex:
-    m, n = point
-    l2 = max(abs(m.twice), abs(n.twice))
-    return MatrixElementIndex(HalfInt.from_twice(l2), m, n)
+def _min_spin_index(point: Tuple[int, int]) -> MatrixElementIndex:
+    m2, n2 = point
+    return MatrixElementIndex(max(abs(m2), abs(n2)), m2, n2)
 
 
 def _suite_two_term() -> SuiteItem:
@@ -372,7 +361,7 @@ def _suite_two_term() -> SuiteItem:
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             p1, p2 = pts[i], pts[j]
-            if p1[0].twice == p1[1].twice == p2[0].twice == p2[1].twice == 0:
+            if p1 == p2 == (0, 0):
                 continue
             i1, i2 = _min_spin_index(p1), _min_spin_index(p2)
             f = FiniteFunction(
@@ -416,21 +405,22 @@ def _suite_two_term() -> SuiteItem:
     )
 
 
-def _origin_combination_by_solve(pts: Sequence[Tuple[HalfInt, HalfInt]]) -> Optional[bool]:
+def _origin_combination_by_solve(pts: Sequence[Tuple[int, int]]) -> Optional[bool]:
     """Rank != 2 triples only: solvability of M alpha = (1,0,0)^T with alpha >= 0 in Q.
 
+    The points are twice-int pairs; doubling every coordinate scales the
+    determinant and each Cramer numerator by 4, so the solution is the same.
     Rank 3 has the unique Cramer solution; rank 1 means all points coincide.
     Returns None for rank 2 (no unique solve exists).
     """
-    m1, m2, m3 = (p[0].as_fraction() for p in pts)
-    n1, n2, n3 = (p[1].as_fraction() for p in pts)
+    (m1, n1), (m2, n2), (m3, n3) = pts
     det = (m2 * n3 - m3 * n2) - (m1 * n3 - m3 * n1) + (m1 * n2 - m2 * n1)
     if det != 0:
-        a1 = (m2 * n3 - m3 * n2) / det
-        a2 = (m3 * n1 - m1 * n3) / det
-        a3 = (m1 * n2 - m2 * n1) / det
+        a1 = Fraction(m2 * n3 - m3 * n2, det)
+        a2 = Fraction(m3 * n1 - m1 * n3, det)
+        a3 = Fraction(m1 * n2 - m2 * n1, det)
         return a1 >= 0 and a2 >= 0 and a3 >= 0
-    if rank_classification(*pts).rank == 2:
+    if rank_classification(*pts) == 2:
         return None
     return (m1, n1) == (0, 0)
 
@@ -439,8 +429,8 @@ def _suite_rank_consistency() -> SuiteItem:
     trials = 200
     rng = random.Random(0x5EED)
     for t in range(trials):
-        idxs = _random_distinct_indices(rng, HalfInt(2), 3)
-        pts = [(i.m, i.n) for i in idxs]
+        idxs = _random_distinct_indices(rng, 4, 3)
+        pts = [(i.m2, i.n2) for i in idxs]
         solvable = _origin_combination_by_solve(pts)
         if solvable is None:
             continue
@@ -460,13 +450,13 @@ def _suite_threshold() -> SuiteItem:
     done = 0
     while done < trials:
         k = rng.randint(1, 3)
-        idxs = _random_distinct_indices(rng, HalfInt.from_twice(3), k)
+        idxs = _random_distinct_indices(rng, 3, k)
         f = FiniteFunction(tuple((i, (Fraction(1), Fraction(0))) for i in idxs))
         h = SupportHull.from_function(f)
         if origin_in_hull(h):
             continue
-        witness = _random_index(rng, HalfInt(2))
-        p0 = vanishing_threshold(h, (witness.m, witness.n))
+        witness = _random_index(rng, 4)
+        p0 = vanishing_threshold(h, (witness.m2, witness.n2))
         for p, value in power_scan(f, p0 + 10, witness=witness)[p0 - 1:]:
             if not value.is_zero():
                 return SuiteItem(

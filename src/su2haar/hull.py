@@ -1,8 +1,10 @@
 """Exact geometry of the support {(m_i, n_i)}.
 
-Every predicate runs on the integer twice-coordinates (2m_i, 2n_i); no
-floating point, and every division of integers goes through
-``Fraction(num, den)``.
+Points are the integer twice-coordinates (2m_i, 2n_i), plain int pairs, in
+and out: ``SupportHull.points``, the ``vanishing_threshold`` witness and the
+arguments of ``two_term_criterion`` and ``rank_classification``.  No floating
+point; every division of integers goes through ``Fraction(num, den)``, and
+certificates are stated in the half-integer units of (m, n).
 One route serves them all: the monotone chain ``convex_hull_ccw`` gives the
 hull, ``_halfplanes`` its tight half-planes, and membership, both
 certificates, the vanishing threshold and the pruning in ``power_scan`` are
@@ -17,8 +19,6 @@ from fractions import Fraction
 from math import floor
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .scalars import HalfInt
-
 Point = Tuple[int, int]
 HalfPlane = Tuple[int, int, int]    # {(x, y) : u*x + v*y <= c}
 
@@ -29,45 +29,18 @@ class OriginInHullError(ValueError):
 
 @dataclass(frozen=True)
 class SupportHull:
-    """Deduplicated support points (m_i, n_i) and queries against their hull."""
+    """Deduplicated twice-int support points (2m_i, 2n_i) and queries against their hull."""
 
-    points: Tuple[Tuple[HalfInt, HalfInt], ...]
+    points: Tuple[Point, ...]
 
     def __post_init__(self):
         if not self.points:
             raise ValueError("a support hull needs at least one point")
-        seen = set()
-        kept = []
-        for m, n in self.points:
-            if not isinstance(m, HalfInt) or not isinstance(n, HalfInt):
-                raise TypeError("support points must be HalfInt pairs")
-            key = (m.twice, n.twice)
-            if key not in seen:
-                seen.add(key)
-                kept.append((m, n))
-        object.__setattr__(self, "points", tuple(kept))
-
-    @staticmethod
-    def of(*points) -> "SupportHull":
-        return SupportHull(tuple((HalfInt(m), HalfInt(n)) for m, n in points))
+        object.__setattr__(self, "points", tuple(dict.fromkeys(self.points)))
 
     @staticmethod
     def from_function(f) -> "SupportHull":
-        return SupportHull(tuple(f.support_points()))
-
-    def fractions(self) -> List[Tuple[Fraction, Fraction]]:
-        return [(m.as_fraction(), n.as_fraction()) for m, n in self.points]
-
-    def twice(self) -> List[Point]:
-        return [(m.twice, n.twice) for m, n in self.points]
-
-
-@dataclass(frozen=True)
-class RankClass:
-    """Exact rank of M = [[1,1,1],[m1,m2,m3],[n1,n2,n3]] over the rationals."""
-
-    rank: int
-    rows: Tuple[Tuple[Fraction, Fraction, Fraction], ...]
+        return SupportHull(f.support_points())
 
 
 @dataclass(frozen=True)
@@ -160,7 +133,7 @@ def _fan_weights(hull: List[Point]) -> Dict[Point, Fraction]:
 
 def hull_certificate(h: SupportHull) -> HullCertificate:
     """Origin membership with a rational certificate either way."""
-    pts = h.twice()
+    pts = h.points
     hull = convex_hull_ccw(pts)
     for u, v, c in _halfplanes(hull):
         if c < 0:
@@ -172,53 +145,42 @@ def hull_certificate(h: SupportHull) -> HullCertificate:
 
 def origin_in_hull(h: SupportHull) -> bool:
     """True iff (0, 0) lies in the closed convex hull of the support points."""
-    return all(c >= 0 for _, _, c in _halfplanes(convex_hull_ccw(h.twice())))
+    return all(c >= 0 for _, _, c in _halfplanes(convex_hull_ccw(h.points)))
 
 
-def two_term_criterion(p1: Tuple[HalfInt, HalfInt], p2: Tuple[HalfInt, HalfInt]) -> bool:
-    """Two-point vanishing criterion: zero determinant and nonpositive products.
+def two_term_criterion(p1: Point, p2: Point) -> bool:
+    """Two-point vanishing criterion on twice-int points: zero determinant and nonpositive products.
 
     Equivalent to the origin lying on the segment from (m1, n1) to (m2, n2).
     The all-zero configuration is excluded by contract.
     """
-    m1, n1 = p1[0].twice, p1[1].twice
-    m2, n2 = p2[0].twice, p2[1].twice
+    (m1, n1), (m2, n2) = p1, p2
     if m1 == n1 == m2 == n2 == 0:
         raise ValueError("two-point criterion needs at least one nonzero coordinate")
     return m1 * n2 - m2 * n1 == 0 and m1 * m2 <= 0 and n1 * n2 <= 0
 
 
-def rank_classification(
-    p1: Tuple[HalfInt, HalfInt], p2: Tuple[HalfInt, HalfInt], p3: Tuple[HalfInt, HalfInt]
-) -> RankClass:
-    """Exact rank of the 3x3 matrix [[1,1,1],[m-row],[n-row]]."""
-    pts = [p1, p2, p3]
-    ms = [p[0].as_fraction() for p in pts]
-    ns = [p[1].as_fraction() for p in pts]
-    rows = (
-        (Fraction(1), Fraction(1), Fraction(1)),
-        tuple(ms),
-        tuple(ns),
-    )
-    det = (ms[1] - ms[0]) * (ns[2] - ns[0]) - (ms[2] - ms[0]) * (ns[1] - ns[0])
-    if det != 0:
-        return RankClass(3, rows)
-    distinct = len({(m, n) for m, n in zip(ms, ns)})
-    return RankClass(1 if distinct == 1 else 2, rows)
+def rank_classification(p1: Point, p2: Point, p3: Point) -> int:
+    """Exact rank of the 3x3 matrix [[1,1,1],[m-row],[n-row]] of three twice-int points."""
+    if _cross(_sub(p2, p1), _sub(p3, p1)):
+        return 3
+    return 1 if p1 == p2 == p3 else 2
 
 
-def vanishing_threshold(h: SupportHull, witness: Tuple[HalfInt, HalfInt]) -> int:
+def vanishing_threshold(h: SupportHull, witness: Point) -> int:
     """Least P0 >= 1 with (-a/P, -b/P) outside the hull for every integer P >= P0.
+
+    `witness` is the twice-int point (2a, 2b) of the extra element t[l, a, b].
 
     Requires the origin outside the hull, so {t > 0 : (-a/t, -b/t) in C} is a
     bounded closed interval (possibly empty) with rational endpoints; P0 is
     one more than the largest positive integer inside it, or 1.
     """
-    cons = _halfplanes(convex_hull_ccw(h.twice()))
+    cons = _halfplanes(convex_hull_ccw(h.points))
     if all(c >= 0 for _, _, c in cons):
         raise OriginInHullError("origin inside hull: no finite threshold guaranteed")
     # in twice-coordinates the point is -(2a, 2b)/t, so a half-plane reads k/t <= c
-    d = (-witness[0].twice, -witness[1].twice)
+    d = (-witness[0], -witness[1])
     if d == (0, 0):
         return 1
     u_lo: Optional[Fraction] = None

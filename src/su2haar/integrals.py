@@ -29,10 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from . import _kernel
-from .scalars import HalfInt, RadicalScalar, radical_normalize
+from .scalars import RadicalScalar, radical_normalize
 from .wigner import MatrixElementIndex, theta_restriction
 
 
@@ -42,16 +42,6 @@ class ParityError(ArithmeticError):
     Products that pass the frequency filter only ever produce even exponents,
     so this signals a bug in an upstream filter, never a data error.
     """
-
-
-class FrequencyPair(NamedTuple):
-    """Left and right character frequencies of a product."""
-
-    phi_freq: HalfInt
-    psi_freq: HalfInt
-
-    def is_zero(self) -> bool:
-        return self.phi_freq.twice == 0 and self.psi_freq.twice == 0
 
 
 @dataclass(frozen=True)
@@ -69,9 +59,7 @@ class ProductSpec:
                 raise ValueError(f"factor power must be nonnegative, got {power}")
             if power:
                 merged[idx] = merged.get(idx, 0) + power
-        object.__setattr__(
-            self, "factors", tuple(sorted(merged.items(), key=lambda f: f[0].key()))
-        )
+        object.__setattr__(self, "factors", tuple(sorted(merged.items())))
 
     @staticmethod
     def of(*entries) -> "ProductSpec":
@@ -101,14 +89,14 @@ class ProductSpec:
 
 def frequency_of(
     spec: ProductSpec, shift: Optional[MatrixElementIndex] = None
-) -> FrequencyPair:
-    """(sum alpha_i m_i, sum alpha_i n_i), plus the shift's (m, n) if given."""
-    m2 = sum(idx.m.twice * power for idx, power in spec.factors)
-    n2 = sum(idx.n.twice * power for idx, power in spec.factors)
+) -> Tuple[int, int]:
+    """Twice the frequencies, (2 sum alpha_i m_i, 2 sum alpha_i n_i), plus the shift's (2m, 2n) if given."""
+    m2 = sum(idx.m2 * power for idx, power in spec.factors)
+    n2 = sum(idx.n2 * power for idx, power in spec.factors)
     if shift is not None:
-        m2 += shift.m.twice
-        n2 += shift.n.twice
-    return FrequencyPair(HalfInt.from_twice(m2), HalfInt.from_twice(n2))
+        m2 += shift.m2
+        n2 += shift.n2
+    return (m2, n2)
 
 
 def u_integral(coeffs: Sequence[int], scale: int = 1) -> Fraction:
@@ -126,7 +114,7 @@ def integrate_product(
     zero.  Survivors are real (empty imaginary part).
     """
     merged = spec.with_extra(shift)
-    if not frequency_of(merged).is_zero():
+    if frequency_of(merged) != (0, 0):
         return RadicalScalar.zero()
 
     phase = eps = delta = 0

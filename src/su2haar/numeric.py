@@ -70,7 +70,7 @@ def _resolve(idx: MatrixElementIndex, coeff: complex = 1.0) -> _Element:
     data = theta_restriction(idx)
     scale = coeff * _I_POWERS[data.phase] * math.sqrt(data.radicand)
     terms = tuple((p, q, float(c)) for p, q, c in data.terms)
-    return _Element(idx.m.twice, idx.n.twice, scale, terms)
+    return _Element(idx.m2, idx.n2, scale, terms)
 
 
 class _Powers:
@@ -176,7 +176,9 @@ def mc_integral(target: McTarget, samples: int = 1_000_000, seed: int = 0) -> Mc
 
     target: a ProductSpec, or (f, P), or (f, P, h).  Deterministic for a
     given (seed, samples): draws happen in fixed-size chunks from one
-    PCG64 stream, and block sums merge by sample count.
+    PCG64 stream, and block sums merge by sample count.  Raises
+    OverflowError, without numpy warnings, when the mean or its standard
+    error is not finite in floating point.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -207,17 +209,20 @@ def mc_integral(target: McTarget, samples: int = 1_000_000, seed: int = 0) -> Mc
     total = 0.0 + 0.0j
     total_sq_re = 0.0
     total_sq_im = 0.0
-    for block in _blocks(np.random.default_rng(seed), samples):
-        vals = integrand(block)
-        total += vals.sum()
-        total_sq_re += float(np.sum(vals.real ** 2))
-        total_sq_im += float(np.sum(vals.imag ** 2))
+    with np.errstate(over="ignore", invalid="ignore"):      # a non-finite result raises below
+        for block in _blocks(np.random.default_rng(seed), samples):
+            vals = integrand(block)
+            total += vals.sum()
+            total_sq_re += float(np.sum(vals.real ** 2))
+            total_sq_im += float(np.sum(vals.imag ** 2))
 
-    mean = total / samples
-    if samples > 1:
-        var_re = max(total_sq_re / samples - mean.real ** 2, 0.0) * samples / (samples - 1)
-        var_im = max(total_sq_im / samples - mean.imag ** 2, 0.0) * samples / (samples - 1)
-        std_error = math.sqrt((var_re + var_im) / samples)
-    else:
-        std_error = 0.0
+        mean = total / samples
+        if samples > 1:
+            var_re = max(total_sq_re / samples - mean.real ** 2, 0.0) * samples / (samples - 1)
+            var_im = max(total_sq_im / samples - mean.imag ** 2, 0.0) * samples / (samples - 1)
+            std_error = math.sqrt((var_re + var_im) / samples)
+        else:
+            std_error = 0.0
+    if not all(map(math.isfinite, (mean.real, mean.imag, std_error))):
+        raise OverflowError("the Monte Carlo estimate is not finite in floating point")
     return McEstimate(mean=complex(mean), std_error=std_error, samples=samples, seed=seed)

@@ -63,7 +63,7 @@ from . import _kernel
 from ._kernel import pack, unpack
 from .hull import _halfplanes, convex_hull_ccw
 from .integrals import u_integral
-from .scalars import HalfInt, RadicalScalar
+from .scalars import RadicalScalar
 from .wigner import MatrixElementIndex, theta_restriction
 
 GaussianRational = Tuple[Fraction, Fraction]
@@ -127,22 +127,15 @@ class FiniteFunction:
     def __len__(self) -> int:
         return len(self.terms)
 
-    def indices(self) -> Tuple[MatrixElementIndex, ...]:
-        return tuple(idx for idx, _ in self.terms)
-
-    def support_points(self) -> Tuple[Tuple[HalfInt, HalfInt], ...]:
-        return tuple((idx.m, idx.n) for idx, _ in self.terms)
+    def support_points(self) -> Tuple[Tuple[int, int], ...]:
+        """The twice-int points (2m_i, 2n_i), one per term."""
+        return tuple((idx.m2, idx.n2) for idx, _ in self.terms)
 
     def to_json(self) -> dict:
         return {
             "schema": 1,
             "terms": [
-                {
-                    "l": str(idx.l),
-                    "m": str(idx.m),
-                    "n": str(idx.n),
-                    "coeff": {"re": str(re), "im": str(im)},
-                }
+                {**idx.to_json(), "coeff": {"re": str(re), "im": str(im)}}
                 for idx, (re, im) in self.terms
             ],
         }
@@ -158,15 +151,7 @@ class FiniteFunction:
         for i, t in enumerate(obj["terms"]):
             if not isinstance(t, dict):
                 raise ValueError(f"terms[{i}] must be an object")
-            for key in ("l", "m", "n"):
-                if key not in t:
-                    raise ValueError(f"terms[{i}]: missing field {key!r}")
-                if not _is_json_int_or_str(t[key]):
-                    raise ValueError(f"terms[{i}].{key} must be a string such as \"1/2\" or an integer")
-            try:
-                idx = MatrixElementIndex.of(t["l"], t["m"], t["n"])
-            except ValueError as e:
-                raise ValueError(f"terms[{i}]: {e}") from None
+            idx = MatrixElementIndex.from_json(t, f"terms[{i}]")
             coeff = t.get("coeff", {})
             if not isinstance(coeff, dict):
                 raise ValueError(f"terms[{i}].coeff must be an object with fields re and im")
@@ -187,17 +172,17 @@ class FiniteFunction:
 
 
 def enumerate_balanced_compositions(
-    f: FiniteFunction, power: int, target: Tuple[HalfInt, HalfInt] = (HalfInt(0), HalfInt(0))
+    f: FiniteFunction, power: int, target: Tuple[int, int] = (0, 0)
 ) -> List[Composition]:
-    """Compositions alpha of `power` with sum alpha*m = target[0], sum alpha*n = target[1].
+    """Compositions alpha of `power` with sum alpha*(2m, 2n) = target, a twice-int pair.
 
     Deterministic descending lexicographic order; the list may be empty.
     """
     if power < 1:
         raise ValueError("power must be >= 1")
-    ms2 = [idx.m.twice for idx, _ in f.terms]
-    ns2 = [idx.n.twice for idx, _ in f.terms]
-    return _kernel.balanced_compositions(ms2, ns2, power, target[0].twice, target[1].twice)
+    ms2 = [idx.m2 for idx, _ in f.terms]
+    ns2 = [idx.n2 for idx, _ in f.terms]
+    return _kernel.balanced_compositions(ms2, ns2, power, target[0], target[1])
 
 
 _I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))
@@ -217,7 +202,7 @@ def _scaled_u_polys(terms) -> Tuple[int, Dict[_StateKey, List[Tuple[int, int]]]]
         form = theta_restriction(idx)
         re, im = gaussian_mul(coeff, _I_POWERS[form.phase])
         unit = lcm(re.denominator, im.denominator)
-        key = (idx.m.twice, idx.n.twice, form.eps, form.delta, form.radicand)
+        key = (idx.m2, idx.n2, form.eps, form.delta, form.radicand)
         parts.append((key, unit * form.denom, re.numerator * (unit // re.denominator),
                       im.numerator * (unit // im.denominator), form.poly))
     scale = lcm(*(denom for _, denom, _, _, _ in parts))
@@ -334,24 +319,19 @@ def power_integral_with_witness(
     return power_scan(f, power, witness=h)[-1][1]
 
 
-def minimal_balanced_pair(
-    p1: Tuple[HalfInt, HalfInt], p2: Tuple[HalfInt, HalfInt]
-) -> Tuple[int, int]:
-    """Componentwise-minimal nonzero (alpha, beta) in N^2 balancing two support points.
+def minimal_balanced_pair(p1: Tuple[int, int], p2: Tuple[int, int]) -> Tuple[int, int]:
+    """Componentwise-minimal nonzero (alpha, beta) in N^2 balancing two twice-int support points.
 
     Solves alpha*m1 + beta*m2 = 0 = alpha*n1 + beta*n2 for points satisfying
     the two-point vanishing criterion (zero determinant, nonpositive
     coordinate products, not both points zero).
     """
-    m1, n1 = p1[0].twice, p1[1].twice
-    m2, n2 = p2[0].twice, p2[1].twice
+    (m1, n1), (m2, n2) = p1, p2
     if (m1, n1) == (0, 0) and (m2, n2) == (0, 0):
         raise NoSolutionError("both points are the origin")
     det = m1 * n2 - m2 * n1
     if det != 0 or m1 * m2 > 0 or n1 * n2 > 0:
-        raise NoSolutionError(
-            f"points ({p1[0]},{p1[1]}), ({p2[0]},{p2[1]}) do not meet the two-point criterion"
-        )
+        raise NoSolutionError(f"twice-int points {p1}, {p2} do not meet the two-point criterion")
     if (m1, n1) == (0, 0):
         return (1, 0)
     if (m2, n2) == (0, 0):
@@ -361,8 +341,6 @@ def minimal_balanced_pair(
     else:
         alpha, beta = abs(n2), abs(n1)
     if alpha * m1 + beta * m2 != 0 or alpha * n1 + beta * n2 != 0:
-        raise NoSolutionError(
-            f"no nonzero natural solution for ({p1[0]},{p1[1]}), ({p2[0]},{p2[1]})"
-        )
+        raise NoSolutionError(f"no nonzero natural solution for twice-int points {p1}, {p2}")
     g = gcd(alpha, beta)
     return (alpha // g, beta // g)

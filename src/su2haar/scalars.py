@@ -1,4 +1,7 @@
-"""Exact scalar arithmetic: half-integers and Gaussian-rational radical sums.
+"""Exact scalar arithmetic: half-integer text and Gaussian-rational radical sums.
+
+A half-integer j is carried as the plain int 2j from parsing to printing:
+`parse_half` reads it, `half_str` writes it.
 
 The value field for every integral in this package is the set of numbers
 
@@ -14,13 +17,22 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, Tuple, Union
+from typing import Iterable, Mapping, Tuple
 
 
-def _twice_of(value) -> int:
-    """Twice the value of an int, HalfInt, or Fraction with denominator 1 or 2."""
-    if isinstance(value, HalfInt):
-        return value.twice
+def parse_half(value) -> int:
+    """Twice the half-integer given as an int, a Fraction or the text "k", "k/2" (or "p/1")."""
+    if isinstance(value, str):
+        s = value.strip()
+        if "/" not in s:
+            return 2 * int(s)
+        num, _, den = s.partition("/")
+        d = int(den)
+        if d == 1:
+            return 2 * int(num)
+        if d == 2:
+            return int(num)
+        raise ValueError(f"not a half-integer: {value!r}")
     if isinstance(value, int):
         return 2 * value
     if isinstance(value, Fraction):
@@ -30,59 +42,9 @@ def _twice_of(value) -> int:
     raise TypeError(f"cannot interpret {value!r} as a half-integer")
 
 
-class HalfInt:
-    """A half-integer, stored as twice its value."""
-
-    __slots__ = ("twice",)
-
-    def __init__(self, value: Union[int, Fraction, str, "HalfInt"]):
-        if isinstance(value, str):
-            self.twice = HalfInt.parse(value).twice
-        else:
-            self.twice = _twice_of(value)
-
-    @staticmethod
-    def from_twice(twice: int) -> "HalfInt":
-        h = HalfInt.__new__(HalfInt)
-        h.twice = int(twice)
-        return h
-
-    @staticmethod
-    def parse(text: str) -> "HalfInt":
-        """Parse "k" or "k/2" (also tolerates "p/1")."""
-        s = text.strip()
-        if "/" in s:
-            num, _, den = s.partition("/")
-            d = int(den)
-            if d == 1:
-                return HalfInt.from_twice(2 * int(num))
-            if d == 2:
-                return HalfInt.from_twice(int(num))
-            raise ValueError(f"not a half-integer: {text!r}")
-        return HalfInt.from_twice(2 * int(s))
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.twice, 2)
-
-    def __neg__(self) -> "HalfInt":
-        return HalfInt.from_twice(-self.twice)
-
-    def __eq__(self, other) -> bool:
-        try:
-            return self.twice == _twice_of(other)
-        except (TypeError, ValueError):
-            return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.as_fraction())
-
-    def __str__(self) -> str:
-        if self.twice % 2 == 0:
-            return str(self.twice // 2)
-        return f"{self.twice}/2"
-
-    def __repr__(self) -> str:
-        return f"HalfInt({self})"
+def half_str(twice: int) -> str:
+    """The text "k" or "k/2" of the half-integer twice/2."""
+    return str(twice // 2) if twice % 2 == 0 else f"{twice}/2"
 
 
 def radical_normalize(coeff: Fraction, radicand: int) -> Tuple[Fraction, int]:
@@ -166,10 +128,6 @@ class RadicalScalar:
         """Build from (coefficient, radicand) pairs; radicands need not be squarefree."""
         return RadicalScalar(_canonical_map(real), _canonical_map(imag))
 
-    @staticmethod
-    def sqrt_int(n: int, coeff=1) -> "RadicalScalar":
-        return RadicalScalar.from_terms(real=[(Fraction(coeff), n)])
-
     # ---- structure ----------------------------------------------------
 
     def real_terms(self) -> Tuple[Tuple[int, Fraction], ...]:
@@ -188,9 +146,6 @@ class RadicalScalar:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
         return self._re.get(1, Fraction(0))
-
-    def is_real(self) -> bool:
-        return not self._im
 
     # ---- arithmetic ----------------------------------------------------
 

@@ -28,6 +28,10 @@ diagonal entries t[l, 0, 0](a(theta)) equal the Legendre polynomial
 P_l(cos theta) (the tests check both against their own oracles in
 `tests/oracles.py`).
 
+`MatrixElementIndex` holds the label as the twice-values (2l, 2m, 2n), plain
+ints; `MatrixElementIndex.of` and `from_json` parse half-integer input with
+`scalars.parse_half`, and `to_json` and `str` write it back with `half_str`.
+
 `theta_restriction` returns the one exact record of an element.  Beside
 the (c, s) terms it carries the same expansion in u = s**2,
 
@@ -48,47 +52,63 @@ from fractions import Fraction
 from math import comb, factorial, lcm
 from typing import Dict, Mapping, NamedTuple, Tuple
 
-from .scalars import HalfInt, RadicalScalar, radical_normalize
+from .scalars import RadicalScalar, half_str, parse_half, radical_normalize
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class MatrixElementIndex:
-    """Label (l, m, n) of one matrix element; m, n run over -l, -l+1, ..., l."""
+    """Label (l, m, n) of one matrix element, held as twice-values (2l, 2m, 2n).
 
-    l: HalfInt
-    m: HalfInt
-    n: HalfInt
+    m and n run over -l, -l+1, ..., l; equality, hashing and ordering all
+    compare the tuple (l2, m2, n2).
+    """
+
+    l2: int
+    m2: int
+    n2: int
 
     def __post_init__(self):
-        l, m, n = self.l, self.m, self.n
-        if not (isinstance(l, HalfInt) and isinstance(m, HalfInt) and isinstance(n, HalfInt)):
-            raise TypeError("index components must be HalfInt")
-        if l.twice < 0:
-            raise ValueError(f"spin must be nonnegative, got l={l}")
-        if abs(m.twice) > l.twice or abs(n.twice) > l.twice:
-            raise ValueError(f"|m|,|n| must not exceed l: l={l}, m={m}, n={n}")
-        if (l.twice - m.twice) % 2 or (l.twice - n.twice) % 2:
-            raise ValueError(f"l-m and l-n must be integers: l={l}, m={m}, n={n}")
+        l2, m2, n2 = self.l2, self.m2, self.n2
+        if not all(type(x) is int for x in (l2, m2, n2)):
+            raise TypeError("index components must be twice-value ints")
+        if l2 < 0:
+            raise ValueError(f"spin must be nonnegative, got l={half_str(l2)}")
+        if abs(m2) > l2 or abs(n2) > l2:
+            raise ValueError("|m|,|n| must not exceed l: l={l}, m={m}, n={n}".format(**self.to_json()))
+        if (l2 - m2) % 2 or (l2 - n2) % 2:
+            raise ValueError("l-m and l-n must be integers: l={l}, m={m}, n={n}".format(**self.to_json()))
 
     @staticmethod
     def of(l, m, n) -> "MatrixElementIndex":
-        return MatrixElementIndex(HalfInt(l), HalfInt(m), HalfInt(n))
+        """Build from half-integers given as ints, Fractions or text (see `parse_half`)."""
+        return MatrixElementIndex(parse_half(l), parse_half(m), parse_half(n))
 
-    def key(self) -> Tuple[int, int, int]:
-        return (self.l.twice, self.m.twice, self.n.twice)
+    @staticmethod
+    def from_json(obj, where: str) -> "MatrixElementIndex":
+        """Read an {"l", "m", "n"} object of ints or half-integer strings; errors start with `where`."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"{where}: expected an object with fields l, m, n")
+        for key in ("l", "m", "n"):
+            if key not in obj:
+                raise ValueError(f"{where}: missing field {key!r}")
+            if not isinstance(obj[key], (int, str)) or isinstance(obj[key], bool):
+                raise ValueError(f"{where}.{key} must be a string such as \"1/2\" or an integer")
+        try:
+            return MatrixElementIndex.of(obj["l"], obj["m"], obj["n"])
+        except ValueError as e:
+            raise ValueError(f"{where}: {e}") from None
 
-    def __hash__(self) -> int:
-        # equal indices have equal twice-values, so this agrees with __eq__
-        return hash(self.key())
+    def to_json(self) -> dict:
+        return {"l": half_str(self.l2), "m": half_str(self.m2), "n": half_str(self.n2)}
 
     def __str__(self) -> str:
-        return f"t[{self.l},{self.m},{self.n}]"
+        return "t[{l},{m},{n}]".format(**self.to_json())
 
 
 def conjugate_index(idx: MatrixElementIndex) -> Tuple[int, MatrixElementIndex]:
     """Conjugation identity: conj(t[l,m,n]) = sign * t[l,-m,-n] with sign = (-1)**(m-n)."""
-    sign = -1 if ((idx.m.twice - idx.n.twice) // 2) % 2 else 1
-    return sign, MatrixElementIndex(idx.l, -idx.m, -idx.n)
+    sign = -1 if ((idx.m2 - idx.n2) // 2) % 2 else 1
+    return sign, MatrixElementIndex(idx.l2, -idx.m2, -idx.n2)
 
 
 class ThetaRestriction(NamedTuple):
@@ -114,7 +134,7 @@ def theta_restriction(idx: MatrixElementIndex) -> ThetaRestriction:
     All exponents of one element share their parities (c_exp + s_exp = 2l and
     s_exp = m - n + 2k), so eps and delta are the same for every term.
     """
-    l2, m2, n2 = idx.l.twice, idx.m.twice, idx.n.twice
+    l2, m2, n2 = idx.l2, idx.m2, idx.n2
     lpm = (l2 + m2) // 2
     lmm = (l2 - m2) // 2
     lpn = (l2 + n2) // 2

@@ -11,7 +11,7 @@ import pytest
 from oracles import gaussian_pow, group_matrix, monomial_theta_integral
 from su2haar.integrals import ProductSpec, frequency_of, integrate_product
 from su2haar.powers import FiniteFunction, enumerate_balanced_compositions, gaussian_mul
-from su2haar.scalars import HalfInt, RadicalScalar
+from su2haar.scalars import RadicalScalar, parse_half
 from su2haar.wigner import MatrixElementIndex, matrix_element_trigpoly
 
 
@@ -19,8 +19,9 @@ def idx(l, m, n) -> MatrixElementIndex:
     return MatrixElementIndex.of(Fraction(l), Fraction(m), Fraction(n))
 
 
-def hi(x) -> HalfInt:
-    return HalfInt(Fraction(x))
+def pt(m, n) -> tuple:
+    """The twice-int point (2m, 2n) of half-integers m, n given as ints or Fractions."""
+    return (parse_half(Fraction(m)), parse_half(Fraction(n)))
 
 
 def ff(*terms) -> FiniteFunction:
@@ -30,17 +31,10 @@ def ff(*terms) -> FiniteFunction:
 
 def all_indices(l_max) -> list:
     out = []
-    lmax2 = HalfInt(Fraction(l_max)).twice
-    for l2 in range(0, lmax2 + 1):
+    for l2 in range(0, parse_half(Fraction(l_max)) + 1):
         for m2 in range(-l2, l2 + 1, 2):
             for n2 in range(-l2, l2 + 1, 2):
-                out.append(
-                    MatrixElementIndex(
-                        HalfInt.from_twice(l2),
-                        HalfInt.from_twice(m2),
-                        HalfInt.from_twice(n2),
-                    )
-                )
+                out.append(MatrixElementIndex(l2, m2, n2))
     return out
 
 
@@ -51,7 +45,7 @@ def all_indices(l_max) -> list:
 def integrate_via_trigpoly(spec: ProductSpec, shift=None) -> RadicalScalar:
     """Same integral, assembled through TrigPolynomial products term by term."""
     merged = spec.with_extra(shift)
-    if not frequency_of(merged).is_zero():
+    if frequency_of(merged) != (0, 0):
         return RadicalScalar.zero()
     from su2haar.wigner import TrigPolynomial
 
@@ -106,7 +100,7 @@ def brute_force_power_integral(f: FiniteFunction, power: int, h=None) -> Radical
 
 def composition_power_integral(f: FiniteFunction, power: int, h=None) -> RadicalScalar:
     """Multinomial sum over the frequency-balanced compositions the kernel enumerates."""
-    target = (HalfInt(0), HalfInt(0)) if h is None else (-h.m, -h.n)
+    target = (0, 0) if h is None else (-h.m2, -h.n2)
     return _multinomial_sum(f, power, enumerate_balanced_compositions(f, power, target), h)
 
 

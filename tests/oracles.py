@@ -28,7 +28,6 @@ import numpy as np
 from su2haar.integrals import ParityError
 from su2haar.numeric import EulerAngles, eval_matrix_element
 from su2haar.powers import GaussianRational, gaussian_mul
-from su2haar.scalars import HalfInt
 from su2haar.wigner import MatrixElementIndex
 
 
@@ -106,12 +105,11 @@ def sample_haar(rng: np.random.Generator) -> EulerAngles:
     return EulerAngles(phi, theta, psi)
 
 
-def representation_matrix(l, g: EulerAngles) -> np.ndarray:
-    """Matrix of all t[l,m,n](g); rows and columns ordered m, n = l, l-1, ..., -l."""
-    l = HalfInt(l)
-    spins = [HalfInt.from_twice(l.twice - 2 * i) for i in range(l.twice + 1)]
+def representation_matrix(l2: int, g: EulerAngles) -> np.ndarray:
+    """Matrix of all t[l,m,n](g) at spin l = l2/2; rows and columns ordered m, n = l, l-1, ..., -l."""
+    spins2 = range(l2, -l2 - 1, -2)
     return np.array(
-        [[eval_matrix_element(MatrixElementIndex(l, m, n), g) for n in spins] for m in spins]
+        [[eval_matrix_element(MatrixElementIndex(l2, m2, n2), g) for n2 in spins2] for m2 in spins2]
     )
 
 
@@ -153,11 +151,11 @@ def euler_from_matrix(u: np.ndarray, eps: float = 1e-12) -> EulerAngles:
     return EulerAngles(phi, theta, _wrap_psi(psi))
 
 
-def compose_and_check(l, g1: EulerAngles, g2: EulerAngles, tol: float) -> bool:
-    """Check T(g1) T(g2) = T(g1 g2) at spin l within tol (max-abs entrywise)."""
+def compose_and_check(l2: int, g1: EulerAngles, g2: EulerAngles, tol: float) -> bool:
+    """Check T(g1) T(g2) = T(g1 g2) at spin l = l2/2 within tol (max-abs entrywise)."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     g12 = euler_from_matrix(group_matrix(g1) @ group_matrix(g2))
-    lhs = representation_matrix(l, g1) @ representation_matrix(l, g2)
-    rhs = representation_matrix(l, g12)
+    lhs = representation_matrix(l2, g1) @ representation_matrix(l2, g2)
+    rhs = representation_matrix(l2, g12)
     return bool(np.max(np.abs(lhs - rhs)) <= tol)

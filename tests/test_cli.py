@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -6,6 +7,7 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -158,6 +160,23 @@ class TestPowerScan:
         code, out, err = run_cli(capsys, "power-scan", single_element, "--pmax", "2", "--mc", "-1")
         assert (code, out) == (2, "")
         assert "--mc" in err
+
+    @pytest.mark.parametrize("pmax", ["1", "2"])
+    def test_mc_with_non_finite_estimate_exits_2(self, capsys, tmp_path, pmax):
+        """10^200 fits a float but its square does not: at P=1 the mean is finite and the
+        standard error is not, at P=2 neither; both exit 2 without numpy warnings."""
+        path = tmp_path / "big.json"
+        terms = [
+            {"l": "1/2", "m": "1/2", "n": "1/2", "coeff": {"re": str(10**200), "im": "0"}},
+            {"l": "1/2", "m": "-1/2", "n": "-1/2", "coeff": {"re": "1", "im": "0"}},
+        ]
+        path.write_text(json.dumps({"terms": terms}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "power-scan", str(path), "--pmax", pmax, "--mc", "100")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --mc: ") and err.count("\n") == 1, err
+        assert [str(w.message) for w in caught] == []
 
     def test_mc_with_float_overflowing_coefficient_exits_2(self, capsys, tmp_path):
         """The exact scan takes any rational; the float Monte Carlo path cannot take 10^400."""
@@ -428,6 +447,21 @@ class TestHullAndThreshold:
 
 
 class TestFuzzCommand:
+    @pytest.mark.parametrize(
+        "flags, digest",
+        [
+            (["--seed", "1", "--trials", "100"], "f0103a354118c8e6"),
+            (["--seed", "2", "--trials", "20", "--pmax", "20"], "3a93ecbe8a2bc23c"),
+            (["--seed", "5", "--trials", "60", "--rank2-bias", "0.5", "--lmax", "5/2"], "033dc06c59028e97"),
+        ],
+        ids=["seed1-defaults", "seed2-pmax20", "seed5-rank2-lmax5/2"],
+    )
+    def test_pinned_stream(self, capsys, flags, digest):
+        """A seed's stream is fixed across versions: sha256 prefixes of stdout, pinned from an earlier release."""
+        code, out, err = run_cli(capsys, "fuzz", *flags)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
     def test_stream_determinism(self, capsys):
         flags = ["fuzz", "--seed", "1", "--trials", "12", "--pmax", "4", "--lmax", "3/2"]
         code1, out1, _ = run_cli(capsys, *flags)
@@ -439,11 +473,11 @@ class TestFuzzCommand:
         summary = json.loads(lines[-1])
         assert summary["summary"] is True
         assert summary["trials_run"] == 12
-        from su2haar.scalars import HalfInt
+        from su2haar.scalars import parse_half
 
         for line in lines[:-1]:
             for term in json.loads(line)["function"]["terms"]:
-                assert HalfInt.parse(term["l"]).twice <= 3
+                assert parse_half(term["l"]) <= 3
 
     def test_out_file(self, capsys, tmp_path):
         out_path = tmp_path / "reports.jsonl"
@@ -572,7 +606,13 @@ class TestBackendContract:
         assert proc.stdout.strip() == "pure"
 
     def test_names_the_benchmark_reads_resolve(self):
-        """clibench/ reads these after `import su2haar.cli` alone; a missing one fails its install."""
+        """clibench/ reads these after `import su2haar.cli` alone; a missing one fails its install.
+
+        The tracer's hooks also read what the spans pass and return: the
+        `points` of a hull span's first argument, `is_zero()` on an
+        `integrate_product` result, `samples` on an `mc_integral` result,
+        and hashes of the `ProductSpec` and `MatrixElementIndex` arguments.
+        """
         root = pathlib.Path(__file__).resolve().parents[1]
         src = str(root / "src")
         path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
@@ -586,6 +626,18 @@ class TestBackendContract:
             "import tracer\n"
             "for module, attr, _ in tracer.FUNCTIONS:\n"
             "    assert callable(getattr(sys.modules[module], attr)), (module, attr)\n"
+            "from su2haar.hull import SupportHull\n"
+            "from su2haar.integrals import ProductSpec, integrate_product\n"
+            "from su2haar.numeric import mc_integral\n"
+            "from su2haar.powers import FiniteFunction\n"
+            "from su2haar.wigner import MatrixElementIndex\n"
+            "index = MatrixElementIndex.of(1, 0, 0)\n"
+            "spec = ProductSpec(((index, 2),))\n"
+            "hull = SupportHull.from_function(FiniteFunction(((index, (1, 0)),)))\n"
+            "assert len(hull.points) == 1\n"
+            "assert integrate_product(spec).is_zero() is False\n"
+            "assert mc_integral(spec, samples=8).samples == 8\n"
+            "hash((spec, index)); hash((spec, None))\n"
             "print(len(tracer.FUNCTIONS))\n"
         )
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,

@@ -15,7 +15,7 @@ from su2haar.harness import (
     trial_rng,
 )
 from su2haar.powers import power_scan
-from su2haar.scalars import HalfInt, RadicalScalar
+from su2haar.scalars import RadicalScalar
 
 H = Fraction(1, 2)
 
@@ -81,7 +81,7 @@ class TestProvenDirection:
 
 class TestFuzz:
     def test_determinism_byte_identical(self):
-        cfg = FuzzConfig(seed=42, trials=25, l_max=HalfInt(2), k_max=4, p_max=6)
+        cfg = FuzzConfig(seed=42, trials=25, l_max2=4, k_max=4, p_max=6)
         r1, s1 = fuzz(cfg)
         r2, s2 = fuzz(cfg)
         lines1 = [json.dumps(r.to_json(), sort_keys=True) for r in r1]
@@ -110,12 +110,12 @@ class TestFuzz:
         assert a == b != c
 
     def test_generated_instances_respect_config(self):
-        cfg = FuzzConfig(seed=11, trials=1, l_max=HalfInt(Fraction(3, 2)), k_max=3, p_max=2)
+        cfg = FuzzConfig(seed=11, trials=1, l_max2=3, k_max=3, p_max=2)
         for trial in range(60):
             f = generate_instance(trial_rng(cfg.seed, trial), cfg)
             assert 1 <= len(f) <= 3
             for index, coeff in f.terms:
-                assert index.l.twice <= 3
+                assert index.l2 <= 3
                 assert coeff in DEFAULT_COEFF_POOL
 
     def test_config_validation(self):
@@ -126,9 +126,9 @@ class TestFuzz:
         with pytest.raises(ValueError):
             FuzzConfig(seed=0, trials=1, rank2_bias=0.5, k_max=2)
         with pytest.raises(ValueError):
-            FuzzConfig(seed=0, trials=1, rank2_bias=0.5, l_max=HalfInt(0))
+            FuzzConfig(seed=0, trials=1, rank2_bias=0.5, l_max2=0)
         with pytest.raises(ValueError, match="l_max"):
-            FuzzConfig(seed=0, trials=1, l_max=HalfInt(-1))
+            FuzzConfig(seed=0, trials=1, l_max2=-1)
 
 
 class TestLegendreMoments:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import caratheodory_weights, hi
+from conftest import caratheodory_weights, pt
 from su2haar.hull import (
     OriginInHullError,
     SupportHull,
@@ -17,13 +17,17 @@ from su2haar.hull import (
     two_term_criterion,
     vanishing_threshold,
 )
-from su2haar.scalars import HalfInt
 
 H = Fraction(1, 2)
 
 
 def hull_of(*pts):
-    return SupportHull.of(*[(Fraction(m), Fraction(n)) for m, n in pts])
+    return SupportHull(tuple(pt(m, n) for m, n in pts))
+
+
+def fractions(h):
+    """The support points of h as half-integer Fraction pairs (m, n)."""
+    return [(Fraction(m2, 2), Fraction(n2, 2)) for m2, n2 in h.points]
 
 
 class TestOriginInHull:
@@ -41,7 +45,7 @@ class TestOriginInHull:
     def test_single_point_agreement(self):
         for m2 in range(-4, 5):
             for n2 in range(-4, 5):
-                h = SupportHull.of((Fraction(m2, 2), Fraction(n2, 2)))
+                h = SupportHull(((m2, n2),))
                 assert origin_in_hull(h) == (m2 == 0 and n2 == 0)
 
     def test_certificate_weights_are_convex_combination(self):
@@ -50,7 +54,7 @@ class TestOriginInHull:
         assert cert.inside
         assert sum(cert.weights) == 1
         assert all(w >= 0 for w in cert.weights)
-        pts = h.fractions()
+        pts = fractions(h)
         sx = sum(w * p[0] for w, p in zip(cert.weights, pts))
         sy = sum(w * p[1] for w, p in zip(cert.weights, pts))
         assert (sx, sy) == (0, 0)
@@ -61,13 +65,11 @@ class TestOriginInHull:
         assert not cert.inside
         u, v, bound = cert.separator
         assert bound > 0
-        for m, n in h.fractions():
+        for m, n in fractions(h):
             assert u * m + v * n >= bound
 
 
-points = st.tuples(st.integers(-6, 6), st.integers(-6, 6)).map(
-    lambda t: (HalfInt.from_twice(t[0]), HalfInt.from_twice(t[1]))
-)
+points = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
 
 
 class TestOriginInHullProperties:
@@ -80,7 +82,7 @@ class TestOriginInHullProperties:
         rnd.shuffle(shuffled)
         assert origin_in_hull(SupportHull(tuple(shuffled))) == base
         scale = rnd.choice([2, 3, 5])
-        scaled = SupportHull(tuple((HalfInt.from_twice(m.twice * scale), HalfInt.from_twice(n.twice * scale)) for m, n in pts))
+        scaled = SupportHull(tuple((m2 * scale, n2 * scale) for m2, n2 in pts))
         assert origin_in_hull(scaled) == base
 
     @given(st.lists(points, min_size=3, max_size=7))
@@ -88,12 +90,12 @@ class TestOriginInHullProperties:
     def test_agrees_with_polygon_route(self, pts):
         """Monotone chain + halfplane membership vs the Caratheodory oracle."""
         h = SupportHull(tuple(pts))
-        assert origin_in_hull(h) == (caratheodory_weights(h.fractions()) is not None)
+        assert origin_in_hull(h) == (caratheodory_weights(fractions(h)) is not None)
 
 
 def check_certificate(h, cert):
     """Exact check: convex weights (one per stored point) hitting the origin, or a tight separator."""
-    pts = h.fractions()
+    pts = fractions(h)
     if cert.inside:
         w = cert.weights
         assert len(w) == len(pts)
@@ -117,14 +119,12 @@ class TestCertificateProperties:
     @settings(max_examples=300, deadline=None)
     def test_certificate_checks_exactly(self, twice, shift):
         """Shifted clouds of 1-40 half-integer points, origin inside, outside or on the boundary."""
-        h = SupportHull(tuple(
-            (HalfInt.from_twice(m + shift[0]), HalfInt.from_twice(n + shift[1])) for m, n in twice
-        ))
+        h = SupportHull(tuple((m + shift[0], n + shift[1]) for m, n in twice))
         cert = hull_certificate(h)
         check_certificate(h, cert)
         assert cert.inside == origin_in_hull(h)
         if len(h.points) <= 12:
-            assert cert.inside == (caratheodory_weights(h.fractions()) is not None)
+            assert cert.inside == (caratheodory_weights(fractions(h)) is not None)
 
     @given(
         st.lists(st.integers(-6, 6), min_size=1, max_size=6),
@@ -133,16 +133,14 @@ class TestCertificateProperties:
     @settings(max_examples=200, deadline=None)
     def test_collinear_supports(self, multiples, direction):
         """Point and segment hulls: multiples k * direction, through the origin or not."""
-        h = SupportHull(tuple(
-            (HalfInt.from_twice(k * direction[0]), HalfInt.from_twice(k * direction[1])) for k in multiples
-        ))
+        h = SupportHull(tuple((k * direction[0], k * direction[1]) for k in multiples))
         cert = hull_certificate(h)
         check_certificate(h, cert)
-        assert cert.inside == (caratheodory_weights(h.fractions()) is not None)
+        assert cert.inside == (caratheodory_weights(fractions(h)) is not None)
 
     def test_wide_outside_support(self):
         """120 points (x/2, (x^2 + 1)/2) on a convex arc above the m-axis, every one a hull vertex."""
-        h = SupportHull(tuple((HalfInt.from_twice(x), HalfInt.from_twice(x * x + 1)) for x in range(-60, 60)))
+        h = SupportHull(tuple((x, x * x + 1) for x in range(-60, 60)))
         cert = hull_certificate(h)
         assert not cert.inside
         check_certificate(h, cert)
@@ -174,55 +172,48 @@ class TestConvexHullChain:
 
 class TestTwoTermCriterion:
     def test_spec_examples(self):
-        assert two_term_criterion((hi(H), hi(-H)), (hi(-H), hi(H)))
-        assert not two_term_criterion((hi(H), hi(H)), (hi(-H), hi(H)))
-        assert not two_term_criterion((hi(1), hi(0)), (hi(2), hi(0)))
+        assert two_term_criterion(pt(H, -H), pt(-H, H))
+        assert not two_term_criterion(pt(H, H), pt(-H, H))
+        assert not two_term_criterion(pt(1, 0), pt(2, 0))
 
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError):
-            two_term_criterion((hi(0), hi(0)), (hi(0), hi(0)))
+            two_term_criterion((0, 0), (0, 0))
 
     def test_exhaustive_agreement_with_hull(self):
         """Criterion == origin-on-segment for all half-integer points of magnitude <= 3."""
-        vals = [HalfInt.from_twice(t) for t in range(-6, 7)]
-        pts = [(m, n) for m in vals for n in vals]
+        vals = range(-6, 7)
+        pts = [(m2, n2) for m2 in vals for n2 in vals]
         checked = 0
         for p1, p2 in itertools.product(pts, repeat=2):
-            if all(c.twice == 0 for c in (*p1, *p2)):
+            if p1 == p2 == (0, 0):
                 continue
             expected = origin_in_hull(SupportHull((p1, p2)))
-            assert two_term_criterion(p1, p2) == expected, (str(p1), str(p2))
+            assert two_term_criterion(p1, p2) == expected, (p1, p2)
             checked += 1
         assert checked == 169 * 169 - 1
 
 
 class TestRankClassification:
     def test_all_equal(self):
-        rc = rank_classification((hi(1), hi(1)), (hi(1), hi(1)), (hi(1), hi(1)))
-        assert rc.rank == 1
+        assert rank_classification(pt(1, 1), pt(1, 1), pt(1, 1)) == 1
 
     def test_triangle(self):
-        rc = rank_classification((hi(1), hi(0)), (hi(0), hi(1)), (hi(-1), hi(-1)))
-        assert rc.rank == 3
+        assert rank_classification(pt(1, 0), pt(0, 1), pt(-1, -1)) == 3
 
     def test_collinear(self):
-        rc = rank_classification((hi(0), hi(0)), (hi(1), hi(1)), (hi(2), hi(2)))
-        assert rc.rank == 2
+        assert rank_classification(pt(0, 0), pt(1, 1), pt(2, 2)) == 2
 
     def test_rank_matches_exact_elimination(self):
         rnd = random.Random(77)
         for _ in range(300):
-            pts = [
-                (hi(Fraction(rnd.randint(-4, 4), 2)), hi(Fraction(rnd.randint(-4, 4), 2)))
-                for _ in range(3)
-            ]
-            rc = rank_classification(*pts)
+            pts = [(rnd.randint(-4, 4), rnd.randint(-4, 4)) for _ in range(3)]
             rows = [
                 [Fraction(1)] * 3,
-                [p[0].as_fraction() for p in pts],
-                [p[1].as_fraction() for p in pts],
+                [Fraction(p[0], 2) for p in pts],
+                [Fraction(p[1], 2) for p in pts],
             ]
-            assert rc.rank == _gauss_rank(rows)
+            assert rank_classification(*pts) == _gauss_rank(rows)
 
 
 def _gauss_rank(rows):
@@ -248,37 +239,34 @@ def _gauss_rank(rows):
 
 class TestVanishingThreshold:
     def test_spec_examples(self):
-        assert vanishing_threshold(hull_of((H, H)), (hi(-1), hi(-1))) == 3
-        assert vanishing_threshold(hull_of((1, 0)), (hi(0), hi(1))) == 1
+        assert vanishing_threshold(hull_of((H, H)), pt(-1, -1)) == 3
+        assert vanishing_threshold(hull_of((1, 0)), pt(0, 1)) == 1
         with pytest.raises(OriginInHullError):
-            vanishing_threshold(hull_of((H, -H), (-H, H)), (hi(1), hi(1)))
+            vanishing_threshold(hull_of((H, -H), (-H, H)), pt(1, 1))
 
     def test_zero_witness(self):
-        assert vanishing_threshold(hull_of((1, 1)), (hi(0), hi(0))) == 1
+        assert vanishing_threshold(hull_of((1, 1)), (0, 0)) == 1
 
     def test_no_integer_in_window(self):
         # the ray meets the segment for t in [7/3, 14/5]; no integer P in there
         h = hull_of((Fraction(5, 2), Fraction(5, 2)), (3, 3))
-        assert vanishing_threshold(h, (hi(-7), hi(-7))) == 1
+        assert vanishing_threshold(h, pt(-7, -7)) == 1
 
     def test_definition_via_dense_scan(self):
         """P0 is minimal: P0-1 hits the hull (when P0 > 1) and nothing >= P0 does."""
         rnd = random.Random(31)
         for _ in range(200):
-            pts = [
-                (hi(Fraction(rnd.randint(-4, 4), 2)), hi(Fraction(rnd.randint(-4, 4), 2)))
-                for _ in range(rnd.randint(1, 4))
-            ]
+            pts = [(rnd.randint(-4, 4), rnd.randint(-4, 4)) for _ in range(rnd.randint(1, 4))]
             h = SupportHull(tuple(pts))
             if origin_in_hull(h):
                 continue
-            witness = (hi(Fraction(rnd.randint(-4, 4), 2)), hi(Fraction(rnd.randint(-4, 4), 2)))
+            witness = (rnd.randint(-4, 4), rnd.randint(-4, 4))
             p0 = vanishing_threshold(h, witness)
-            a, b = witness[0].as_fraction(), witness[1].as_fraction()
+            a, b = Fraction(witness[0], 2), Fraction(witness[1], 2)
 
             def point_in(p):
                 # (-a/p, -b/p) in conv(pts) iff the origin is in the shifted hull
-                shifted = [(m.as_fraction() + a / p, n.as_fraction() + b / p) for m, n in pts]
+                shifted = [(Fraction(m2, 2) + a / p, Fraction(n2, 2) + b / p) for m2, n2 in pts]
                 return caratheodory_weights(shifted) is not None
 
             for p in range(p0, p0 + 30):

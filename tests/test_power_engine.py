@@ -52,7 +52,7 @@ def random_instance(rnd: random.Random, radicand: int) -> FiniteFunction:
     is inside the hull and most powers do not vanish.
     """
     first = rnd.choice(RADICAL[radicand])
-    chosen = [first, rnd.choice([i for i in SPIN_5_2 if (i.m, i.n) == (-first.m, -first.n)])]
+    chosen = [first, rnd.choice([i for i in SPIN_5_2 if (i.m2, i.n2) == (-first.m2, -first.n2)])]
     while len(chosen) < rnd.randint(2, 4):
         extra = rnd.choice(SPIN_5_2)
         if extra not in chosen:
@@ -75,7 +75,7 @@ class TestAgainstOracles:
         nonzero = 0
         for trial in range(36):
             f = random_instance(rnd, (2, 3, 6)[trial % 3])
-            spins.update(i.l.twice % 2 for i in f.indices())
+            spins.update(i.l2 % 2 for i, _ in f.terms)
             got = power_scan(f, 6)
             for p, value in got:
                 assert value == composition_power_integral(f, p), (f.to_json(), p)
@@ -100,8 +100,9 @@ class TestAgainstOracles:
     def test_witness_on_and_off_the_support(self, seed):
         rnd = random.Random(seed)
         f = random_instance(rnd, (2, 3, 6)[seed])
-        on = [i for i in SPIN_5_2 if (i.m, i.n) == (-f.indices()[0].m, -f.indices()[0].n)]
-        off = [i for i in all_indices(2) if (i.m.twice, i.n.twice) == (3, -1)]
+        first = f.terms[0][0]
+        on = [i for i in SPIN_5_2 if (i.m2, i.n2) == (-first.m2, -first.n2)]
+        off = [i for i in all_indices(2) if (i.m2, i.n2) == (3, -1)]
         for witness in (rnd.choice(on), rnd.choice(off), idx(0, 0, 0)):
             assert_scan_matches_oracle(f, 5, witness)
             for p, value in power_scan(f, 3, witness=witness):

@@ -1,10 +1,13 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import all_indices, brute_force_power_integral, ff, hi, idx
+from conftest import all_indices, brute_force_power_integral, ff, idx, pt
 from oracles import gaussian_pow
 from su2haar.hull import SupportHull, origin_in_hull
 from su2haar.integrals import ProductSpec, integrate_product
@@ -17,7 +20,8 @@ from su2haar.powers import (
     power_integral_with_witness,
     power_scan,
 )
-from su2haar.scalars import HalfInt, RadicalScalar
+from su2haar.scalars import RadicalScalar
+from su2haar.wigner import MatrixElementIndex
 
 H = Fraction(1, 2)
 
@@ -34,6 +38,22 @@ class TestFiniteFunction:
     def test_json_round_trip(self):
         f = ff(((H, H, -H), (Fraction(1, 2), -1)), ((1, 0, 0), (2, 0)))
         assert FiniteFunction.from_json(f.to_json()) == f
+
+    @given(st.lists(
+        st.tuples(
+            st.integers(0, 12).flatmap(lambda l2: st.tuples(
+                st.just(l2), st.integers(0, l2).map(lambda k: 2 * k - l2), st.integers(0, l2).map(lambda k: 2 * k - l2))),
+            st.tuples(st.fractions(max_denominator=50), st.fractions(max_denominator=50)),
+        ),
+        min_size=1, max_size=6, unique_by=lambda term: term[0],
+    ))
+    @settings(max_examples=100)
+    def test_json_round_trip_random_indices(self, terms):
+        """Half-integer labels survive half_str on the way out and parse_half on the way in."""
+        terms = [(MatrixElementIndex(*key), coeff) for key, coeff in terms if coeff != (0, 0)]
+        assume(terms)
+        f = FiniteFunction(tuple(terms))
+        assert FiniteFunction.from_json(json.loads(json.dumps(f.to_json()))) == f
 
     def test_json_rejects_bad_field(self):
         with pytest.raises(ValueError, match="terms"):
@@ -78,7 +98,7 @@ class TestEnumerateBalanced:
 
     def test_with_target(self):
         f = ff(((H, H, H), 1))
-        target = (hi(Fraction(3, 2)), hi(Fraction(3, 2)))
+        target = (3, 3)
         assert enumerate_balanced_compositions(f, 3, target) == [(3,)]
 
 
@@ -218,37 +238,37 @@ class TestDeterminism:
 
 class TestMinimalBalancedPair:
     def test_symmetric(self):
-        assert minimal_balanced_pair((hi(H), hi(-H)), (hi(-H), hi(H))) == (1, 1)
+        assert minimal_balanced_pair(pt(H, -H), pt(-H, H)) == (1, 1)
 
     def test_ratio(self):
-        assert minimal_balanced_pair((hi(1), hi(0)), (hi(-2), hi(0))) == (2, 1)
+        assert minimal_balanced_pair(pt(1, 0), pt(-2, 0)) == (2, 1)
 
     def test_origin_point(self):
-        assert minimal_balanced_pair((hi(0), hi(0)), (hi(1), hi(-1))) == (1, 0)
-        assert minimal_balanced_pair((hi(1), hi(-1)), (hi(0), hi(0))) == (0, 1)
+        assert minimal_balanced_pair((0, 0), pt(1, -1)) == (1, 0)
+        assert minimal_balanced_pair(pt(1, -1), (0, 0)) == (0, 1)
 
     def test_criterion_violations(self):
         with pytest.raises(NoSolutionError):
-            minimal_balanced_pair((hi(1), hi(1)), (hi(1), hi(-1)))
+            minimal_balanced_pair(pt(1, 1), pt(1, -1))
         with pytest.raises(NoSolutionError):
-            minimal_balanced_pair((hi(0), hi(0)), (hi(0), hi(0)))
+            minimal_balanced_pair((0, 0), (0, 0))
         with pytest.raises(NoSolutionError):
-            minimal_balanced_pair((hi(1), hi(1)), (hi(-2), hi(-1)))
+            minimal_balanced_pair(pt(1, 1), pt(-2, -1))
 
     def test_solution_balances(self):
         rnd = random.Random(2)
         found = 0
         while found < 200:
-            p1 = (hi(Fraction(rnd.randint(-4, 4), 2)), hi(Fraction(rnd.randint(-4, 4), 2)))
-            p2 = (hi(Fraction(rnd.randint(-4, 4), 2)), hi(Fraction(rnd.randint(-4, 4), 2)))
+            p1 = (rnd.randint(-4, 4), rnd.randint(-4, 4))
+            p2 = (rnd.randint(-4, 4), rnd.randint(-4, 4))
             try:
                 alpha, beta = minimal_balanced_pair(p1, p2)
             except NoSolutionError:
                 continue
             assert (alpha, beta) != (0, 0)
             assert alpha >= 0 and beta >= 0
-            assert alpha * p1[0].as_fraction() + beta * p2[0].as_fraction() == 0
-            assert alpha * p1[1].as_fraction() + beta * p2[1].as_fraction() == 0
+            assert alpha * p1[0] + beta * p2[0] == 0
+            assert alpha * p1[1] + beta * p2[1] == 0
             from math import gcd
 
             assert gcd(alpha, beta) == 1
@@ -260,29 +280,22 @@ class TestTwoTermPositivityMechanism:
         """Criterion-true pairs with positive real coefficients: P = 2M is a square."""
         from su2haar.hull import two_term_criterion
 
-        pts = []
-        for m2 in range(-3, 4):
-            for n2 in range(-3, 4):
-                if (m2 - n2) % 2 == 0:
-                    pts.append((HalfInt.from_twice(m2), HalfInt.from_twice(n2)))
+        pts = [(m2, n2) for m2 in range(-3, 4) for n2 in range(-3, 4) if (m2 - n2) % 2 == 0]
         checked = 0
         for p1, p2 in itertools.combinations(pts, 2):
-            if p1[0].twice == p1[1].twice == p2[0].twice == p2[1].twice == 0:
+            if p1 == p2 == (0, 0):
                 continue
             if not two_term_criterion(p1, p2):
                 continue
             alpha, beta = minimal_balanced_pair(p1, p2)
             total = alpha + beta
 
-            def min_index(pt):
-                l2 = max(abs(pt[0].twice), abs(pt[1].twice))
-                from su2haar.wigner import MatrixElementIndex
-
-                return MatrixElementIndex(HalfInt.from_twice(l2), pt[0], pt[1])
+            def min_index(point):
+                return MatrixElementIndex(max(abs(point[0]), abs(point[1])), *point)
 
             f = FiniteFunction.from_terms(
                 [(min_index(p1), (Fraction(1), Fraction(0))), (min_index(p2), (Fraction(2), Fraction(0)))]
             )
-            assert not power_integral(f, 2 * total).is_zero(), (str(p1), str(p2))
+            assert not power_integral(f, 2 * total).is_zero(), (p1, p2)
             checked += 1
         assert checked >= 20

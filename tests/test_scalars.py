@@ -5,28 +5,42 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from su2haar.scalars import HalfInt, RadicalScalar, radical_normalize
+from su2haar.scalars import RadicalScalar, half_str, parse_half, radical_normalize
 
 
 class TestHalfInt:
-    def test_parse_and_str(self):
-        assert HalfInt.parse("3/2").twice == 3
-        assert HalfInt.parse("-1/2").twice == -1
-        assert HalfInt.parse("2").twice == 4
-        assert str(HalfInt.parse("3/2")) == "3/2"
-        assert str(HalfInt(2)) == "2"
+    """Half-integers travel as their twice-values: `parse_half` reads them, `half_str` writes them."""
 
-    def test_arithmetic(self):
-        a = HalfInt(Fraction(1, 2))
-        assert (-a).twice == -1
+    def test_parse_and_str(self):
+        assert parse_half("3/2") == 3
+        assert parse_half("-1/2") == -1
+        assert parse_half("2") == 4
+        assert parse_half("6/1") == 12
+        assert parse_half(Fraction(3, 2)) == 3
+        assert parse_half(-2) == -4
+        assert half_str(3) == "3/2"
+        assert half_str(4) == "2"
+        assert half_str(-1) == "-1/2"
 
     def test_rejects_non_half_integers(self):
-        with pytest.raises(ValueError):
-            HalfInt(Fraction(1, 3))
-        with pytest.raises(ValueError):
-            HalfInt.parse("1/4")
-        with pytest.raises(ValueError):
-            HalfInt.parse("x")
+        for bad in (Fraction(1, 3), "1/3", "1/4", "1/0", "x", "", "1.5"):
+            with pytest.raises(ValueError):
+                parse_half(bad)
+        for bad in (1.5, None, [1], (1, 2)):
+            with pytest.raises(TypeError):
+                parse_half(bad)
+
+    @given(st.integers(-10**6, 10**6), st.sampled_from(["", " ", "\t", " \n"]))
+    def test_text_round_trip(self, twice, pad):
+        assert parse_half(pad + half_str(twice) + pad) == twice
+        assert parse_half(Fraction(twice, 2)) == twice
+        if twice % 2 == 0:
+            assert parse_half(twice // 2) == twice
+            assert parse_half(f"{twice // 2}/1") == twice
+
+
+def sqrt_int(n: int, coeff=1) -> RadicalScalar:
+    return RadicalScalar.from_terms(real=[(Fraction(coeff), n)])
 
 
 class TestRadicalNormalize:
@@ -65,26 +79,26 @@ scalars = st.builds(
 
 class TestRadicalScalar:
     def test_add_examples(self):
-        s2 = RadicalScalar.sqrt_int(2)
+        s2 = sqrt_int(2)
         assert (s2 + (-s2)).is_zero()
         one = RadicalScalar.one()
         assert (one + s2).to_json() == {
             "real": [{"radicand": 1, "coeff": "1"}, {"radicand": 2, "coeff": "1"}],
             "imag": [],
         }
-        half_r3 = RadicalScalar.sqrt_int(3, Fraction(1, 2))
-        assert half_r3 + one + half_r3 == one + RadicalScalar.sqrt_int(3)
+        half_r3 = sqrt_int(3, Fraction(1, 2))
+        assert half_r3 + one + half_r3 == one + sqrt_int(3)
 
     def test_mul_examples(self):
-        s2 = RadicalScalar.sqrt_int(2)
-        s3 = RadicalScalar.sqrt_int(3)
+        s2 = sqrt_int(2)
+        s3 = sqrt_int(3)
         assert s2 * s2 == RadicalScalar.from_rational(2)
-        assert s2 * s3 == RadicalScalar.sqrt_int(6)
+        assert s2 * s3 == sqrt_int(6)
         i_s2 = RadicalScalar.from_terms(imag=[(Fraction(1), 2)])
         assert i_s2 * i_s2 == RadicalScalar.from_rational(-2)
 
     def test_is_zero(self):
-        s2 = RadicalScalar.sqrt_int(2)
+        s2 = sqrt_int(2)
         assert (s2 - s2).is_zero()
         assert not (RadicalScalar.one() - s2).is_zero()
         assert RadicalScalar.zero().is_zero()
@@ -111,7 +125,7 @@ class TestRadicalScalar:
     def test_rational_accessors(self):
         assert RadicalScalar.from_rational(Fraction(3, 4)).as_rational() == Fraction(3, 4)
         with pytest.raises(ValueError):
-            RadicalScalar.sqrt_int(2).as_rational()
+            sqrt_int(2).as_rational()
 
     @given(scalars, scalars, scalars)
     @settings(max_examples=150)
@@ -156,4 +170,4 @@ class TestRadicalScalar:
         assert x.conjugate() == RadicalScalar.from_terms(
             real=[(Fraction(1), 2)], imag=[(Fraction(-3), 5)]
         )
-        assert (x * x.conjugate()).is_real()
+        assert not (x * x.conjugate()).imag_terms()

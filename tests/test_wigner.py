@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import all_indices, idx, spin_half_rep, sym_power_rep
 from oracles import legendre_poly, representation_matrix, sample_haar
-from su2haar.scalars import HalfInt, RadicalScalar
+from su2haar.scalars import RadicalScalar, parse_half
 from su2haar.wigner import (
     MatrixElementIndex,
     TrigPolynomial,
@@ -64,9 +64,9 @@ class TestExpansionStructure:
     @pytest.mark.parametrize("index", all_indices(3))
     def test_degree_homogeneity_and_parity(self, index):
         poly = matrix_element_trigpoly(index)
-        mn = (index.n.twice - index.m.twice) // 2
+        mn = (index.n2 - index.m2) // 2
         for (p, q) in poly.terms:
-            assert p + q == index.l.twice
+            assert p + q == index.l2
             assert (q - mn) % 2 == 0
 
     @pytest.mark.parametrize("l", range(0, 7))
@@ -90,11 +90,11 @@ class TestExpansionStructure:
     @pytest.mark.parametrize("l", [0, H, 1, Fraction(3, 2), 2])
     def test_unitarity_rows(self, l):
         """Row sums of |t|^2 collapse to 1 after s^2 -> 1 - c^2."""
-        l_h = HalfInt(Fraction(l))
-        for m2 in range(-l_h.twice, l_h.twice + 1, 2):
+        l2 = parse_half(Fraction(l))
+        for m2 in range(-l2, l2 + 1, 2):
             total = TrigPolynomial.zero()
-            for n2 in range(-l_h.twice, l_h.twice + 1, 2):
-                index = MatrixElementIndex(l_h, HalfInt.from_twice(m2), HalfInt.from_twice(n2))
+            for n2 in range(-l2, l2 + 1, 2):
+                index = MatrixElementIndex(l2, m2, n2)
                 poly = matrix_element_trigpoly(index)
                 total = total + poly * poly.conjugate()
             reduced = total.eliminate_sin()
@@ -106,7 +106,7 @@ class TestAgainstSymmetricPowerOracle:
         for l2 in range(0, 5):
             for _ in range(10):
                 g = sample_haar(rng)
-                ours = representation_matrix(HalfInt.from_twice(l2), g)
+                ours = representation_matrix(l2, g)
                 oracle = sym_power_rep(l2, spin_half_rep(g))
                 assert np.max(np.abs(ours - oracle)) < 1e-12
 
@@ -152,7 +152,7 @@ class TestLegendre:
 
     def test_rejects_half_integer(self):
         with pytest.raises(ValueError):
-            legendre_poly(HalfInt(H))
+            legendre_poly(H)
         with pytest.raises(ValueError):
             legendre_poly(-1)
 
