@@ -11,18 +11,8 @@ __version__ = "0.1.0"
 
 from ._kernel import backend_name
 from .scalars import RadicalScalar, half_str, parse_half, radical_normalize
-from .wigner import (
-    MatrixElementIndex,
-    TrigPolynomial,
-    conjugate_index,
-    matrix_element_trigpoly,
-)
-from .integrals import (
-    ParityError,
-    ProductSpec,
-    frequency_of,
-    integrate_product,
-)
+from .wigner import MatrixElementIndex, matrix_element_trigpoly
+from .integrals import ProductSpec, frequency_of, integrate_product
 from .powers import (
     FiniteFunction,
     NoSolutionError,
@@ -66,10 +56,7 @@ __all__ = [
     "RadicalScalar",
     "radical_normalize",
     "MatrixElementIndex",
-    "TrigPolynomial",
-    "conjugate_index",
     "matrix_element_trigpoly",
-    "ParityError",
     "ProductSpec",
     "frequency_of",
     "integrate_product",

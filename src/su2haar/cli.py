@@ -201,14 +201,17 @@ def _cmd_fuzz(ns, argv, started) -> int:
         raise InputError("--rank2-bias must be in [0, 1]")
     if ns.rank2_bias > 0 and (ns.kmax < 3 or l_max2 < 1):
         raise InputError("--rank2-bias needs --kmax >= 3 and --lmax >= 1/2")
-    cfg = FuzzConfig(
-        seed=ns.seed,
-        trials=ns.trials,
-        l_max2=l_max2,
-        k_max=ns.kmax,
-        p_max=ns.pmax,
-        rank2_bias=ns.rank2_bias,
-    )
+    try:
+        cfg = FuzzConfig(
+            seed=ns.seed,
+            trials=ns.trials,
+            l_max2=l_max2,
+            k_max=ns.kmax,
+            p_max=ns.pmax,
+            rank2_bias=ns.rank2_bias,
+        )
+    except ValueError as e:             # only the --kmax bound is not checked above
+        raise InputError(f"--kmax: {e}") from None
     reports, summary = fuzz(cfg)
     lines = [json.dumps(r.to_json(), sort_keys=True) for r in reports]
     lines.append(json.dumps(summary.to_json(), sort_keys=True))

@@ -32,7 +32,7 @@ from .powers import (
     power_scan,
 )
 from .integrals import ProductSpec, integrate_product
-from .scalars import RadicalScalar
+from .scalars import RadicalScalar, half_str
 from .wigner import MatrixElementIndex
 
 VERDICT_CONSISTENT = "consistent"
@@ -132,6 +132,12 @@ class FuzzConfig:
             raise ValueError("p_max must be >= 1")
         if self.k_max < 1:
             raise ValueError("k_max must be >= 1")
+        # a trial draws k distinct indices; there are sum_{2l <= L} (2l+1)^2 of them
+        count = (self.l_max2 + 1) * (self.l_max2 + 2) * (2 * self.l_max2 + 3) // 6
+        if self.k_max > count:
+            raise ValueError(
+                f"k_max must be <= {count}, the number of distinct indices with l <= {half_str(self.l_max2)}"
+            )
         if not (0.0 <= self.rank2_bias <= 1.0):
             raise ValueError("rank2_bias must be in [0, 1]")
         if self.rank2_bias > 0 and (self.k_max < 3 or self.l_max2 < 1):
@@ -282,6 +288,10 @@ class SuiteReport:
         }
 
 
+class _CheckFailed(Exception):
+    """A verification check failed; the message is the item's detail."""
+
+
 def _all_indices(l_max_twice: int) -> List[MatrixElementIndex]:
     out = []
     for l2 in range(0, l_max_twice + 1):
@@ -291,7 +301,7 @@ def _all_indices(l_max_twice: int) -> List[MatrixElementIndex]:
     return out
 
 
-def _suite_schur() -> SuiteItem:
+def _suite_schur() -> str:
     """Pairings t[l,m,n] * t[l',-p,-q]: diagonal value (-1)^(m-n)/(2l+1), rest zero.
 
     Only pairs with (m', n') = (-m, -n) are integrated; every other pair is
@@ -311,15 +321,11 @@ def _suite_schur() -> SuiteItem:
             else:
                 expected = RadicalScalar.zero()
             if value != expected:
-                return SuiteItem(
-                    "schur-orthogonality",
-                    False,
-                    f"pair {a} x {b}: got {value}, expected {expected}",
-                )
-    return SuiteItem("schur-orthogonality", True, f"{checked} pairings at spin <= 2 exact")
+                raise _CheckFailed(f"pair {a} x {b}: got {value}, expected {expected}")
+    return f"{checked} pairings at spin <= 2 exact"
 
 
-def _suite_single_scans() -> SuiteItem:
+def _suite_single_scans() -> str:
     horizon = 8
     count = 0
     for idx in _all_indices(4):
@@ -329,20 +335,12 @@ def _suite_single_scans() -> SuiteItem:
         if idx.m2 == 0 and idx.n2 == 0:
             p2 = scan[1][1]
             if not (p2.is_rational() and p2.as_rational() > 0):
-                return SuiteItem(
-                    "single-element-scans", False, f"{idx}: square integral not positive: {p2}"
-                )
+                raise _CheckFailed(f"{idx}: square integral not positive: {p2}")
             continue
         if nonzero:
-            return SuiteItem(
-                "single-element-scans",
-                False,
-                f"{idx}: unexpected nonzero at P={nonzero[0]}",
-            )
+            raise _CheckFailed(f"{idx}: unexpected nonzero at P={nonzero[0]}")
         count += 1
-    return SuiteItem(
-        "single-element-scans", True, f"{count} off-origin elements vanish to P={horizon}"
-    )
+    return f"{count} off-origin elements vanish to P={horizon}"
 
 
 def _lattice_points(bound_twice: int) -> List[Tuple[int, int]]:
@@ -355,7 +353,7 @@ def _min_spin_index(point: Tuple[int, int]) -> MatrixElementIndex:
     return MatrixElementIndex(max(abs(m2), abs(n2)), m2, n2)
 
 
-def _suite_two_term() -> SuiteItem:
+def _suite_two_term() -> str:
     pts = _lattice_points(3)
     checked = 0
     for i in range(len(pts)):
@@ -372,20 +370,12 @@ def _suite_two_term() -> SuiteItem:
                 m_total = alpha + beta
                 scan = power_scan(f, 2 * m_total)
                 if scan[m_total - 1][1].is_zero() and scan[-1][1].is_zero():
-                    return SuiteItem(
-                        "two-term-criterion",
-                        False,
-                        f"{p1},{p2}: criterion holds but powers {m_total},{2*m_total} vanish",
-                    )
+                    raise _CheckFailed(f"{p1},{p2}: criterion holds but powers {m_total},{2*m_total} vanish")
             else:
                 scan = power_scan(f, 8)
                 bad = [p for p, v in scan if not v.is_zero()]
                 if bad:
-                    return SuiteItem(
-                        "two-term-criterion",
-                        False,
-                        f"{p1},{p2}: criterion fails but P={bad[0]} is nonzero",
-                    )
+                    raise _CheckFailed(f"{p1},{p2}: criterion fails but P={bad[0]} is nonzero")
             checked += 1
     witness = FiniteFunction.from_terms(
         [
@@ -395,14 +385,8 @@ def _suite_two_term() -> SuiteItem:
     )
     square = power_integral(witness, 2)
     if square != RadicalScalar.from_rational(-1):
-        return SuiteItem(
-            "two-term-criterion", False, f"witness pair square is {square}, expected -1"
-        )
-    return SuiteItem(
-        "two-term-criterion",
-        True,
-        f"{checked} two-point supports agree; witness pair squares to -1",
-    )
+        raise _CheckFailed(f"witness pair square is {square}, expected -1")
+    return f"{checked} two-point supports agree; witness pair squares to -1"
 
 
 def _origin_combination_by_solve(pts: Sequence[Tuple[int, int]]) -> Optional[bool]:
@@ -425,7 +409,7 @@ def _origin_combination_by_solve(pts: Sequence[Tuple[int, int]]) -> Optional[boo
     return (m1, n1) == (0, 0)
 
 
-def _suite_rank_consistency() -> SuiteItem:
+def _suite_rank_consistency() -> str:
     trials = 200
     rng = random.Random(0x5EED)
     for t in range(trials):
@@ -436,15 +420,11 @@ def _suite_rank_consistency() -> SuiteItem:
             continue
         inside = origin_in_hull(SupportHull(tuple(pts)))
         if inside != solvable:
-            return SuiteItem(
-                "three-term-rank-consistency",
-                False,
-                f"trial {t}: hull={inside} but exact solve={solvable} for {pts}",
-            )
-    return SuiteItem("three-term-rank-consistency", True, f"{trials} random triples agree")
+            raise _CheckFailed(f"trial {t}: hull={inside} but exact solve={solvable} for {pts}")
+    return f"{trials} random triples agree"
 
 
-def _suite_threshold() -> SuiteItem:
+def _suite_threshold() -> str:
     trials = 50
     rng = random.Random(0xBEEF)
     done = 0
@@ -459,22 +439,27 @@ def _suite_threshold() -> SuiteItem:
         p0 = vanishing_threshold(h, (witness.m2, witness.n2))
         for p, value in power_scan(f, p0 + 10, witness=witness)[p0 - 1:]:
             if not value.is_zero():
-                return SuiteItem(
-                    "threshold-soundness",
-                    False,
-                    f"f={f.to_json()} h={witness}: nonzero at P={p} >= P0={p0}",
-                )
+                raise _CheckFailed(f"f={f.to_json()} h={witness}: nonzero at P={p} >= P0={p0}")
         done += 1
-    return SuiteItem("threshold-soundness", True, f"{trials} random (f, h) pairs vanish beyond P0")
+    return f"{trials} random (f, h) pairs vanish beyond P0"
 
 
 def run_verification_suite() -> SuiteReport:
-    """Exact re-checks of the proven statements; every item must pass."""
-    items = (
-        _suite_schur(),
-        _suite_single_scans(),
-        _suite_two_term(),
-        _suite_rank_consistency(),
-        _suite_threshold(),
-    )
-    return SuiteReport(items)
+    """Exact re-checks of the proven statements; every item must pass.
+
+    Each check returns its pass detail or raises `_CheckFailed` with the
+    failure detail.
+    """
+    items = []
+    for name, check in (
+        ("schur-orthogonality", _suite_schur),
+        ("single-element-scans", _suite_single_scans),
+        ("two-term-criterion", _suite_two_term),
+        ("three-term-rank-consistency", _suite_rank_consistency),
+        ("threshold-soundness", _suite_threshold),
+    ):
+        try:
+            items.append(SuiteItem(name, True, check()))
+        except _CheckFailed as e:
+            items.append(SuiteItem(name, False, str(e)))
+    return SuiteReport(tuple(items))

@@ -36,14 +36,6 @@ from .scalars import RadicalScalar, radical_normalize
 from .wigner import MatrixElementIndex, theta_restriction
 
 
-class ParityError(ArithmeticError):
-    """An odd trig exponent reached the theta integral.
-
-    Products that pass the frequency filter only ever produce even exponents,
-    so this signals a bug in an upstream filter, never a data error.
-    """
-
-
 @dataclass(frozen=True)
 class ProductSpec:
     """Multiset of (matrix element, power) factors, canonically merged and sorted."""
@@ -60,26 +52,6 @@ class ProductSpec:
             if power:
                 merged[idx] = merged.get(idx, 0) + power
         object.__setattr__(self, "factors", tuple(sorted(merged.items())))
-
-    @staticmethod
-    def of(*entries) -> "ProductSpec":
-        """Build from indices, (l, m, n) triples, or (index-or-triple, power) pairs."""
-        factors = []
-        for entry in entries:
-            if isinstance(entry, MatrixElementIndex):
-                factors.append((entry, 1))
-                continue
-            seq = tuple(entry)
-            if len(seq) == 2:
-                head, power = seq
-                if not isinstance(head, MatrixElementIndex):
-                    head = MatrixElementIndex.of(*head)
-                factors.append((head, power))
-            elif len(seq) == 3:
-                factors.append((MatrixElementIndex.of(*seq), 1))
-            else:
-                raise TypeError(f"cannot interpret product factor {entry!r}")
-        return ProductSpec(tuple(factors))
 
     def with_extra(self, extra: Optional[MatrixElementIndex]) -> "ProductSpec":
         if extra is None:
@@ -117,12 +89,11 @@ def integrate_product(
     if frequency_of(merged) != (0, 0):
         return RadicalScalar.zero()
 
-    phase = eps = delta = 0
+    eps = delta = 0
     mult = sqfree_prod = denom = 1
     poly = [1]
     for idx, power in merged.factors:
         form = theta_restriction(idx)
-        phase += form.phase * power
         eps += form.eps * power
         delta += form.delta * power
         mult *= form.radicand ** (power // 2)
@@ -131,14 +102,9 @@ def integrate_product(
         denom *= form.denom ** power
         poly = _kernel.convolve(poly, _kernel.vec_pow(form.poly, power))
 
-    # zero frequency forces sum alpha_i (n_i - m_i) = 0, hence trivial phase
-    assert phase % 4 == 0, "phase must cancel under the frequency filter"
-    if eps % 2 or delta % 2:
-        raise ParityError(
-            f"odd parities (eps, delta) = ({eps}, {delta}) in a frequency-balanced "
-            f"product {merged.factors}"
-        )
-    # c^eps s^delta with both even: c^2 = 1 - u, s^2 = u
+    # zero frequency forces M = N = 0, so the phase i^(N - M) is 1 and both parity
+    # sums are even (eps_i = m_i + n_i, delta_i = m_i - n_i mod 2): c^2 = 1 - u, s^2 = u
+    assert eps % 2 == delta % 2 == 0, "a zero-frequency product has even parities"
     poly = [0] * (delta // 2) + _kernel.convolve(poly, _kernel.vec_pow([1, -1], eps // 2))
     extra, radicand = radical_normalize(Fraction(1), sqfree_prod)
     assert extra.denominator == 1

@@ -40,8 +40,9 @@ the (c, s) terms it carries the same expansion in u = s**2,
 with r squarefree, q an integer polynomial over one denominator and the
 parities eps, delta fixed by (m, n).  The integration engines
 (`integrate_product`, `power_scan`) compute with the u-form, the Monte Carlo
-evaluator with the (c, s) terms; `TrigPolynomial` keeps the (c, s) form as
-an independent route for tests.
+evaluator with the (c, s) terms.  `matrix_element_trigpoly` is an uncached
+view of the (c, s) terms as RadicalScalar coefficients; the tests build
+their independent (c, s) product route on it.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, lcm
-from typing import Dict, Mapping, NamedTuple, Tuple
+from typing import Dict, NamedTuple, Tuple
 
 from .scalars import RadicalScalar, half_str, parse_half, radical_normalize
 
@@ -103,12 +104,6 @@ class MatrixElementIndex:
 
     def __str__(self) -> str:
         return "t[{l},{m},{n}]".format(**self.to_json())
-
-
-def conjugate_index(idx: MatrixElementIndex) -> Tuple[int, MatrixElementIndex]:
-    """Conjugation identity: conj(t[l,m,n]) = sign * t[l,-m,-n] with sign = (-1)**(m-n)."""
-    sign = -1 if ((idx.m2 - idx.n2) // 2) % 2 else 1
-    return sign, MatrixElementIndex(idx.l2, -idx.m2, -idx.n2)
 
 
 class ThetaRestriction(NamedTuple):
@@ -166,112 +161,10 @@ def theta_restriction(idx: MatrixElementIndex) -> ThetaRestriction:
     )
 
 
-class TrigPolynomial:
-    """Polynomial in c = cos(theta/2), s = sin(theta/2) with RadicalScalar coefficients."""
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Mapping[Tuple[int, int], RadicalScalar] = ()):
-        data = {}
-        for (p, q), coeff in dict(terms).items():
-            if p < 0 or q < 0:
-                raise ValueError(f"negative exponent in trig monomial ({p},{q})")
-            if not coeff.is_zero():
-                data[(p, q)] = coeff
-        self._terms = data
-
-    @staticmethod
-    def zero() -> "TrigPolynomial":
-        return TrigPolynomial()
-
-    @staticmethod
-    def constant(value: RadicalScalar) -> "TrigPolynomial":
-        return TrigPolynomial({(0, 0): value})
-
-    @property
-    def terms(self) -> Dict[Tuple[int, int], RadicalScalar]:
-        return dict(self._terms)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TrigPolynomial):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __add__(self, other: "TrigPolynomial") -> "TrigPolynomial":
-        data = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            acc = data.get(mono, RadicalScalar.zero()) + coeff
-            if acc.is_zero():
-                data.pop(mono, None)
-            else:
-                data[mono] = acc
-        return TrigPolynomial(data)
-
-    def __mul__(self, other: "TrigPolynomial") -> "TrigPolynomial":
-        data: dict = {}
-        for (p1, q1), c1 in self._terms.items():
-            for (p2, q2), c2 in other._terms.items():
-                mono = (p1 + p2, q1 + q2)
-                acc = data.get(mono, RadicalScalar.zero()) + c1 * c2
-                if acc.is_zero():
-                    data.pop(mono, None)
-                else:
-                    data[mono] = acc
-        return TrigPolynomial(data)
-
-    def __pow__(self, exponent: int) -> "TrigPolynomial":
-        if exponent < 0:
-            raise ValueError("negative power of a TrigPolynomial")
-        result = TrigPolynomial.constant(RadicalScalar.one())
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def scale(self, factor: RadicalScalar) -> "TrigPolynomial":
-        return TrigPolynomial({mono: coeff * factor for mono, coeff in self._terms.items()})
-
-    def conjugate(self) -> "TrigPolynomial":
-        return TrigPolynomial({mono: coeff.conjugate() for mono, coeff in self._terms.items()})
-
-    def eliminate_sin(self) -> Dict[int, RadicalScalar]:
-        """Substitute s**2 = 1 - c**2; requires every s-exponent to be even.
-
-        Returns the resulting univariate polynomial in c as exponent -> coefficient.
-        """
-        out: Dict[int, RadicalScalar] = {}
-        for (p, q), coeff in self._terms.items():
-            if q % 2:
-                raise ValueError(f"odd sin exponent {q}; substitution needs even powers")
-            h = q // 2
-            for j in range(h + 1):
-                sign = -1 if j % 2 else 1
-                binom = Fraction(sign * factorial(h), factorial(j) * factorial(h - j))
-                e = p + 2 * j
-                acc = out.get(e, RadicalScalar.zero()) + coeff * RadicalScalar.from_rational(binom)
-                if acc.is_zero():
-                    out.pop(e, None)
-                else:
-                    out[e] = acc
-        return out
-
-    def to_json(self) -> list:
-        return [
-            {"c_exp": p, "s_exp": q, "coeff": coeff.to_json()}
-            for (p, q), coeff in sorted(self._terms.items())
-        ]
-
-
-@functools.lru_cache(maxsize=None)
-def matrix_element_trigpoly(idx: MatrixElementIndex) -> TrigPolynomial:
-    """Exact expansion of t[l,m,n](a(theta)) in (c, s), phase included."""
+def matrix_element_trigpoly(idx: MatrixElementIndex) -> Dict[Tuple[int, int], RadicalScalar]:
+    """The (c, s) terms of t[l,m,n](a(theta)) as {(c_exp, s_exp): coeff}, phase and radicand folded in."""
     data = theta_restriction(idx)
-    terms = {}
-    for c_exp, s_exp, coeff in data.terms:
-        scalar = RadicalScalar.from_terms(real=[(coeff, data.radicand)]).times_i_power(data.phase)
-        terms[(c_exp, s_exp)] = scalar
-    return TrigPolynomial(terms)
+    return {
+        (c_exp, s_exp): RadicalScalar.from_terms(real=[(coeff, data.radicand)]).times_i_power(data.phase)
+        for c_exp, s_exp, coeff in data.terms
+    }

@@ -8,11 +8,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import gaussian_pow, group_matrix, monomial_theta_integral
+from oracles import TrigPolynomial, gaussian_pow, group_matrix, monomial_theta_integral
 from su2haar.integrals import ProductSpec, frequency_of, integrate_product
 from su2haar.powers import FiniteFunction, enumerate_balanced_compositions, gaussian_mul
 from su2haar.scalars import RadicalScalar, parse_half
-from su2haar.wigner import MatrixElementIndex, matrix_element_trigpoly
+from su2haar.wigner import MatrixElementIndex
 
 
 def idx(l, m, n) -> MatrixElementIndex:
@@ -22,6 +22,31 @@ def idx(l, m, n) -> MatrixElementIndex:
 def pt(m, n) -> tuple:
     """The twice-int point (2m, 2n) of half-integers m, n given as ints or Fractions."""
     return (parse_half(Fraction(m)), parse_half(Fraction(n)))
+
+
+H = Fraction(1, 2)
+
+# ((l, m, n), coeff) terms of the acceptance instance: k=5, spin 2, support on n = -m, radicand 1
+ACCEPTANCE = (
+    ((2, 2, -2), (1, 0)),
+    ((2, -2, 2), (H, 0)),
+    ((2, 1, -1), (0, 1)),
+    ((2, -1, 1), (1, 1)),
+    ((2, 0, 0), (-2, 0)),
+)
+
+# spin 5/2 carrying sqrt(10) and sqrt(2), on a 2-D support with the origin inside
+RADICALS_5_2 = (
+    ((Fraction(5, 2), Fraction(5, 2), -H), (1, 0)),
+    ((Fraction(5, 2), Fraction(-3, 2), H), (0, 1)),
+    ((Fraction(5, 2), -H, Fraction(-3, 2)), (-2, 1)),
+    ((2, -1, 1), (H, 0)),
+)
+
+
+def product(*entries) -> ProductSpec:
+    """ProductSpec from indices or (index, power) pairs."""
+    return ProductSpec(tuple((e, 1) if isinstance(e, MatrixElementIndex) else tuple(e) for e in entries))
 
 
 def ff(*terms) -> FiniteFunction:
@@ -47,11 +72,9 @@ def integrate_via_trigpoly(spec: ProductSpec, shift=None) -> RadicalScalar:
     merged = spec.with_extra(shift)
     if frequency_of(merged) != (0, 0):
         return RadicalScalar.zero()
-    from su2haar.wigner import TrigPolynomial
-
     poly = TrigPolynomial.constant(RadicalScalar.one())
     for index, power in merged.factors:
-        poly = poly * (matrix_element_trigpoly(index) ** power)
+        poly = poly * (TrigPolynomial.element(index) ** power)
     total = RadicalScalar.zero()
     for (p, q), coeff in poly.terms.items():
         total = total + coeff * RadicalScalar.from_rational(

@@ -5,8 +5,12 @@ is an independent route to a value the package computes another way:
 
 * `legendre_poly`: Legendre coefficients by the three-term recurrence, for
   the diagonal elements t[l,0,0](a(theta)) = P_l(cos theta);
-* `monomial_theta_integral`: the closed-form theta integral of c^a s^b, for
-  the (c, s) route to `integrate_product`;
+* `TrigPolynomial` and `monomial_theta_integral`: polynomials in
+  c = cos(theta/2), s = sin(theta/2) with RadicalScalar coefficients, built
+  on the (c, s) view `matrix_element_trigpoly`, and the closed-form theta
+  integral of c^a s^b, for the (c, s) route to `integrate_product`;
+* `conjugate_index`: the conjugation identity on indices, for the symmetry
+  tests of `power_scan`;
 * `gaussian_pow`: exact powers of Gaussian rationals, for the multinomial
   sums that check `power_scan`;
 * `dense_convolve` and `dense_vec_pow`: the schoolbook coefficient loop, for
@@ -21,14 +25,14 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from su2haar.integrals import ParityError
 from su2haar.numeric import EulerAngles, eval_matrix_element
 from su2haar.powers import GaussianRational, gaussian_mul
-from su2haar.wigner import MatrixElementIndex
+from su2haar.scalars import RadicalScalar
+from su2haar.wigner import MatrixElementIndex, matrix_element_trigpoly
 
 
 @functools.lru_cache(maxsize=None)
@@ -50,6 +54,111 @@ def legendre_poly(l: int) -> Tuple[Fraction, ...]:
     return tuple(p_cur)
 
 
+def conjugate_index(idx: MatrixElementIndex) -> Tuple[int, MatrixElementIndex]:
+    """Conjugation identity: conj(t[l,m,n]) = sign * t[l,-m,-n] with sign = (-1)**(m-n)."""
+    sign = -1 if ((idx.m2 - idx.n2) // 2) % 2 else 1
+    return sign, MatrixElementIndex(idx.l2, -idx.m2, -idx.n2)
+
+
+class TrigPolynomial:
+    """Polynomial in c = cos(theta/2), s = sin(theta/2) with RadicalScalar coefficients."""
+
+    __slots__ = ("_terms",)
+
+    def __init__(self, terms: Mapping[Tuple[int, int], RadicalScalar] = ()):
+        data = {}
+        for (p, q), coeff in dict(terms).items():
+            if p < 0 or q < 0:
+                raise ValueError(f"negative exponent in trig monomial ({p},{q})")
+            if not coeff.is_zero():
+                data[(p, q)] = coeff
+        self._terms = data
+
+    @staticmethod
+    def element(idx: MatrixElementIndex) -> "TrigPolynomial":
+        """t[l,m,n](a(theta)) from its (c, s) view `matrix_element_trigpoly`."""
+        return TrigPolynomial(matrix_element_trigpoly(idx))
+
+    @staticmethod
+    def zero() -> "TrigPolynomial":
+        return TrigPolynomial()
+
+    @staticmethod
+    def constant(value: RadicalScalar) -> "TrigPolynomial":
+        return TrigPolynomial({(0, 0): value})
+
+    @property
+    def terms(self) -> Dict[Tuple[int, int], RadicalScalar]:
+        return dict(self._terms)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TrigPolynomial):
+            return NotImplemented
+        return self._terms == other._terms
+
+    def __add__(self, other: "TrigPolynomial") -> "TrigPolynomial":
+        data = dict(self._terms)
+        for mono, coeff in other._terms.items():
+            acc = data.get(mono, RadicalScalar.zero()) + coeff
+            if acc.is_zero():
+                data.pop(mono, None)
+            else:
+                data[mono] = acc
+        return TrigPolynomial(data)
+
+    def __mul__(self, other: "TrigPolynomial") -> "TrigPolynomial":
+        data: dict = {}
+        for (p1, q1), c1 in self._terms.items():
+            for (p2, q2), c2 in other._terms.items():
+                mono = (p1 + p2, q1 + q2)
+                acc = data.get(mono, RadicalScalar.zero()) + c1 * c2
+                if acc.is_zero():
+                    data.pop(mono, None)
+                else:
+                    data[mono] = acc
+        return TrigPolynomial(data)
+
+    def __pow__(self, exponent: int) -> "TrigPolynomial":
+        if exponent < 0:
+            raise ValueError("negative power of a TrigPolynomial")
+        result = TrigPolynomial.constant(RadicalScalar.one())
+        base = self
+        e = exponent
+        while e:
+            if e & 1:
+                result = result * base
+            base = base * base
+            e >>= 1
+        return result
+
+    def scale(self, factor: RadicalScalar) -> "TrigPolynomial":
+        return TrigPolynomial({mono: coeff * factor for mono, coeff in self._terms.items()})
+
+    def conjugate(self) -> "TrigPolynomial":
+        return TrigPolynomial({mono: coeff.conjugate() for mono, coeff in self._terms.items()})
+
+    def eliminate_sin(self) -> Dict[int, RadicalScalar]:
+        """Substitute s**2 = 1 - c**2; requires every s-exponent to be even.
+
+        Returns the resulting univariate polynomial in c as exponent -> coefficient.
+        """
+        out: Dict[int, RadicalScalar] = {}
+        for (p, q), coeff in self._terms.items():
+            if q % 2:
+                raise ValueError(f"odd sin exponent {q}; substitution needs even powers")
+            h = q // 2
+            for j in range(h + 1):
+                sign = -1 if j % 2 else 1
+                binom = Fraction(sign * math.factorial(h), math.factorial(j) * math.factorial(h - j))
+                e = p + 2 * j
+                acc = out.get(e, RadicalScalar.zero()) + coeff * RadicalScalar.from_rational(binom)
+                if acc.is_zero():
+                    out.pop(e, None)
+                else:
+                    out[e] = acc
+        return out
+
+
 def monomial_theta_integral(c_exp: int, s_exp: int) -> Fraction:
     """Exact value of integral_0^pi c^a s^b sin(theta) d(theta) for even a, b.
 
@@ -59,7 +168,7 @@ def monomial_theta_integral(c_exp: int, s_exp: int) -> Fraction:
     if c_exp < 0 or s_exp < 0:
         raise ValueError(f"exponents must be nonnegative, got ({c_exp}, {s_exp})")
     if c_exp % 2 or s_exp % 2:
-        raise ParityError(f"odd exponent in theta integral ({c_exp}, {s_exp})")
+        raise ValueError(f"odd exponent in theta integral ({c_exp}, {s_exp})")
     half_a, half_b = c_exp // 2, s_exp // 2
     fact = math.factorial
     return Fraction(2 * fact(half_a) * fact(half_b), fact(half_a + half_b + 1))

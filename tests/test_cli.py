@@ -510,6 +510,7 @@ class TestFuzzCommand:
                 ["--trials", "1", "--rank2-bias", "0.5", "--kmax", "2"], "--rank2-bias", id="rank2-bias-kmax-2"
             ),
             pytest.param(["--trials", "1", "--lmax", "-1"], "--lmax", id="lmax-negative"),
+            pytest.param(["--trials", "1", "--lmax", "1", "--kmax", "15"], "--kmax", id="kmax-over-index-count"),
         ],
     )
     def test_flag_errors_exit_2(self, capsys, flags, named):
@@ -517,6 +518,19 @@ class TestFuzzCommand:
         assert (code, out) == (2, "")
         assert "Traceback" not in err
         assert named in err
+
+    @pytest.mark.parametrize("flags", [["--lmax", "0"], ["--lmax", "1/2", "--kmax", "6"]], ids=["lmax-0", "lmax-1/2-kmax-6"])
+    def test_kmax_over_index_count_exits_2_without_hanging(self, flags):
+        """More distinct indices per trial than exist up to --lmax: exit 2 at once, not an endless draw."""
+        src = str(pathlib.Path(su2haar.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "su2haar.cli", "fuzz", "--seed", "1", "--trials", "3", *flags],
+            capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("error: --kmax: k_max must be <= ")
+        assert "Traceback" not in proc.stderr
 
     def test_unwritable_out_exits_2(self, capsys, tmp_path):
         code, _, err = run_cli(
@@ -554,6 +568,69 @@ class TestFuzzCommand:
         assert json.loads(lines[0])["verdict"] == "violation"
         assert json.loads(lines[0])["function"]["terms"]
         assert json.loads(lines[-1])["violations"] == [0]
+
+
+def _terms(*rows):
+    return {"schema": 1, "terms": [
+        {"l": l, "m": m, "n": n, "coeff": {"re": re, "im": im}} for l, m, n, re, im in rows]}
+
+
+GOLDEN_FILES = {
+    # the acceptance instance: k=5, spin 2, support on the line n = -m, origin inside
+    "acceptance.json": _terms(("2", "2", "-2", "1", "0"), ("2", "-2", "2", "1/2", "0"),
+                              ("2", "1", "-1", "0", "1"), ("2", "-1", "1", "1", "1"),
+                              ("2", "0", "0", "-2", "0")),
+    # spin 5/2 with radicands 10 and 2 on a 2-D support, origin inside
+    "radicals.json": _terms(("5/2", "5/2", "-1/2", "1", "0"), ("5/2", "-3/2", "1/2", "0", "1"),
+                            ("5/2", "-1/2", "-3/2", "-2", "1"), ("2", "-1", "1", "1/2", "0")),
+    # origin outside the hull
+    "outside.json": _terms(("2", "2", "1", "1", "1"), ("1", "1", "0", "2", "0"),
+                           ("1/2", "1/2", "-1/2", "0", "-1")),
+    "shifted.json": {"schema": 1, "factors": [
+        {"l": "1", "m": "0", "n": "1"}, {"l": "1", "m": "1", "n": "1", "power": 2},
+        {"l": "5/2", "m": "-5/2", "n": "-5/2"}, {"l": "1", "m": "-1", "n": "-1"}],
+        "shift": {"l": "3/2", "m": "3/2", "n": "1/2"}},
+}
+
+
+E = "e3b0c44298fc1c14"                   # sha256 of empty output
+
+
+class TestGoldenOutputs:
+    """Stdout (without timing_s and command), stderr and exit code of fixed calls, pinned.
+
+    The sha256 prefixes were computed at an earlier release; a change that
+    alters any printed byte of these calls fails here.
+    """
+
+    @pytest.mark.parametrize(
+        "argv, pinned",
+        [
+            (["power-scan", "acceptance.json", "--pmax", "18"], (0, "da35ac28073a5380", E)),
+            (["power-scan", "acceptance.json", "--pmax", "18", "--with-h", "2,-1,1"], (0, "cab18c190e684ea2", E)),
+            (["power-scan", "radicals.json", "--pmax", "12", "--with-h", "3/2,-1/2,1/2"], (0, "6f21cdb94ef707ec", E)),
+            (["integrate", "shifted.json"], (0, "9a2e852e2841543d", E)),
+            (["hull", "acceptance.json"], (0, "dec701f92e19a315", E)),
+            (["hull", "outside.json"], (0, "8af21db3c29b8c52", E)),
+            (["threshold", "acceptance.json", "--h", "1,0,0"], (3, E, "b6cc0593e966fdfa")),
+            (["threshold", "outside.json", "--h", "3/2,-3/2,-1/2"], (0, "c29ecdf1eb76dfa7", E)),
+            (["verify"], (0, "d575b6e57cf3b04b", "a8a5c6a396a37120")),
+        ],
+        ids=["scan-acceptance", "scan-acceptance-with-h", "scan-radicals-with-h", "integrate-shift",
+             "hull-inside", "hull-outside", "threshold-inside", "threshold-outside", "verify"],
+    )
+    def test_pinned_output(self, capsys, tmp_path, monkeypatch, argv, pinned):
+        for name, obj in GOLDEN_FILES.items():
+            (tmp_path / name).write_text(json.dumps(obj))
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, *argv)
+        if out:
+            env = json.loads(out)
+            env.pop("timing_s")
+            env.pop("command")
+            out = json.dumps(env, sort_keys=True) + "\n"
+        digest = lambda text: hashlib.sha256(text.encode()).hexdigest()[:16]
+        assert (code, digest(out), digest(err)) == pinned
 
 
 class TestVerifyCommand:

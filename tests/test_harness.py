@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import composition_power_scan, ff
+from conftest import all_indices, composition_power_scan, ff
 from su2haar.harness import (
     DEFAULT_COEFF_POOL,
     FuzzConfig,
@@ -131,6 +131,18 @@ class TestFuzz:
             FuzzConfig(seed=0, trials=1, l_max2=-1)
 
 
+    @pytest.mark.parametrize("l_max2", range(0, 6))
+    def test_k_max_bounded_by_index_count(self, l_max2):
+        """A trial draws k distinct indices, so k_max may not exceed how many exist."""
+        count = len(all_indices(Fraction(l_max2, 2)))
+        cfg = FuzzConfig(seed=3, trials=4, l_max2=l_max2, k_max=count, p_max=1)
+        reports, summary = fuzz(cfg)
+        assert summary.trials_run == 4
+        assert all(len(r.function) <= count for r in reports)
+        with pytest.raises(ValueError, match=f"k_max must be <= {count}"):
+            FuzzConfig(seed=3, trials=4, l_max2=l_max2, k_max=count + 1)
+
+
 class TestLegendreMoments:
     """integral(f^P) for f = sum_l A_l t[l,0,0] is the moment (1/2) integral_{-1}^{1} (sum_l A_l P_l)^P dx."""
 
@@ -165,3 +177,16 @@ class TestVerificationSuite:
         assert "schur-orthogonality" in names
         assert "two-term-criterion" in names
         assert "threshold-soundness" in names
+
+    def test_failing_check_reports_its_detail(self, monkeypatch):
+        import su2haar.harness as harness_mod
+
+        monkeypatch.setattr(harness_mod, "integrate_product", lambda spec, shift=None: RadicalScalar.zero())
+        report = run_verification_suite()
+        assert not report.all_passed
+        failed = {item.name: item.detail for item in report.items if not item.passed}
+        assert failed == {"schur-orthogonality": "pair t[0,0,0] x t[0,0,0]: got 0, expected 1"}
+        assert [item.name for item in report.items] == [
+            "schur-orthogonality", "single-element-scans", "two-term-criterion",
+            "three-term-rank-consistency", "threshold-soundness",
+        ]

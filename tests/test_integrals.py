@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import all_indices, idx, integrate_via_trigpoly
-from oracles import monomial_theta_integral
-from su2haar.integrals import ParityError, ProductSpec, frequency_of, integrate_product
+from conftest import all_indices, idx, integrate_via_trigpoly, product
+from oracles import TrigPolynomial, monomial_theta_integral
+from su2haar.integrals import ProductSpec, frequency_of, integrate_product
 from su2haar.scalars import RadicalScalar, parse_half
 from su2haar.wigner import MatrixElementIndex
 
@@ -14,21 +14,21 @@ H = Fraction(1, 2)
 
 class TestFrequency:
     def test_power_two(self):
-        spec = ProductSpec.of((idx(H, H, H), 2))
+        spec = product((idx(H, H, H), 2))
         assert frequency_of(spec) == (2, 2)
 
     def test_cancelling_pair(self):
-        spec = ProductSpec.of(idx(H, H, -H), idx(H, -H, H))
+        spec = product(idx(H, H, -H), idx(H, -H, H))
         assert frequency_of(spec) == (0, 0)
 
     def test_shift(self):
-        spec = ProductSpec.of((idx(H, H, H), 2))
+        spec = product((idx(H, H, H), 2))
         assert frequency_of(spec, idx(1, -1, -1)) == (0, 0)
 
 
 class TestProductSpec:
     def test_merges_duplicates(self):
-        spec = ProductSpec.of((idx(H, H, H), 1), (idx(H, H, H), 2))
+        spec = product((idx(H, H, H), 1), (idx(H, H, H), 2))
         assert spec.factors == ((idx(H, H, H), 3),)
 
     def test_drops_zero_powers(self):
@@ -40,8 +40,8 @@ class TestProductSpec:
             ProductSpec(((idx(H, H, H), -1),))
 
     def test_canonical_order_is_stable(self):
-        a = ProductSpec.of(idx(1, 0, 0), idx(H, H, H))
-        b = ProductSpec.of(idx(H, H, H), idx(1, 0, 0))
+        a = product(idx(1, 0, 0), idx(H, H, H))
+        b = product(idx(H, H, H), idx(1, 0, 0))
         assert a == b
 
 
@@ -68,10 +68,10 @@ class TestThetaIntegral:
             for b in range(0, 8, 2):
                 assert monomial_theta_integral(a, b) == monomial_theta_integral(b, a)
 
-    def test_odd_exponent_raises_parity_error(self):
-        with pytest.raises(ParityError):
+    def test_odd_exponent_raises_value_error(self):
+        with pytest.raises(ValueError):
             monomial_theta_integral(1, 0)
-        with pytest.raises(ParityError):
+        with pytest.raises(ValueError):
             monomial_theta_integral(2, 3)
 
     def test_negative_rejected(self):
@@ -81,30 +81,30 @@ class TestThetaIntegral:
 
 class TestIntegrateProduct:
     def test_constant(self):
-        assert integrate_product(ProductSpec.of(idx(0, 0, 0))) == RadicalScalar.one()
+        assert integrate_product(product(idx(0, 0, 0))) == RadicalScalar.one()
 
     def test_schur_pair(self):
-        spec = ProductSpec.of(idx(H, H, H), idx(H, -H, -H))
+        spec = product(idx(H, H, H), idx(H, -H, -H))
         assert integrate_product(spec) == RadicalScalar.from_rational(Fraction(1, 2))
 
     def test_off_diagonal_pair(self):
-        spec = ProductSpec.of(idx(H, H, -H), idx(H, -H, H))
+        spec = product(idx(H, H, -H), idx(H, -H, H))
         assert integrate_product(spec) == RadicalScalar.from_rational(Fraction(-1, 2))
 
     def test_shifted_square(self):
-        spec = ProductSpec.of((idx(H, H, H), 2))
+        spec = product((idx(H, H, H), 2))
         value = integrate_product(spec, idx(1, -1, -1))
         assert value == RadicalScalar.from_rational(Fraction(1, 3))
 
     def test_single_element_filter(self):
-        assert integrate_product(ProductSpec.of(idx(1, 1, 0))).is_zero()
-        assert integrate_product(ProductSpec.of(idx(H, H, H))).is_zero()
+        assert integrate_product(product(idx(1, 1, 0))).is_zero()
+        assert integrate_product(product(idx(H, H, H))).is_zero()
 
     def test_empty_product_is_haar_mass(self):
         assert integrate_product(ProductSpec(())) == RadicalScalar.one()
 
     def test_irrational_value_appears(self):
-        spec = ProductSpec.of((idx(2, 2, 0), 1), (idx(1, -1, 0), 2))
+        spec = product((idx(2, 2, 0), 1), (idx(1, -1, 0), 2))
         value = integrate_product(spec)
         assert not value.is_zero()
         assert not value.is_rational()
@@ -115,19 +115,19 @@ class TestIntegrateProduct:
         product of <= 3 elements at spin <= 3/2, and on spin-5/2 products whose
         values carry sqrt(2), sqrt(3) or sqrt(6)."""
         specs = [
-            ProductSpec.of(idx(H, H, H), idx(H, -H, -H)),
-            ProductSpec.of((idx(1, 1, -1), 2), (idx(1, -1, 1), 2)),
-            ProductSpec.of((idx(2, 2, 0), 1), (idx(1, -1, 0), 2)),
-            ProductSpec.of((idx(Fraction(3, 2), H, -H), 2), (idx(1, -1, 1), 1)),
-            ProductSpec.of((idx(H, H, H), 4), (idx(1, -1, -1), 2)),
+            product(idx(H, H, H), idx(H, -H, -H)),
+            product((idx(1, 1, -1), 2), (idx(1, -1, 1), 2)),
+            product((idx(2, 2, 0), 1), (idx(1, -1, 0), 2)),
+            product((idx(Fraction(3, 2), H, -H), 2), (idx(1, -1, 1), 1)),
+            product((idx(H, H, H), 4), (idx(1, -1, -1), 2)),
         ]
         cases = [(spec, None) for spec in specs + list(balanced_small_products())]
         H3, H5 = Fraction(3, 2), Fraction(5, 2)
         radical_cases = [
-            (ProductSpec.of(idx(1, 1, 1), idx(H3, H, -H), idx(H5, -H3, -H)), None, 2),
-            (ProductSpec.of(idx(1, 0, 1), idx(H3, H3, -H), idx(H5, -H3, -H)), None, 3),
-            (ProductSpec.of(idx(1, 0, 1), idx(H3, H3, H), idx(H5, -H3, -H3)), None, 6),
-            (ProductSpec.of(idx(1, 0, 1), idx(1, 1, 1), idx(H5, -H5, -H5)), idx(H3, H3, H), 6),
+            (product(idx(1, 1, 1), idx(H3, H, -H), idx(H5, -H3, -H)), None, 2),
+            (product(idx(1, 0, 1), idx(H3, H3, -H), idx(H5, -H3, -H)), None, 3),
+            (product(idx(1, 0, 1), idx(H3, H3, H), idx(H5, -H3, -H3)), None, 6),
+            (product(idx(1, 0, 1), idx(1, 1, 1), idx(H5, -H5, -H5)), idx(H3, H3, H), 6),
         ]
         for spec, shift, radicand in radical_cases:
             assert [r for r, _ in integrate_product(spec, shift).real_terms()] == [radicand]
@@ -136,7 +136,7 @@ class TestIntegrateProduct:
             assert integrate_product(spec, shift) == integrate_via_trigpoly(spec, shift), spec.factors
 
     def test_memoization_returns_identical_results(self):
-        spec = ProductSpec.of((idx(1, 1, 1), 2), (idx(1, -1, -1), 2))
+        spec = product((idx(1, 1, 1), 2), (idx(1, -1, -1), 2))
         first = integrate_product(spec)
         second = integrate_product(spec)
         assert first == second
@@ -147,10 +147,10 @@ class TestIntegrateProduct:
 
         indices = all_indices(Fraction(3, 2))
         specs = [
-            ProductSpec.of(a, b)
+            product(a, b)
             for a in indices
             for b in indices
-            if frequency_of(ProductSpec.of(a, b)) == (0, 0)
+            if frequency_of(product(a, b)) == (0, 0)
         ]
         sequential = [integrate_product(s) for s in specs]
         results = [None] * len(specs)
@@ -180,14 +180,12 @@ def balanced_small_products():
 
 class TestFilterGuarantees:
     def test_parity_guarantee_exhaustive(self):
-        """Balanced products of <= 3 elements at spin <= 3/2 never hit ParityError."""
-        from su2haar.wigner import matrix_element_trigpoly, TrigPolynomial
-
+        """Balanced products of <= 3 elements at spin <= 3/2 have only even (c, s) exponents."""
         count = 0
         for spec in balanced_small_products():
             poly = TrigPolynomial.constant(RadicalScalar.one())
             for index, power in spec.factors:
-                poly = poly * (matrix_element_trigpoly(index) ** power)
+                poly = poly * (TrigPolynomial.element(index) ** power)
             for (p, q) in poly.terms:
                 assert p % 2 == 0 and q % 2 == 0
             count += 1
@@ -308,7 +306,7 @@ class TestSchurOrthogonality:
                 b = idx(l, Fraction(-m2, 2), Fraction(-n2, 2))
                 sign = -1 if ((m2 - n2) // 2) % 2 else 1
                 expected = RadicalScalar.from_rational(Fraction(sign, l2 + 1))
-                assert integrate_product(ProductSpec.of(a, b)) == expected
+                assert integrate_product(product(a, b)) == expected
 
     def test_cross_terms_vanish(self):
         pairs = [
@@ -318,12 +316,12 @@ class TestSchurOrthogonality:
             (idx(2, 1, 1), idx(2, -1, 1)),
         ]
         for a, b in pairs:
-            assert integrate_product(ProductSpec.of(a, b)).is_zero()
+            assert integrate_product(product(a, b)).is_zero()
 
 
 class TestPositivity:
     @pytest.mark.parametrize("l", range(0, 7))
     def test_diagonal_squares_positive(self, l):
-        value = integrate_product(ProductSpec.of((idx(l, 0, 0), 2)))
+        value = integrate_product(product((idx(l, 0, 0), 2)))
         assert value.is_rational() and value.as_rational() > 0
         assert value.as_rational() == Fraction(1, 2 * l + 1)

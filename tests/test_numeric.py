@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import all_indices, idx, spin_half_rep, sym_power_rep
+from conftest import all_indices, idx, product, spin_half_rep, sym_power_rep
 from oracles import (
     compose_and_check,
     euler_from_matrix,
@@ -157,12 +157,12 @@ class TestConjugationSymmetry:
 
 class TestMcIntegral:
     def test_constant_spec(self):
-        est = mc_integral(ProductSpec.of(idx(0, 0, 0)), samples=1000, seed=1)
+        est = mc_integral(product(idx(0, 0, 0)), samples=1000, seed=1)
         assert est.mean == pytest.approx(1.0)
         assert est.std_error == pytest.approx(0.0, abs=1e-12)
 
     def test_schur_pair(self):
-        spec = ProductSpec.of(idx(H, H, H), idx(H, -H, -H))
+        spec = product(idx(H, H, H), idx(H, -H, -H))
         est = mc_integral(spec, samples=300_000, seed=2)
         assert abs(est.mean - 0.5) <= 5 * est.std_error
 
@@ -177,7 +177,7 @@ class TestMcIntegral:
         assert abs(est.mean - 1 / 3) <= 5 * est.std_error
 
     def test_seed_determinism(self):
-        spec = ProductSpec.of(idx(1, 1, -1), idx(1, -1, 1))
+        spec = product(idx(1, 1, -1), idx(1, -1, 1))
         a = mc_integral(spec, samples=50_000, seed=9)
         b = mc_integral(spec, samples=50_000, seed=9)
         assert a == b

