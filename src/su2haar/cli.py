@@ -12,7 +12,6 @@ import argparse
 import json
 import sys
 import time
-from typing import Optional
 
 from . import __version__
 from ._kernel import backend_name
@@ -56,7 +55,8 @@ def load_function_file(path: str) -> FiniteFunction:
         raise InputError(f"{path}: {e}") from None
 
 
-def load_product_file(path: str) -> tuple[ProductSpec, Optional[MatrixElementIndex]]:
+def load_product_file(path: str) -> ProductSpec:
+    """The file's product, its optional "shift" element folded in as one more factor."""
     obj = _load_json(path)
     _check_schema(obj, path)
     if "factors" not in obj:
@@ -76,7 +76,7 @@ def load_product_file(path: str) -> tuple[ProductSpec, Optional[MatrixElementInd
             shift = MatrixElementIndex.from_json(obj["shift"], f"{path}: shift")
     except ValueError as e:
         raise InputError(str(e)) from None
-    return ProductSpec(tuple(factors)), shift
+    return ProductSpec(tuple(factors)).with_extra(shift)
 
 
 def parse_index_flag(text: str, flag: str) -> MatrixElementIndex:
@@ -106,6 +106,8 @@ def _emit(env: dict, started: float) -> None:
 def _check_mc(ns) -> None:
     if ns.mc < 0:
         raise InputError("--mc must be >= 0")
+    if ns.mc and ns.seed < 0:
+        raise InputError("--seed must be >= 0 with --mc")
 
 
 def _mc_block(target, samples: int, seed: int) -> dict:
@@ -123,11 +125,10 @@ def _mc_block(target, samples: int, seed: int) -> dict:
 
 def _cmd_integrate(ns, argv, started) -> int:
     _check_mc(ns)
-    spec, shift = load_product_file(ns.file)
-    value = integrate_product(spec, shift)
-    env = _envelope(argv, exact=value.to_json())
+    spec = load_product_file(ns.file)
+    env = _envelope(argv, exact=integrate_product(spec).to_json())
     if ns.mc:
-        env["numeric"] = _mc_block(spec.with_extra(shift), ns.mc, ns.seed)
+        env["numeric"] = _mc_block(spec, ns.mc, ns.seed)
         env["seed"] = ns.seed
     _emit(env, started)
     return 0
@@ -187,20 +188,18 @@ def _cmd_threshold(ns, argv, started) -> int:
     return 0
 
 
+# the flag of each FuzzConfig field; a FuzzConfig message starts with its field
+_FUZZ_FLAGS = {
+    "trials": "--trials", "k_max": "--kmax", "p_max": "--pmax",
+    "l_max2": "--lmax", "rank2_bias": "--rank2-bias",
+}
+
+
 def _cmd_fuzz(ns, argv, started) -> int:
     try:
         l_max2 = parse_half(ns.lmax)
     except ValueError as e:
         raise InputError(f"--lmax: {e}") from None
-    if l_max2 < 0:
-        raise InputError("--lmax must be >= 0")
-    for flag, value in (("--trials", ns.trials), ("--kmax", ns.kmax), ("--pmax", ns.pmax)):
-        if value < 1:
-            raise InputError(f"{flag} must be >= 1")
-    if not 0.0 <= ns.rank2_bias <= 1.0:
-        raise InputError("--rank2-bias must be in [0, 1]")
-    if ns.rank2_bias > 0 and (ns.kmax < 3 or l_max2 < 1):
-        raise InputError("--rank2-bias needs --kmax >= 3 and --lmax >= 1/2")
     try:
         cfg = FuzzConfig(
             seed=ns.seed,
@@ -210,8 +209,8 @@ def _cmd_fuzz(ns, argv, started) -> int:
             p_max=ns.pmax,
             rank2_bias=ns.rank2_bias,
         )
-    except ValueError as e:             # only the --kmax bound is not checked above
-        raise InputError(f"--kmax: {e}") from None
+    except ValueError as e:
+        raise InputError(f"{_FUZZ_FLAGS[str(e).split()[0]]}: {e}") from None
     reports, summary = fuzz(cfg)
     lines = [json.dumps(r.to_json(), sort_keys=True) for r in reports]
     lines.append(json.dumps(summary.to_json(), sort_keys=True))

@@ -124,24 +124,25 @@ class FuzzConfig:
     rank2_bias: float = 0.0
 
     def __post_init__(self):
+        # each message starts with the field it rejects; the CLI maps that name to its flag
         if self.l_max2 < 0:
-            raise ValueError("l_max2 must be >= 0")
+            raise ValueError("l_max2 (twice the largest spin) must be >= 0")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.p_max < 1:
-            raise ValueError("p_max must be >= 1")
         if self.k_max < 1:
             raise ValueError("k_max must be >= 1")
+        if self.p_max < 1:
+            raise ValueError("p_max must be >= 1")
+        if not (0.0 <= self.rank2_bias <= 1.0):
+            raise ValueError("rank2_bias must be in [0, 1]")
+        if self.rank2_bias > 0 and (self.k_max < 3 or self.l_max2 < 1):
+            raise ValueError("rank2_bias > 0 needs k_max >= 3 and a largest spin of at least 1/2")
         # a trial draws k distinct indices; there are sum_{2l <= L} (2l+1)^2 of them
         count = (self.l_max2 + 1) * (self.l_max2 + 2) * (2 * self.l_max2 + 3) // 6
         if self.k_max > count:
             raise ValueError(
                 f"k_max must be <= {count}, the number of distinct indices with l <= {half_str(self.l_max2)}"
             )
-        if not (0.0 <= self.rank2_bias <= 1.0):
-            raise ValueError("rank2_bias must be in [0, 1]")
-        if self.rank2_bias > 0 and (self.k_max < 3 or self.l_max2 < 1):
-            raise ValueError("rank2_bias needs k_max >= 3 and l_max2 >= 1")
 
 
 @dataclass

@@ -12,8 +12,12 @@ M - N is always an integer).  Surviving integrals reduce to
   = 1/2 * integral_0^pi ... ,
 
 and with u = sin^2(theta/2) the measure 1/2 * sin(theta) d(theta) becomes du
-on [0, 1].  `integrate_product` works on the u-form of each element, the
-`eps`, `delta`, `denom` and `poly` fields of `wigner.theta_restriction`
+on [0, 1].  A product is one `ProductSpec`; an extra element, such as the
+"shift" of a product file, is one more factor (`ProductSpec.with_extra`), so
+`integrate_product(spec)` and `frequency_of(spec)` take the spec alone.
+
+`integrate_product` works on the u-form of each element, the `eps`, `delta`,
+`denom` and `poly` fields of `wigner.theta_restriction`
 (i^phase * sqrt(r) * c^eps * s^delta * q(u)): it multiplies the factors'
 integer u-polynomials with the packed products of `_kernel`, sums their
 parities (a balanced product has even ones, so c^2 folds in as 1 - u and s^2
@@ -59,15 +63,10 @@ class ProductSpec:
         return ProductSpec(self.factors + ((extra, 1),))
 
 
-def frequency_of(
-    spec: ProductSpec, shift: Optional[MatrixElementIndex] = None
-) -> Tuple[int, int]:
-    """Twice the frequencies, (2 sum alpha_i m_i, 2 sum alpha_i n_i), plus the shift's (2m, 2n) if given."""
+def frequency_of(spec: ProductSpec) -> Tuple[int, int]:
+    """Twice the frequencies, (2 sum alpha_i m_i, 2 sum alpha_i n_i)."""
     m2 = sum(idx.m2 * power for idx, power in spec.factors)
     n2 = sum(idx.n2 * power for idx, power in spec.factors)
-    if shift is not None:
-        m2 += shift.m2
-        n2 += shift.n2
     return (m2, n2)
 
 
@@ -77,22 +76,19 @@ def u_integral(coeffs: Sequence[int], scale: int = 1) -> Fraction:
     return Fraction(sum(c * (denom // (j + 1)) for j, c in enumerate(coeffs)), denom * scale)
 
 
-def integrate_product(
-    spec: ProductSpec, shift: Optional[MatrixElementIndex] = None
-) -> RadicalScalar:
-    """Exact Haar integral of prod_i t[l_i,m_i,n_i]^alpha_i (times one extra element).
+def integrate_product(spec: ProductSpec) -> RadicalScalar:
+    """Exact Haar integral of prod_i t[l_i,m_i,n_i]^alpha_i.
 
     Total function: products failing the frequency filter integrate to exact
     zero.  Survivors are real (empty imaginary part).
     """
-    merged = spec.with_extra(shift)
-    if frequency_of(merged) != (0, 0):
+    if frequency_of(spec) != (0, 0):
         return RadicalScalar.zero()
 
     eps = delta = 0
     mult = sqfree_prod = denom = 1
     poly = [1]
-    for idx, power in merged.factors:
+    for idx, power in spec.factors:
         form = theta_restriction(idx)
         eps += form.eps * power
         delta += form.delta * power

@@ -109,7 +109,7 @@ def _multinomial_sum(f: FiniteFunction, power: int, compositions, h=None) -> Rad
             coeff = (coeff[0] / fact(a), coeff[1] / fact(a))
             if a:
                 factors.append((index, a))
-        base = integrate_product(ProductSpec(tuple(factors)), h)
+        base = integrate_product(ProductSpec(tuple(factors)).with_extra(h))
         if base.is_zero():
             continue
         total = total + base * RadicalScalar.from_gaussian(*coeff)

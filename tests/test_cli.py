@@ -105,6 +105,12 @@ class TestIntegrate:
         assert (code, out) == (2, "")
         assert "--mc" in err
 
+    def test_negative_seed_with_mc_exits_2(self, capsys, schur_product):
+        """numpy seeds only from non-negative integers: exit 2 up front, not a traceback."""
+        assert run_cli(capsys, "integrate", schur_product, "--mc", "10", "--seed", "-1") == (
+            2, "", "error: --seed must be >= 0 with --mc\n")
+        assert run_cli(capsys, "integrate", schur_product, "--seed", "-1")[0] == 0
+
     def test_parse_error_names_field(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"factors": [{"l": "1/2", "m": "3/2", "n": "1/2"}]}))
@@ -160,6 +166,12 @@ class TestPowerScan:
         code, out, err = run_cli(capsys, "power-scan", single_element, "--pmax", "2", "--mc", "-1")
         assert (code, out) == (2, "")
         assert "--mc" in err
+
+    def test_negative_seed_with_mc_exits_2(self, capsys, single_element):
+        """Row P draws with seed + P, so --seed -5 at --pmax 2 seeds below 0 on every row."""
+        argv = ["power-scan", single_element, "--pmax", "2", "--seed", "-5"]
+        assert run_cli(capsys, *argv, "--mc", "10") == (2, "", "error: --seed must be >= 0 with --mc\n")
+        assert run_cli(capsys, *argv)[0] == 0
 
     @pytest.mark.parametrize("pmax", ["1", "2"])
     def test_mc_with_non_finite_estimate_exits_2(self, capsys, tmp_path, pmax):
@@ -446,6 +458,33 @@ class TestHullAndThreshold:
         assert "no finite threshold" in err
 
 
+# values of each fuzz flag, small enough that a draw runs in milliseconds; each is text
+# argparse accepts for the flag's type, so every error comes from the command itself
+VALID_FUZZ_VALUES = {
+    "--trials": st.integers(1, 3),
+    "--kmax": st.integers(1, 4),
+    "--pmax": st.integers(1, 4),
+    "--lmax": st.sampled_from(["0", "1/2", "1", "3/2", "2", " 1 ", "2/2", "4/2"]),
+    "--rank2-bias": st.sampled_from(["0", "0.5", "1", "1.0"]) | st.floats(0, 1),
+}
+INVALID_FUZZ_VALUES = {
+    "--trials": st.integers(-2, 0),
+    "--kmax": st.sampled_from([-1, 0, 15, 60]),
+    "--pmax": st.integers(-2, 0),
+    "--lmax": st.sampled_from(["-1", "-1/2", "-3/2", "1/0", "5/3", "x", ""]),
+    "--rank2-bias": st.sampled_from(["-0.1", "1.5", "nan", "inf", "-inf"]),
+}
+FUZZ_FLAGS = tuple(VALID_FUZZ_VALUES)
+
+
+@st.composite
+def fuzz_argv(draw):
+    """A fuzz argv with up to two of its five flags drawn from the invalid values."""
+    bad = draw(st.sets(st.sampled_from(FUZZ_FLAGS), max_size=2))
+    values = {flag: draw((INVALID_FUZZ_VALUES if flag in bad else VALID_FUZZ_VALUES)[flag]) for flag in FUZZ_FLAGS}
+    return ["fuzz", f"--seed={draw(st.integers(-3, 3))}"] + [f"{flag}={value}" for flag, value in values.items()]
+
+
 class TestFuzzCommand:
     @pytest.mark.parametrize(
         "flags, digest",
@@ -509,15 +548,43 @@ class TestFuzzCommand:
             pytest.param(
                 ["--trials", "1", "--rank2-bias", "0.5", "--kmax", "2"], "--rank2-bias", id="rank2-bias-kmax-2"
             ),
+            pytest.param(
+                ["--trials", "1", "--rank2-bias", "0.5", "--kmax", "3", "--lmax", "0"], "--rank2-bias",
+                id="rank2-bias-lmax-0",
+            ),
+            pytest.param(["--trials", "1", "--rank2-bias", "-0.5"], "--rank2-bias", id="rank2-bias-negative"),
             pytest.param(["--trials", "1", "--lmax", "-1"], "--lmax", id="lmax-negative"),
+            pytest.param(["--trials", "1", "--lmax=-1/2"], "--lmax", id="lmax-minus-half"),
+            pytest.param(["--trials", "1", "--lmax", "1/0"], "--lmax", id="lmax-1/0"),
+            pytest.param(["--trials", "1", "--lmax", "5/3"], "--lmax", id="lmax-5/3"),
             pytest.param(["--trials", "1", "--lmax", "1", "--kmax", "15"], "--kmax", id="kmax-over-index-count"),
+            pytest.param(["--trials", "-2", "--pmax", "0"], "--trials", id="trials-first"),
         ],
     )
     def test_flag_errors_exit_2(self, capsys, flags, named):
         code, out, err = run_cli(capsys, "fuzz", "--seed", "1", *flags)
         assert (code, out) == (2, "")
+        assert err.startswith(f"error: {named}: ")
+        assert err.endswith("\n") and err.count("\n") == 1
+
+    @given(fuzz_argv())
+    @settings(max_examples=200, deadline=None)
+    def test_argv_exit_contract(self, argv):
+        """Any fuzz argv exits 0, 2 or 4 without a traceback; exit 2 prints one `error: <flag>: ` line."""
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 2, 4), (argv, code, err)
         assert "Traceback" not in err
-        assert named in err
+        if code == 2:
+            assert out == ""
+            assert err.endswith("\n") and err.count("\n") == 1, err
+            assert any(err.startswith(f"error: {flag}: ") for flag in FUZZ_FLAGS), err
+        else:
+            trials = int(argv[2].removeprefix("--trials="))
+            lines = out.splitlines()
+            assert json.loads(lines[-1])["trials_run"] == trials == len(lines) - 1
 
     @pytest.mark.parametrize("flags", [["--lmax", "0"], ["--lmax", "1/2", "--kmax", "6"]], ids=["lmax-0", "lmax-1/2-kmax-6"])
     def test_kmax_over_index_count_exits_2_without_hanging(self, flags):
@@ -610,13 +677,14 @@ class TestGoldenOutputs:
             (["power-scan", "acceptance.json", "--pmax", "18", "--with-h", "2,-1,1"], (0, "cab18c190e684ea2", E)),
             (["power-scan", "radicals.json", "--pmax", "12", "--with-h", "3/2,-1/2,1/2"], (0, "6f21cdb94ef707ec", E)),
             (["integrate", "shifted.json"], (0, "9a2e852e2841543d", E)),
+            (["integrate", "shifted.json", "--mc", "2000", "--seed", "3"], (0, "e1c5ff80fad7dd9e", E)),
             (["hull", "acceptance.json"], (0, "dec701f92e19a315", E)),
             (["hull", "outside.json"], (0, "8af21db3c29b8c52", E)),
             (["threshold", "acceptance.json", "--h", "1,0,0"], (3, E, "b6cc0593e966fdfa")),
             (["threshold", "outside.json", "--h", "3/2,-3/2,-1/2"], (0, "c29ecdf1eb76dfa7", E)),
             (["verify"], (0, "d575b6e57cf3b04b", "a8a5c6a396a37120")),
         ],
-        ids=["scan-acceptance", "scan-acceptance-with-h", "scan-radicals-with-h", "integrate-shift",
+        ids=["scan-acceptance", "scan-acceptance-with-h", "scan-radicals-with-h", "integrate-shift", "integrate-shift-mc",
              "hull-inside", "hull-outside", "threshold-inside", "threshold-outside", "verify"],
     )
     def test_pinned_output(self, capsys, tmp_path, monkeypatch, argv, pinned):

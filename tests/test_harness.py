@@ -119,16 +119,26 @@ class TestFuzz:
                 assert coeff in DEFAULT_COEFF_POOL
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            FuzzConfig(seed=0, trials=0)
-        with pytest.raises(ValueError):
-            FuzzConfig(seed=0, trials=1, rank2_bias=1.5)
-        with pytest.raises(ValueError):
-            FuzzConfig(seed=0, trials=1, rank2_bias=0.5, k_max=2)
-        with pytest.raises(ValueError):
-            FuzzConfig(seed=0, trials=1, rank2_bias=0.5, l_max2=0)
-        with pytest.raises(ValueError, match="l_max"):
-            FuzzConfig(seed=0, trials=1, l_max2=-1)
+        """Each of the seven rules rejects its input; the message starts with the field it names."""
+        cases = [
+            ({"l_max2": -1}, "l_max2"),
+            ({"trials": 0}, "trials"),
+            ({"k_max": 0}, "k_max"),
+            ({"p_max": 0}, "p_max"),
+            ({"rank2_bias": 1.5}, "rank2_bias"),
+            ({"rank2_bias": -0.25}, "rank2_bias"),
+            ({"rank2_bias": float("nan")}, "rank2_bias"),
+            ({"rank2_bias": 0.5, "k_max": 2}, "rank2_bias"),
+            ({"rank2_bias": 0.5, "l_max2": 0}, "rank2_bias"),
+            ({"l_max2": 1, "k_max": 6}, "k_max"),
+        ]
+        for kwargs, field in cases:
+            with pytest.raises(ValueError, match=f"^{field} ") as info:
+                FuzzConfig(**{"seed": 0, "trials": 1, **kwargs})
+            assert "\n" not in str(info.value)
+        # the precondition speaks of spin, not of the twice-int field a CLI user never types
+        with pytest.raises(ValueError, match="largest spin of at least 1/2$"):
+            FuzzConfig(seed=0, trials=1, rank2_bias=0.5, k_max=3, l_max2=0)
 
 
     @pytest.mark.parametrize("l_max2", range(0, 6))
@@ -181,7 +191,7 @@ class TestVerificationSuite:
     def test_failing_check_reports_its_detail(self, monkeypatch):
         import su2haar.harness as harness_mod
 
-        monkeypatch.setattr(harness_mod, "integrate_product", lambda spec, shift=None: RadicalScalar.zero())
+        monkeypatch.setattr(harness_mod, "integrate_product", lambda spec: RadicalScalar.zero())
         report = run_verification_suite()
         assert not report.all_passed
         failed = {item.name: item.detail for item in report.items if not item.passed}

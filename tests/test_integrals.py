@@ -23,7 +23,7 @@ class TestFrequency:
 
     def test_shift(self):
         spec = product((idx(H, H, H), 2))
-        assert frequency_of(spec, idx(1, -1, -1)) == (0, 0)
+        assert frequency_of(spec.with_extra(idx(1, -1, -1))) == (0, 0)
 
 
 class TestProductSpec:
@@ -93,7 +93,7 @@ class TestIntegrateProduct:
 
     def test_shifted_square(self):
         spec = product((idx(H, H, H), 2))
-        value = integrate_product(spec, idx(1, -1, -1))
+        value = integrate_product(spec.with_extra(idx(1, -1, -1)))
         assert value == RadicalScalar.from_rational(Fraction(1, 3))
 
     def test_single_element_filter(self):
@@ -130,10 +130,10 @@ class TestIntegrateProduct:
             (product(idx(1, 0, 1), idx(1, 1, 1), idx(H5, -H5, -H5)), idx(H3, H3, H), 6),
         ]
         for spec, shift, radicand in radical_cases:
-            assert [r for r, _ in integrate_product(spec, shift).real_terms()] == [radicand]
+            assert [r for r, _ in integrate_product(spec.with_extra(shift)).real_terms()] == [radicand]
             cases.append((spec, shift))
         for spec, shift in cases:
-            assert integrate_product(spec, shift) == integrate_via_trigpoly(spec, shift), spec.factors
+            assert integrate_product(spec.with_extra(shift)) == integrate_via_trigpoly(spec, shift), spec.factors
 
     def test_memoization_returns_identical_results(self):
         spec = product((idx(1, 1, 1), 2), (idx(1, -1, -1), 2))
