@@ -25,14 +25,15 @@ repeated squaring.  The (c, s) terms are summed as they are: expanding
 c^2 = 1 - u into a polynomial in u loses digits to the cancelling binomials
 (up to 4e-3 absolute at spin 20, against 1e-11 here).
 `eval_matrix_element` reads a one-sample block.
+
+numpy is imported by the functions that use it, on the first Monte Carlo or
+`eval_matrix_element` call, so importing the package does not load it.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Iterator, NamedTuple, Optional, Tuple, Union
-
-import numpy as np
 
 from .integrals import ProductSpec
 from .powers import FiniteFunction
@@ -86,6 +87,7 @@ class _Powers:
         self._conj = {}
 
     def __getitem__(self, k: int):
+        import numpy as np
         if k < 0:
             out = self._conj.get(k)
             if out is None:
@@ -105,6 +107,7 @@ def _half_turn(angle):
     With t = tan(-angle/4), cos(angle/2) = (1 - t^2)/(1 + t^2) and
     sin(-angle/2) = 2t/(1 + t^2), each within a few ulp for |angle| < 2pi.
     """
+    import numpy as np
     t = np.tan(-0.25 * angle)
     t2 = t * t
     den = 1.0 + t2
@@ -125,6 +128,7 @@ class _Block:
 
     @staticmethod
     def at(g: EulerAngles) -> "_Block":
+        import numpy as np
         half = 0.5 * g.theta
         return _Block(np.array([g.phi]), np.array([math.cos(half)]),
                       np.array([math.sin(half)]), np.array([g.psi]))
@@ -137,8 +141,9 @@ class _Block:
         return (el.scale * self._phi[el.m2]) * self._psi[el.n2] * acc
 
 
-def _blocks(rng: np.random.Generator, samples: int) -> Iterator[_Block]:
-    """The blocks of `samples` draws: chunk by chunk, phi, psi, then U = s^2."""
+def _blocks(rng, samples: int) -> Iterator[_Block]:
+    """The blocks of `samples` draws from the numpy Generator `rng`: chunk by chunk, phi, psi, then U = s^2."""
+    import numpy as np
     remaining = samples
     while remaining > 0:
         size = min(_CHUNK, remaining)
@@ -153,6 +158,7 @@ def _blocks(rng: np.random.Generator, samples: int) -> Iterator[_Block]:
 
 def _ipow(z, power: int):
     """z**power for an integer power >= 0, by repeated squaring."""
+    import numpy as np
     result = None
     while power:
         if power & 1:
@@ -180,6 +186,7 @@ def mc_integral(target: McTarget, samples: int = 1_000_000, seed: int = 0) -> Mc
     OverflowError, without numpy warnings, when the mean or its standard
     error is not finite in floating point.
     """
+    import numpy as np
     if samples < 1:
         raise ValueError("samples must be >= 1")
 

@@ -122,7 +122,14 @@ class ThetaRestriction(NamedTuple):
     poly: Tuple[int, ...]       # integer u-polynomial with floor(l) + 1 coefficients
 
 
-@functools.lru_cache(maxsize=None)
+# One CLI call reads only the records of the indices in its input and witness:
+# fuzz at --lmax 2 draws from 55 indices, verify stays at spin <= 2, and all
+# indices of spin <= 8 number 1 785, so a call on such supports never evicts.
+# The bound caps a long-lived process; an evicted record recomputes equal.
+THETA_CACHE_SIZE = 2048
+
+
+@functools.lru_cache(maxsize=THETA_CACHE_SIZE)
 def theta_restriction(idx: MatrixElementIndex) -> ThetaRestriction:
     """Both forms of the element on a(theta); each c^p s^q is c^eps s^delta (1-u)^a u^b.
 

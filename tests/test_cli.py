@@ -7,6 +7,7 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+import textwrap
 import warnings
 from fractions import Fraction
 
@@ -789,3 +790,40 @@ class TestBackendContract:
                               env=dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1"))
         assert proc.returncode == 0, proc.stderr
         assert int(proc.stdout) > 0
+
+
+class TestColdStart:
+    def test_numpy_loads_on_the_first_numeric_call(self, tmp_path):
+        """Commands without --mc run without numpy; eval_matrix_element and --mc import it and give the pinned values."""
+        for name, obj in GOLDEN_FILES.items():
+            (tmp_path / name).write_text(json.dumps(obj))
+        src = str(pathlib.Path(su2haar.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        script = textwrap.dedent("""
+            import contextlib, io, sys
+            import su2haar
+            assert 'numpy' not in sys.modules, 'import su2haar'
+            import su2haar.cli
+            assert 'numpy' not in sys.modules, 'import su2haar.cli'
+            for argv in (['hull', 'acceptance.json'], ['threshold', 'outside.json', '--h', '3/2,-3/2,-1/2'],
+                         ['fuzz', '--seed', '1', '--trials', '2'], ['verify'],
+                         ['power-scan', 'acceptance.json', '--pmax', '6'], ['integrate', 'shifted.json']):
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                    assert su2haar.cli.main(argv) == 0, argv
+                assert 'numpy' not in sys.modules, argv
+            from su2haar.numeric import EulerAngles, eval_matrix_element
+            from su2haar.wigner import MatrixElementIndex
+            print(repr(eval_matrix_element(MatrixElementIndex.of('3/2', '1/2', '-3/2'), EulerAngles(0.3, 1.1, -0.7))))
+            assert 'numpy' in sys.modules, 'eval_matrix_element'
+            su2haar.cli.main(['integrate', 'shifted.json', '--mc', '2000', '--seed', '3'])
+        """)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, cwd=tmp_path,
+                              env=dict(os.environ, PYTHONPATH=path))
+        assert proc.returncode == 0, proc.stderr
+        value, out = proc.stdout.split("\n", 1)
+        assert value == "(-0.14618029862696336+0.37599789223625335j)"
+        env = json.loads(out)
+        env.pop("timing_s")
+        env.pop("command")
+        digest = hashlib.sha256((json.dumps(env, sort_keys=True) + "\n").encode()).hexdigest()[:16]
+        assert digest == "e1c5ff80fad7dd9e"              # TestGoldenOutputs' integrate-shift-mc pin

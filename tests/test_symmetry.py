@@ -12,18 +12,27 @@ carrying sqrt(10) and sqrt(2) to P = 24:
   acceptance instance lies on n = -m, where inversion fixes every term, so
   only the spin-5/2 instance moves under it);
 * prefix consistency: row P of a scan to pmax equals the last row of a scan
-  to P.
+  to P;
+* translations: t[l,m,n](a(pi) g) = t[l,m,-m](a(pi)) t[l,-m,n](g) and
+  t[l,m,n](g a(pi)) = t[l,m,-n](g) t[l,-n,n](a(pi)) (the Weyl maps; T(a(pi)) is
+  antidiagonal), and t[l,m,n](k(pi) g k(pi)) = (-i)^(2m) t[l,m,n](g) (-i)^(2n).
+  The Haar measure is invariant under both sides, so every image has the
+  same power integrals as f, on the two instances above and, as a Hypothesis
+  property, on small supports to P = 12.
 """
 
 import functools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import ACCEPTANCE, RADICALS_5_2, ff, idx
+from conftest import ACCEPTANCE, RADICALS_5_2, all_indices, ff, idx
 from oracles import conjugate_index
-from su2haar.powers import FiniteFunction, power_scan
-from su2haar.wigner import MatrixElementIndex
+from su2haar.powers import FiniteFunction, gaussian_mul, power_scan
+from su2haar.scalars import RadicalScalar
+from su2haar.wigner import MatrixElementIndex, theta_restriction
 
 H = Fraction(1, 2)
 
@@ -45,6 +54,50 @@ def mapped(f, index_map, conj):
     for index, (re, im) in f.terms:
         sign, image = index_map(index)
         terms.append((image, (sign * re, sign * (-im if conj else im))))
+    return FiniteFunction(tuple(terms))
+
+
+I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))
+
+
+def weyl_factor(l2, m2):
+    """t[l,m,-m](a(pi)) as an exact Gaussian rational.
+
+    At theta = pi, c = 0 and s = 1, so only the (c, s) term with c-exponent 0
+    is left; T(a(pi)) is unitary and antidiagonal, so it is a unit with radicand 1.
+    """
+    data = theta_restriction(MatrixElementIndex(l2, m2, -m2))
+    (coeff,) = [coeff for p, _, coeff in data.terms if p == 0]
+    assert data.radicand == 1 and abs(coeff) == 1
+    return gaussian_mul(I_POWERS[data.phase], (coeff, Fraction(0)))
+
+
+# Each translation gives (factor, image) with t[index](translated g) = factor * t[image](g).
+def weyl_left(index):
+    return weyl_factor(index.l2, index.m2), MatrixElementIndex(index.l2, -index.m2, index.n2)
+
+
+def weyl_right(index):
+    return weyl_factor(index.l2, -index.n2), MatrixElementIndex(index.l2, index.m2, -index.n2)
+
+
+def k_left(index):
+    return I_POWERS[-index.m2 % 4], index
+
+
+def k_right(index):
+    return I_POWERS[-index.n2 % 4], index
+
+
+TRANSLATIONS = (weyl_left, weyl_right, k_left, k_right)
+
+
+def translated(f, translation):
+    """The function g -> f(translated g), as a FiniteFunction."""
+    terms = []
+    for index, coeff in f.terms:
+        factor, image = translation(index)
+        terms.append((image, gaussian_mul(factor, coeff)))
     return FiniteFunction(tuple(terms))
 
 
@@ -83,6 +136,36 @@ def test_prefix_consistency(terms, witness, pmax):
         full = scan(terms, h, pmax)
         for p in range(1, pmax + 1):
             assert power_scan(f, p, witness=h)[-1] == (p, full[p - 1])
+
+
+@pytest.mark.parametrize("translation", TRANSLATIONS, ids=lambda t: t.__name__)
+@pytest.mark.parametrize("terms, witness, pmax", INSTANCES)
+def test_translations(terms, witness, pmax, translation):
+    g = translated(ff(*terms), translation)
+    assert values(power_scan(g, pmax)) == scan(terms, None, pmax)
+    factor, h = translation(witness)
+    scaled = [RadicalScalar.from_gaussian(*factor) * v for v in values(power_scan(g, pmax, witness=h))]
+    assert scaled == scan(terms, witness, pmax)
+
+
+SMALL_INDICES = all_indices(Fraction(3, 2))
+
+
+@st.composite
+def small_functions(draw):
+    """Up to four terms of spin <= 3/2 with small Gaussian-integer coefficients."""
+    indices = draw(st.lists(st.sampled_from(SMALL_INDICES), min_size=1, max_size=4, unique=True))
+    part = st.integers(-2, 2)
+    coeffs = draw(st.lists(st.tuples(part, part).filter(any), min_size=len(indices), max_size=len(indices)))
+    return FiniteFunction(tuple(zip(indices, coeffs)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_functions())
+def test_translations_keep_power_integrals(f):
+    expected = values(power_scan(f, 12))
+    for translation in TRANSLATIONS:
+        assert values(power_scan(translated(f, translation), 12)) == expected
 
 
 def test_instances_reach_irrational_values():

@@ -9,7 +9,7 @@ from conftest import all_indices, idx, spin_half_rep, sym_power_rep
 from oracles import TrigPolynomial, conjugate_index, legendre_poly, representation_matrix, sample_haar
 from su2haar.numeric import eval_matrix_element
 from su2haar.scalars import RadicalScalar, parse_half
-from su2haar.wigner import MatrixElementIndex, matrix_element_trigpoly
+from su2haar.wigner import THETA_CACHE_SIZE, MatrixElementIndex, matrix_element_trigpoly, theta_restriction
 
 H = Fraction(1, 2)
 
@@ -94,6 +94,23 @@ class TestExpansionStructure:
                 total = total + poly * poly.conjugate()
             reduced = total.eliminate_sin()
             assert reduced == {0: RadicalScalar.one()}
+
+
+class TestThetaCache:
+    def test_evicted_record_recomputes_equal(self):
+        """Past its bound the cache drops the least recent record; reading it again rebuilds an equal one."""
+        first = MatrixElementIndex(0, 0, 0)
+        record = theta_restriction(first)
+        others = [i for i in all_indices(Fraction(17, 2)) if i != first]
+        assert len(others) > THETA_CACHE_SIZE
+        for index in others:
+            theta_restriction(index)
+        info = theta_restriction.cache_info()
+        assert (info.maxsize, info.currsize) == (THETA_CACHE_SIZE, THETA_CACHE_SIZE)
+        again = theta_restriction(first)
+        assert theta_restriction.cache_info().misses == info.misses + 1
+        assert again is not record and again == record
+        assert theta_restriction.__wrapped__(first) == record      # the hook the benchmark tracer wraps
 
 
 class TestAgainstSymmetricPowerOracle:
