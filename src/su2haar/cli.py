@@ -1,17 +1,28 @@
-"""Command-line interface: JSON in, JSON envelope out.
+# an assignment, not a bare docstring: `python -OO` would strip the usage that --help prints
+__doc__ = """Command-line interface: JSON in, JSON envelope out.
 
-Exit codes: 0 success, 2 unreadable/invalid input, 3 threshold precondition
-violated (origin inside hull), 4 fuzz found a violation, 5 verification suite
-failure.  Diagnostics go to stderr; stdout carries JSON only (JSON-lines for
-fuzz streams).
+usage:
+  su2haar integrate FILE [--mc SAMPLES] [--seed N]
+  su2haar power-scan FILE --pmax N [--with-h L,A,B] [--mc SAMPLES] [--seed N]
+  su2haar hull FILE
+  su2haar threshold FILE --h L,A,B
+  su2haar fuzz --seed N --trials N [--lmax L] [--kmax K] [--pmax N] [--rank2-bias B] [--out PATH]
+  su2haar verify
+
+A flag is `--flag value` or `--flag=value`, named in full; when it repeats,
+the last one wins, and after `--` every item is a positional.  `-h` or
+`--help` prints this text.
+
+Exit codes: 0 success, 2 unreadable/invalid input or usage, 3 threshold
+precondition violated (origin inside hull), 4 fuzz found a violation,
+5 verification suite failure.  Diagnostics go to stderr; stdout carries JSON
+only (JSON-lines for fuzz streams).
 """
 
-from __future__ import annotations
-
-import argparse
 import json
 import sys
 import time
+from types import SimpleNamespace
 
 from . import __version__
 from ._kernel import backend_name
@@ -247,62 +258,67 @@ def _cmd_verify(ns, argv, started) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="su2haar",
-        description="Exact Haar integrals of SU(2) matrix-element products and support-hull vanishing tests",
-    )
-    sub = parser.add_subparsers(dest="cmd", required=True)
-
-    p = sub.add_parser("integrate", help="exact Haar integral of a product spec file")
-    p.add_argument("file")
-    p.add_argument("--mc", type=int, default=0, metavar="SAMPLES", help="add a Monte Carlo cross-check")
-    p.add_argument("--seed", type=int, default=0)
-
-    p = sub.add_parser("power-scan", help="exact integral(f^P) for P = 1..pmax")
-    p.add_argument("file")
-    p.add_argument("--pmax", type=int, required=True)
-    p.add_argument("--with-h", dest="with_h", metavar="L,A,B", help="multiply by the extra element t[l,a,b]")
-    p.add_argument("--mc", type=int, default=0, metavar="SAMPLES")
-    p.add_argument("--seed", type=int, default=0)
-
-    p = sub.add_parser("hull", help="origin-in-hull verdict with a rational certificate")
-    p.add_argument("file")
-
-    p = sub.add_parser("threshold", help="least P0 with f^P * h integrals forced to vanish for P >= P0")
-    p.add_argument("file")
-    p.add_argument("--h", required=True, metavar="L,A,B")
-
-    p = sub.add_parser("fuzz", help="seeded random instances checked against the proven direction")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--lmax", default="2", help="max spin, e.g. 2 or 3/2")
-    p.add_argument("--kmax", type=int, default=4)
-    p.add_argument("--pmax", type=int, default=12)
-    p.add_argument("--rank2-bias", dest="rank2_bias", type=float, default=0.0)
-    p.add_argument("--out", help="append JSON-lines reports to this file")
-
-    sub.add_parser("verify", help="run the built-in exact verification suite")
-    return parser
-
-
-_HANDLERS = {
-    "integrate": _cmd_integrate,
-    "power-scan": _cmd_power_scan,
-    "hull": _cmd_hull,
-    "threshold": _cmd_threshold,
-    "fuzz": _cmd_fuzz,
-    "verify": _cmd_verify,
+_REQUIRED = object()                    # the default of a flag that must be given
+_MC_FLAGS = {"--mc": (int, 0), "--seed": (int, 0)}
+# command -> (handler, positional names, {flag: (type, default)}); a flag's attribute is
+# its name without the dashes, "-" read as "_"
+_COMMANDS = {
+    "integrate": (_cmd_integrate, ("file",), _MC_FLAGS),
+    "power-scan": (_cmd_power_scan, ("file",), {"--pmax": (int, _REQUIRED), "--with-h": (str, None),
+                                                **_MC_FLAGS}),
+    "hull": (_cmd_hull, ("file",), {}),
+    "threshold": (_cmd_threshold, ("file",), {"--h": (str, _REQUIRED)}),
+    "fuzz": (_cmd_fuzz, (), {"--seed": (int, _REQUIRED), "--trials": (int, _REQUIRED), "--lmax": (str, "2"),
+                             "--kmax": (int, 4), "--pmax": (int, 12), "--rank2-bias": (float, 0.0),
+                             "--out": (str, None)}),
+    "verify": (_cmd_verify, (), {}),
 }
+
+
+def parse_argv(argv: list) -> SimpleNamespace:
+    """The command (`cmd`), its positionals and its flags by `_COMMANDS`; InputError on misuse."""
+    if not argv:
+        raise InputError("expected a command: " + ", ".join(_COMMANDS))
+    cmd, rest = argv[0], iter(argv[1:])
+    if cmd not in _COMMANDS:
+        raise InputError(f"{cmd}: unknown command, expected one of {', '.join(_COMMANDS)}")
+    _, names, flags = _COMMANDS[cmd]
+    given, positionals = {}, []
+    for arg in rest:
+        if arg == "--":                 # the rest are positionals, whatever they start with
+            positionals += rest
+        elif not arg.startswith("--"):
+            positionals.append(arg)
+        else:
+            flag, eq, value = arg.partition("=")
+            if flag not in flags:
+                raise InputError(f"{flag}: not a flag of {cmd}")
+            given[flag] = value if eq else next(rest, None)
+            if given[flag] is None:
+                raise InputError(f"{flag}: expected a value")
+    if len(positionals) != len(names):
+        raise InputError(f"{cmd}: takes {len(names)} positional argument(s), got {positionals}")
+    ns = SimpleNamespace(cmd=cmd, **dict(zip(names, positionals)))
+    for flag, (kind, default) in flags.items():
+        if flag not in given and default is _REQUIRED:
+            raise InputError(f"{flag}: required by {cmd}")
+        try:
+            value = kind(given[flag]) if flag in given else default
+        except ValueError:
+            raise InputError(f"{flag}: invalid {kind.__name__} value: {given[flag]!r}") from None
+        setattr(ns, flag[2:].replace("-", "_"), value)
+    return ns
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    ns = parser.parse_args(argv)
-    started = time.perf_counter()
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(__doc__)
+        return 0
     try:
-        return _HANDLERS[ns.cmd](ns, argv, started)
+        ns = parse_argv(argv)
+        started = time.perf_counter()
+        return _COMMANDS[ns.cmd][0](ns, argv, started)
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -459,8 +459,8 @@ class TestHullAndThreshold:
         assert "no finite threshold" in err
 
 
-# values of each fuzz flag, small enough that a draw runs in milliseconds; each is text
-# argparse accepts for the flag's type, so every error comes from the command itself
+# values of each fuzz flag, small enough that a draw runs in milliseconds; the invalid
+# ones include text the flag's type rejects, which must exit 2 like the command's own checks
 VALID_FUZZ_VALUES = {
     "--trials": st.integers(1, 3),
     "--kmax": st.integers(1, 4),
@@ -469,9 +469,9 @@ VALID_FUZZ_VALUES = {
     "--rank2-bias": st.sampled_from(["0", "0.5", "1", "1.0"]) | st.floats(0, 1),
 }
 INVALID_FUZZ_VALUES = {
-    "--trials": st.integers(-2, 0),
-    "--kmax": st.sampled_from([-1, 0, 15, 60]),
-    "--pmax": st.integers(-2, 0),
+    "--trials": st.integers(-2, 0) | st.sampled_from(["abc", "1.5"]),
+    "--kmax": st.sampled_from([-1, 0, 15, 60, "abc", "1.5"]),
+    "--pmax": st.integers(-2, 0) | st.sampled_from(["abc", "1.5"]),
     "--lmax": st.sampled_from(["-1", "-1/2", "-3/2", "1/0", "5/3", "x", ""]),
     "--rank2-bias": st.sampled_from(["-0.1", "1.5", "nan", "inf", "-inf"]),
 }
@@ -702,6 +702,163 @@ class TestGoldenOutputs:
         assert (code, digest(out), digest(err)) == pinned
 
 
+@pytest.fixture(scope="module")
+def golden_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("golden")
+    for name, obj in GOLDEN_FILES.items():
+        (path / name).write_text(json.dumps(obj))
+    return path
+
+
+# the flags of each command, and values for them small enough that any call runs in milliseconds
+ARGV_FLAGS = {
+    "integrate": ("--mc", "--seed"),
+    "power-scan": ("--pmax", "--with-h", "--mc", "--seed"),
+    "hull": (),
+    "threshold": ("--h",),
+    "fuzz": ("--seed", "--trials", "--lmax", "--kmax", "--pmax", "--rank2-bias", "--out"),
+    "verify": (),
+}
+ARGV_VALUES = {
+    "--mc": st.integers(-1, 100).map(str),
+    "--seed": st.integers(-2, 3).map(str),
+    "--pmax": st.integers(0, 3).map(str),
+    "--trials": st.integers(0, 3).map(str),
+    "--kmax": st.integers(0, 4).map(str),
+    "--lmax": st.sampled_from(["0", "1/2", "3/2", "2", "-1/2", "x"]),
+    "--rank2-bias": st.sampled_from(["0", "0.5", "1", "nan", "x"]),
+    "--with-h": st.sampled_from(["1,-1,-1", "2,-1,1", "1,0", "-1,0,0", "x,y,z"]),
+    "--h": st.sampled_from(["1,0,0", "3/2,-3/2,-1/2", "1,0", "-1,0,0"]),
+    "--out": st.just("{}/reports.jsonl"),
+}
+# the file of each command that takes one: the right kind, the wrong kind, or none at all
+ARGV_FILES = {"integrate": ["shifted.json", "acceptance.json", "missing.json"],
+              **dict.fromkeys(("power-scan", "hull", "threshold"),
+                              ["acceptance.json", "radicals.json", "outside.json", "shifted.json", "missing.json"])}
+NOT_INTS = ["abc", "1.5", "", "1" + "0" * 4300]          # the last is over the 4 300-digit limit of int()
+# items no command accepts, or accepts only in place of what it needs
+ODD_ITEMS = ["--pm", "--tri=1", "--nope", "--", "-x", "-h", "--help", "{}/extra.json"]
+
+
+@st.composite
+def cli_argv(draw):
+    """Argv for any command: its flags in both forms and in any order, with at most one fault."""
+    command = draw(st.sampled_from([*ARGV_FLAGS, "bogus"]))
+    flags = ARGV_FLAGS.get(command, ())
+    groups = [["{}/" + draw(st.sampled_from(ARGV_FILES[command]))]] if command in ARGV_FILES else []
+    fault = draw(st.sampled_from(["none"] * 4 + ["odd-item", "not-an-int", "no-value", "no-required"]))
+    # the required flags, and fuzz's --pmax, whose default of 12 is not small
+    first = {"power-scan": ["--pmax"], "threshold": ["--h"], "fuzz": ["--seed", "--trials", "--pmax"]}
+    drawn = draw(st.lists(st.sampled_from(flags), max_size=4)) if flags else []
+    for flag in (first.get(command, []) if fault != "no-required" else []) + drawn:
+        value = draw(ARGV_VALUES[flag])
+        groups.append([f"{flag}={value}"] if draw(st.booleans()) else [flag, value])
+    int_flags = [flag for flag in flags if flag in ("--mc", "--seed", "--pmax", "--trials", "--kmax")]
+    if fault == "odd-item":
+        groups.append([draw(st.sampled_from(ODD_ITEMS))])
+    elif fault == "not-an-int" and int_flags:
+        groups.append([draw(st.sampled_from(int_flags)), draw(st.sampled_from(NOT_INTS))])
+    argv = [command] + [item for group in draw(st.permutations(groups)) for item in group]
+    return argv + [draw(st.sampled_from(flags))] if fault == "no-value" and flags else argv
+
+
+class TestArgv:
+    def test_help_names_every_command_and_flag(self, capsys):
+        """The usage block has one line per command, naming each of its flags: the table and the text agree."""
+        from su2haar.cli import _COMMANDS
+
+        for argv in (["-h"], ["--help"], ["fuzz", "--seed", "1", "--help"], ["power-scan", "-h", "--pm"]):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, err) == (0, "")
+            assert out == su2haar.cli.__doc__
+        usage = {line.split()[1]: line.split()[2:] for line in out.splitlines() if line.startswith("  su2haar ")}
+        assert list(usage) == list(_COMMANDS)
+        for command, (_, names, flags) in _COMMANDS.items():
+            words = [word.strip("[]") for word in usage[command]]
+            assert [word for word in words if word.startswith("--")] == list(flags), command
+            assert words[:len(names)] == [name.upper() for name in names], command
+
+    def test_help_under_python_oo(self):
+        """-OO strips docstrings; the usage block is assigned to __doc__, so --help still prints it."""
+        src = str(pathlib.Path(su2haar.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-OO", "-m", "su2haar.cli", "--help"], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=path))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, su2haar.cli.__doc__, "")
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            ([], "expected a command: integrate, power-scan, hull, threshold, fuzz, verify"),
+            (["bogus"], "bogus: unknown command, expected one of integrate, power-scan, hull, threshold, fuzz, verify"),
+            (["power-scan", "f.json", "--pm", "3"], "--pm: not a flag of power-scan"),
+            (["fuzz", "--seed", "1", "--trials", "1", "-x"], "fuzz: takes 0 positional argument(s), got ['-x']"),
+            (["hull"], "hull: takes 1 positional argument(s), got []"),
+            (["power-scan", "f.json", "--pmax"], "--pmax: expected a value"),
+            (["threshold", "f.json"], "--h: required by threshold"),
+            (["fuzz", "--seed", "1", "--trials", "abc"], "--trials: invalid int value: 'abc'"),
+            (["fuzz", "--seed", "1", "--trials", "1", "--rank2-bias=x"], "--rank2-bias: invalid float value: 'x'"),
+        ],
+        ids=["empty", "unknown-command", "abbreviation", "single-dash", "no-file", "no-value", "no-required", "not-an-int",
+             "not-a-float"],
+    )
+    def test_usage_error_is_one_line(self, capsys, argv, line):
+        assert run_cli(capsys, *argv) == (2, "", f"error: {line}\n")
+
+    @pytest.mark.parametrize(
+        "argv, parsed",
+        [
+            (["integrate", "f.json"], dict(file="f.json", mc=0, seed=0)),
+            (["power-scan", "f.json", "--pmax", "3"], dict(file="f.json", pmax=3, with_h=None, mc=0, seed=0)),
+            (["hull", "f.json"], dict(file="f.json")),
+            (["threshold", "f.json", "--h", "1,0,0"], dict(file="f.json", h="1,0,0")),
+            (["fuzz", "--seed", "1", "--trials", "2"],
+             dict(seed=1, trials=2, lmax="2", kmax=4, pmax=12, rank2_bias=0.0, out=None)),
+            (["verify"], {}),
+            (["fuzz", "--seed", "-1", "--trials", "1", "--lmax=-1/2"],
+             dict(seed=-1, trials=1, lmax="-1/2", kmax=4, pmax=12, rank2_bias=0.0, out=None)),
+            (["integrate", "f.json", "--mc=100", "--seed", "-1"], dict(file="f.json", mc=100, seed=-1)),
+            (["power-scan", "--pmax", "4", "--with-h", "1,0,0", "--mc", "10", "--seed=7", "f.json"],
+             dict(file="f.json", pmax=4, with_h="1,0,0", mc=10, seed=7)),
+            (["threshold", "--h=3/2,-3/2,-1/2", "f.json"], dict(file="f.json", h="3/2,-3/2,-1/2")),
+            (["power-scan", "f.json", "--pmax", "2", "--pmax=5", "--seed", "1", "--seed", "2"],
+             dict(file="f.json", pmax=5, with_h=None, mc=0, seed=2)),
+            (["fuzz", "--seed", "3", "--trials", "5", "--lmax", "5/2", "--kmax", "3", "--pmax", "20",
+              "--rank2-bias", "0.5", "--out", "r.jsonl", "--trials=6"],
+             dict(seed=3, trials=6, lmax="5/2", kmax=3, pmax=20, rank2_bias=0.5, out="r.jsonl")),
+            (["fuzz", "--seed", " 4 ", "--trials", "+2", "--rank2-bias", "1e-1", "--kmax", "1_0"],
+             dict(seed=4, trials=2, lmax="2", kmax=10, pmax=12, rank2_bias=0.1, out=None)),
+            (["power-scan", "--pmax", "2", "--", "-f.json"], dict(file="-f.json", pmax=2, with_h=None, mc=0, seed=0)),
+        ],
+        ids=["integrate-defaults", "power-scan-defaults", "hull", "threshold", "fuzz-defaults", "verify",
+             "negative-values", "integrate-both-forms", "file-after-flags", "threshold-file-last",
+             "repeat-last-wins", "fuzz-every-flag", "int-and-float-text", "end-of-flags"],
+    )
+    def test_parse_parity(self, argv, parsed):
+        """The values argparse gave for these argv at an earlier release, pinned."""
+        from su2haar.cli import parse_argv
+
+        assert vars(parse_argv(argv)) == dict(parsed, cmd=argv[0])
+
+    @given(cli_argv())
+    @settings(max_examples=300, deadline=None)
+    def test_argv_exit_contract(self, golden_dir, argv):
+        """Any argv returns 0, 2, 3, 4 or 5 without a traceback or SystemExit; exit 2 prints one `error: ` line."""
+        argv = [arg.replace("{}", str(golden_dir)) for arg in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as e:
+                pytest.fail(f"SystemExit({e.code}) on {argv}")
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 2, 3, 4, 5), (argv, code, err)
+        assert "Traceback" not in err
+        if code == 2:
+            assert out == ""
+            assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1, (argv, err)
+
+
 class TestVerifyCommand:
     def test_exit_zero_and_items(self, capsys):
         code, out, err = run_cli(capsys, "verify")
@@ -794,23 +951,25 @@ class TestBackendContract:
 
 class TestColdStart:
     def test_numpy_loads_on_the_first_numeric_call(self, tmp_path):
-        """Commands without --mc run without numpy; eval_matrix_element and --mc import it and give the pinned values."""
+        """Commands without --mc run without numpy, and every command without argparse, gettext or locale;
+        eval_matrix_element and --mc import numpy and give the pinned values."""
         for name, obj in GOLDEN_FILES.items():
             (tmp_path / name).write_text(json.dumps(obj))
         src = str(pathlib.Path(su2haar.__file__).resolve().parents[1])
         path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         script = textwrap.dedent("""
             import contextlib, io, sys
+            unloaded = lambda: [name for name in ('numpy', 'argparse', 'gettext', 'locale') if name in sys.modules]
             import su2haar
-            assert 'numpy' not in sys.modules, 'import su2haar'
+            assert unloaded() == [], 'import su2haar'
             import su2haar.cli
-            assert 'numpy' not in sys.modules, 'import su2haar.cli'
+            assert unloaded() == [], 'import su2haar.cli'
             for argv in (['hull', 'acceptance.json'], ['threshold', 'outside.json', '--h', '3/2,-3/2,-1/2'],
                          ['fuzz', '--seed', '1', '--trials', '2'], ['verify'],
                          ['power-scan', 'acceptance.json', '--pmax', '6'], ['integrate', 'shifted.json']):
                 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                     assert su2haar.cli.main(argv) == 0, argv
-                assert 'numpy' not in sys.modules, argv
+                assert unloaded() == [], (argv, unloaded())
             from su2haar.numeric import EulerAngles, eval_matrix_element
             from su2haar.wigner import MatrixElementIndex
             print(repr(eval_matrix_element(MatrixElementIndex.of('3/2', '1/2', '-3/2'), EulerAngles(0.3, 1.1, -0.7))))
