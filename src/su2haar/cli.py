@@ -19,6 +19,7 @@ precondition violated (origin inside hull), 4 fuzz found a violation,
 only (JSON-lines for fuzz streams).
 """
 
+import dataclasses
 import json
 import sys
 import time
@@ -259,6 +260,8 @@ def _cmd_verify(ns, argv, started) -> int:
 
 
 _REQUIRED = object()                    # the default of a flag that must be given
+# the fuzz flags default to the FuzzConfig fields, so the two cannot disagree
+_FUZZ_DEFAULT = {f.name: f.default for f in dataclasses.fields(FuzzConfig)}
 _MC_FLAGS = {"--mc": (int, 0), "--seed": (int, 0)}
 # command -> (handler, positional names, {flag: (type, default)}); a flag's attribute is
 # its name without the dashes, "-" read as "_"
@@ -268,9 +271,10 @@ _COMMANDS = {
                                                 **_MC_FLAGS}),
     "hull": (_cmd_hull, ("file",), {}),
     "threshold": (_cmd_threshold, ("file",), {"--h": (str, _REQUIRED)}),
-    "fuzz": (_cmd_fuzz, (), {"--seed": (int, _REQUIRED), "--trials": (int, _REQUIRED), "--lmax": (str, "2"),
-                             "--kmax": (int, 4), "--pmax": (int, 12), "--rank2-bias": (float, 0.0),
-                             "--out": (str, None)}),
+    "fuzz": (_cmd_fuzz, (), {"--seed": (int, _REQUIRED), "--trials": (int, _REQUIRED),
+                             "--lmax": (str, half_str(_FUZZ_DEFAULT["l_max2"])),
+                             "--kmax": (int, _FUZZ_DEFAULT["k_max"]), "--pmax": (int, _FUZZ_DEFAULT["p_max"]),
+                             "--rank2-bias": (float, _FUZZ_DEFAULT["rank2_bias"]), "--out": (str, None)}),
     "verify": (_cmd_verify, (), {}),
 }
 

@@ -3,8 +3,9 @@
 Points are the integer twice-coordinates (2m_i, 2n_i), plain int pairs, in
 and out: ``SupportHull.points``, the ``vanishing_threshold`` witness and the
 arguments of ``two_term_criterion`` and ``rank_classification``.  No floating
-point; every division of integers goes through ``Fraction(num, den)``, and
-certificates are stated in the half-integer units of (m, n).
+point: the certificates divide integers through ``Fraction(num, den)`` and
+are stated in the half-integer units of (m, n); the vanishing threshold
+needs only integer floor and ceiling division.
 One route serves them all: the monotone chain ``convex_hull_ccw`` gives the
 hull, ``_halfplanes`` its tight half-planes, and membership, both
 certificates, the vanishing threshold and the pruning in ``power_scan`` are
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor
 from typing import Dict, List, Optional, Sequence, Tuple
 
 Point = Tuple[int, int]
@@ -172,39 +172,19 @@ def vanishing_threshold(h: SupportHull, witness: Point) -> int:
 
     `witness` is the twice-int point (2a, 2b) of the extra element t[l, a, b].
 
-    Requires the origin outside the hull, so {t > 0 : (-a/t, -b/t) in C} is a
-    bounded closed interval (possibly empty) with rational endpoints; P0 is
-    one more than the largest positive integer inside it, or 1.
+    Requires the origin outside the hull.  In twice-coordinates the point
+    is -witness/P, and it lies in the half-plane u*x + v*y <= c iff k <= c*P
+    with k = -(u*2a + v*2b): a c > 0 bounds P below by ceil(k/c), a c < 0
+    bounds it above by floor(k/c), and a c = 0 with k > 0 excludes every P.
+    The P that hit the hull are the integers of [lo, hi]; P0 is hi + 1, or 1
+    when that interval is empty.
     """
     cons = _halfplanes(convex_hull_ccw(h.points))
     if all(c >= 0 for _, _, c in cons):
         raise OriginInHullError("origin inside hull: no finite threshold guaranteed")
-    # in twice-coordinates the point is -(2a, 2b)/t, so a half-plane reads k/t <= c
-    d = (-witness[0], -witness[1])
-    if d == (0, 0):
+    ks = [(-(u * witness[0] + v * witness[1]), c) for u, v, c in cons]
+    if any(c == 0 < k for k, c in ks):
         return 1
-    u_lo: Optional[Fraction] = None
-    u_hi: Optional[Fraction] = None
-    for (nx, ny, c) in cons:
-        k = nx * d[0] + ny * d[1]
-        if k == 0:
-            if c < 0:
-                return 1
-        elif k > 0:
-            bound = Fraction(c, k)
-            u_hi = bound if u_hi is None else min(u_hi, bound)
-        else:
-            bound = Fraction(c, k)
-            u_lo = bound if u_lo is None else max(u_lo, bound)
-    # C is bounded, so the direction coefficient is positive somewhere
-    assert u_hi is not None
-    if u_hi <= 0 or (u_lo is not None and u_lo > u_hi):
-        return 1
-    if u_lo is None or u_lo <= 0:
-        raise AssertionError("unbounded t-interval contradicts origin outside hull")
-    t_lo = 1 / u_hi
-    t_hi = 1 / u_lo
-    p_star = floor(t_hi)
-    if p_star < 1 or Fraction(p_star) < t_lo:
-        return 1
-    return p_star + 1
+    lo = max([1] + [-(-k // c) for k, c in ks if c > 0])
+    hi = min(k // c for k, c in ks if c < 0)        # some c < 0: the origin is outside
+    return hi + 1 if hi >= lo else 1

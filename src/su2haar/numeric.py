@@ -20,11 +20,15 @@ powers).  An element, resolved once per call from `theta_restriction`, reads
 
     t[l,m,n](g) = i^phase sqrt(r) e^(-i phi/2)^(2m) (sum_k coeff_k c^p_k s^q_k) e^(-i psi/2)^(2n)
 
-from them, with no complex exp and no float pow per element; f^P is one
-repeated squaring.  The (c, s) terms are summed as they are: expanding
-c^2 = 1 - u into a polynomial in u loses digits to the cancelling binomials
-(up to 4e-3 absolute at spin 20, against 1e-11 here).
-`eval_matrix_element` reads a one-sample block.
+from them, with no complex exp and no float pow per element.  The (c, s)
+terms are summed as they are: expanding c^2 = 1 - u into a polynomial in u
+loses digits to the cancelling binomials (up to 4e-3 absolute at spin 20,
+against 1e-11 here).  `eval_matrix_element` reads a one-sample block.
+
+Targets.  Every target of `mc_integral` is one product of powered sums: a
+`ProductSpec` gives one single-element factor per (index, power), and
+(f, P[, h]) gives the sum of f's terms at power P, then h at power 1.  Each
+power is one repeated squaring.
 
 numpy is imported by the functions that use it, on the first Monte Carlo or
 `eval_matrix_element` call, so importing the package does not load it.
@@ -33,7 +37,7 @@ numpy is imported by the functions that use it, on the first Monte Carlo or
 from __future__ import annotations
 
 import math
-from typing import Iterator, NamedTuple, Optional, Tuple, Union
+from typing import Iterator, NamedTuple, Tuple, Union
 
 from .integrals import ProductSpec
 from .powers import FiniteFunction
@@ -190,28 +194,22 @@ def mc_integral(target: McTarget, samples: int = 1_000_000, seed: int = 0) -> Mc
     if samples < 1:
         raise ValueError("samples must be >= 1")
 
+    # (elements summed, power) per factor of one product
     if isinstance(target, ProductSpec):
-        factors = [(_resolve(idx), power) for idx, power in target.factors]
-
-        def integrand(block):
-            acc = np.ones(block.size, dtype=complex)
-            for el, power in factors:
-                acc = acc * _ipow(block.element(el), power)
-            return acc
+        factors = [([_resolve(idx)], power) for idx, power in target.factors]
     else:
         f, power = target[0], target[1]
-        terms = [_resolve(idx, complex(float(re), float(im))) for idx, (re, im) in f.terms]
-        shift_idx: Optional[MatrixElementIndex] = target[2] if len(target) > 2 else None
-        shift = _resolve(shift_idx) if shift_idx is not None else None
+        factors = [([_resolve(idx, complex(float(re), float(im))) for idx, (re, im) in f.terms], power)]
+        factors += [([_resolve(h)], 1) for h in target[2:]]
 
-        def integrand(block):
-            base = block.element(terms[0])
-            for el in terms[1:]:
+    def integrand(block):
+        acc = None                      # the first factor seeds it: no pass over ones per block
+        for elements, power in factors:
+            base = block.element(elements[0])
+            for el in elements[1:]:
                 base = base + block.element(el)
-            acc = _ipow(base, power)
-            if shift is not None:
-                acc = acc * block.element(shift)
-            return acc
+            acc = _ipow(base, power) if acc is None else acc * _ipow(base, power)
+        return np.ones(block.size, dtype=complex) if acc is None else acc
 
     total = 0.0 + 0.0j
     total_sq_re = 0.0

@@ -74,17 +74,20 @@ def radical_normalize(coeff: Fraction, radicand: int) -> Tuple[Fraction, int]:
     return (Fraction(coeff) * square_part, free_part)
 
 
+def _add_into(out: dict, r: int, c: Fraction) -> None:
+    """Add c at radicand r of the canonical map `out`, dropping r when the sum is 0."""
+    acc = out.get(r, 0) + c
+    if acc:
+        out[r] = acc
+    else:
+        out.pop(r, None)
+
+
 def _canonical_map(terms: Iterable[Tuple[Fraction, int]]) -> dict:
     out: dict = {}
     for coeff, radicand in terms:
         c, r = radical_normalize(Fraction(coeff), radicand)
-        if c:
-            acc = out.get(r)
-            acc = c if acc is None else acc + c
-            if acc:
-                out[r] = acc
-            elif r in out:
-                del out[r]
+        _add_into(out, r, c)
     return out
 
 
@@ -152,20 +155,11 @@ class RadicalScalar:
     def __add__(self, other: "RadicalScalar") -> "RadicalScalar":
         if not isinstance(other, RadicalScalar):
             return NotImplemented
-        re = dict(self._re)
+        re, im = dict(self._re), dict(self._im)
         for r, c in other._re.items():
-            acc = re.get(r, 0) + c
-            if acc:
-                re[r] = acc
-            elif r in re:
-                del re[r]
-        im = dict(self._im)
+            _add_into(re, r, c)
         for r, c in other._im.items():
-            acc = im.get(r, 0) + c
-            if acc:
-                im[r] = acc
-            elif r in im:
-                del im[r]
+            _add_into(im, r, c)
         return RadicalScalar(re, im)
 
     def __sub__(self, other: "RadicalScalar") -> "RadicalScalar":
@@ -182,11 +176,7 @@ class RadicalScalar:
         for r1, c1 in a.items():
             for r2, c2 in b.items():
                 c, r = radical_normalize(c1 * c2, r1 * r2)
-                acc = out.get(r, 0) + (c if sign > 0 else -c)
-                if acc:
-                    out[r] = acc
-                elif r in out:
-                    del out[r]
+                _add_into(out, r, c if sign > 0 else -c)
 
     def __mul__(self, other) -> "RadicalScalar":
         if not isinstance(other, RadicalScalar):

@@ -252,16 +252,23 @@ class TestVanishingThreshold:
         h = hull_of((Fraction(5, 2), Fraction(5, 2)), (3, 3))
         assert vanishing_threshold(h, pt(-7, -7)) == 1
 
-    def test_definition_via_dense_scan(self):
-        """P0 is minimal: P0-1 hits the hull (when P0 > 1) and nothing >= P0 does."""
-        rnd = random.Random(31)
-        for _ in range(200):
-            pts = [(rnd.randint(-4, 4), rnd.randint(-4, 4)) for _ in range(rnd.randint(1, 4))]
+    @staticmethod
+    def dense_scan(seed, bound, trials, max_points):
+        """P0 is minimal: P0-1 hits the hull (when P0 > 1) and nothing >= P0 does.
+
+        Twice-coordinates and witnesses are drawn from [-bound, bound].
+        Returns the P0 of every support with the origin outside.
+        """
+        rnd = random.Random(seed)
+        seen = []
+        for _ in range(trials):
+            pts = [(rnd.randint(-bound, bound), rnd.randint(-bound, bound)) for _ in range(rnd.randint(1, max_points))]
             h = SupportHull(tuple(pts))
             if origin_in_hull(h):
                 continue
-            witness = (rnd.randint(-4, 4), rnd.randint(-4, 4))
+            witness = (rnd.randint(-bound, bound), rnd.randint(-bound, bound))
             p0 = vanishing_threshold(h, witness)
+            seen.append(p0)
             a, b = Fraction(witness[0], 2), Fraction(witness[1], 2)
 
             def point_in(p):
@@ -273,3 +280,12 @@ class TestVanishingThreshold:
                 assert not point_in(p)
             if p0 > 1:
                 assert point_in(p0 - 1)
+        return seen
+
+    def test_definition_via_dense_scan(self):
+        self.dense_scan(31, 4, 200, 4)
+
+    def test_definition_via_dense_scan_spin8(self):
+        """The same at the spin-8 range of the `hull-wide` benchmark: P0 in the hundreds, large negative k."""
+        seen = self.dense_scan(16, 16, 200, 3)
+        assert sum(p0 > 1 for p0 in seen) >= 10 and max(seen) > 100
