@@ -40,7 +40,8 @@ class InputError(Exception):
     """Invalid input file or flag value; maps to exit code 2."""
 
 
-def _load_json(path: str) -> dict:
+def _load(path: str, parse):
+    """parse(obj) of the JSON object in `path`; every fault is an InputError naming the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -50,45 +51,12 @@ def _load_json(path: str) -> dict:
         raise InputError(f"{path}: invalid JSON: {e}") from None
     if not isinstance(obj, dict):
         raise InputError(f"{path}: expected a JSON object at the top level")
-    return obj
-
-
-def _check_schema(obj: dict, path: str) -> None:
     if "schema" in obj and obj["schema"] != 1:
         raise InputError(f"{path}: unsupported schema {obj['schema']!r}")
-
-
-def load_function_file(path: str) -> FiniteFunction:
-    obj = _load_json(path)
-    _check_schema(obj, path)
     try:
-        return FiniteFunction.from_json(obj)
+        return parse(obj)
     except ValueError as e:
         raise InputError(f"{path}: {e}") from None
-
-
-def load_product_file(path: str) -> ProductSpec:
-    """The file's product, its optional "shift" element folded in as one more factor."""
-    obj = _load_json(path)
-    _check_schema(obj, path)
-    if "factors" not in obj:
-        raise InputError(f"{path}: missing field 'factors'")
-    if not isinstance(obj["factors"], list):
-        raise InputError(f"{path}: factors must be a list of factor objects")
-    try:
-        factors = []
-        for i, fac in enumerate(obj["factors"]):
-            idx = MatrixElementIndex.from_json(fac, f"{path}: factors[{i}]")
-            power = fac.get("power", 1)
-            if not isinstance(power, int) or isinstance(power, bool) or power < 1:
-                raise InputError(f"{path}: factors[{i}].power must be a positive integer")
-            factors.append((idx, power))
-        shift = None
-        if obj.get("shift") is not None:
-            shift = MatrixElementIndex.from_json(obj["shift"], f"{path}: shift")
-    except ValueError as e:
-        raise InputError(str(e)) from None
-    return ProductSpec(tuple(factors)).with_extra(shift)
 
 
 def parse_index_flag(text: str, flag: str) -> MatrixElementIndex:
@@ -99,20 +67,6 @@ def parse_index_flag(text: str, flag: str) -> MatrixElementIndex:
         return MatrixElementIndex.of(*parts)
     except ValueError as e:
         raise InputError(f"{flag}: {e}") from None
-
-
-def _envelope(args, exact=None, **extra) -> dict:
-    env = {"schema": 1, "version": __version__, "command": list(args), "backend": backend_name()}
-    if exact is not None:
-        env["exact"] = exact
-    env.update(extra)
-    return env
-
-
-def _emit(env: dict, started: float) -> None:
-    env["timing_s"] = round(time.perf_counter() - started, 6)
-    json.dump(env, sys.stdout, sort_keys=True)
-    sys.stdout.write("\n")
 
 
 def _check_mc(ns) -> None:
@@ -135,23 +89,21 @@ def _mc_block(target, samples: int, seed: int) -> dict:
     }
 
 
-def _cmd_integrate(ns, argv, started) -> int:
+def _cmd_integrate(ns):
     _check_mc(ns)
-    spec = load_product_file(ns.file)
-    env = _envelope(argv, exact=integrate_product(spec).to_json())
+    spec = _load(ns.file, ProductSpec.from_json)
+    fields = {"exact": integrate_product(spec).to_json()}
     if ns.mc:
-        env["numeric"] = _mc_block(spec, ns.mc, ns.seed)
-        env["seed"] = ns.seed
-    _emit(env, started)
-    return 0
+        fields.update(numeric=_mc_block(spec, ns.mc, ns.seed), seed=ns.seed)
+    return fields, 0
 
 
-def _cmd_power_scan(ns, argv, started) -> int:
+def _cmd_power_scan(ns):
     if ns.pmax < 1:
         raise InputError("--pmax must be >= 1")
     _check_mc(ns)
-    f = load_function_file(ns.file)
-    witness = parse_index_flag(ns.with_h, "--with-h") if ns.with_h else None
+    f = _load(ns.file, FiniteFunction.from_json)
+    witness = parse_index_flag(ns.with_h, "--with-h") if ns.with_h is not None else None
     rows = []
     for p, value in power_scan(f, ns.pmax, witness=witness):
         row = {"P": p, "exact": value.to_json()}
@@ -159,18 +111,16 @@ def _cmd_power_scan(ns, argv, started) -> int:
             target = (f, p, witness) if witness is not None else (f, p)
             row["numeric"] = _mc_block(target, ns.mc, ns.seed + p)
         rows.append(row)
-    env = _envelope(argv, scan=rows, pmax=ns.pmax)
-    if ns.with_h:
-        env["with_h"] = ns.with_h
+    fields = {"scan": rows, "pmax": ns.pmax}
+    if witness is not None:
+        fields["with_h"] = ns.with_h
     if ns.mc:
-        env["seed"] = ns.seed
-    _emit(env, started)
-    return 0
+        fields["seed"] = ns.seed
+    return fields, 0
 
 
-def _cmd_hull(ns, argv, started) -> int:
-    f = load_function_file(ns.file)
-    support = f.support_points()
+def _cmd_hull(ns):
+    support = _load(ns.file, FiniteFunction.from_json).support_points()
     hull = SupportHull(support)
     cert = hull_certificate(hull)
     body = {"origin_inside": cert.inside}
@@ -181,23 +131,18 @@ def _cmd_hull(ns, argv, started) -> int:
     else:
         u, v, bound = cert.separator
         body["separator"] = {"u": str(u), "v": str(v), "min_dot": str(bound)}
-    env = _envelope(argv, hull=body, support=[[half_str(m2), half_str(n2)] for m2, n2 in support])
-    _emit(env, started)
-    return 0
+    return {"hull": body, "support": [[half_str(m2), half_str(n2)] for m2, n2 in support]}, 0
 
 
-def _cmd_threshold(ns, argv, started) -> int:
-    f = load_function_file(ns.file)
+def _cmd_threshold(ns):
+    hull = SupportHull.from_function(_load(ns.file, FiniteFunction.from_json))
     witness = parse_index_flag(ns.h, "--h")
-    hull = SupportHull.from_function(f)
     try:
         p0 = vanishing_threshold(hull, (witness.m2, witness.n2))
     except OriginInHullError as e:
         print(f"error: {e}", file=sys.stderr)
-        return 3
-    env = _envelope(argv, threshold=p0, witness=witness.to_json())
-    _emit(env, started)
-    return 0
+        return None, 3
+    return {"threshold": p0, "witness": witness.to_json()}, 0
 
 
 # the flag of each FuzzConfig field; a FuzzConfig message starts with its field
@@ -207,7 +152,7 @@ _FUZZ_FLAGS = {
 }
 
 
-def _cmd_fuzz(ns, argv, started) -> int:
+def _cmd_fuzz(ns):
     try:
         l_max2 = parse_half(ns.lmax)
     except ValueError as e:
@@ -226,14 +171,14 @@ def _cmd_fuzz(ns, argv, started) -> int:
     reports, summary = fuzz(cfg)
     lines = [json.dumps(r.to_json(), sort_keys=True) for r in reports]
     lines.append(json.dumps(summary.to_json(), sort_keys=True))
-    if ns.out:
+    fields = None
+    if ns.out is not None:
         try:
             with open(ns.out, "a", encoding="utf-8") as fh:
                 fh.write("\n".join(lines) + "\n")
         except OSError as e:
             raise InputError(f"cannot write {ns.out}: {e}") from None
-        env = _envelope(argv, summary=summary.to_json(), out=ns.out, seed=ns.seed)
-        _emit(env, started)
+        fields = {"summary": summary.to_json(), "out": ns.out, "seed": ns.seed}
     else:
         sys.stdout.write("\n".join(lines) + "\n")
     if summary.violations:
@@ -241,22 +186,18 @@ def _cmd_fuzz(ns, argv, started) -> int:
             f"violation at trial {summary.violations[0]}; reproduction data in the last report",
             file=sys.stderr,
         )
-        return 4
-    return 0
+    return fields, 4 if summary.violations else 0
 
 
-def _cmd_verify(ns, argv, started) -> int:
+def _cmd_verify(ns):
     report = run_verification_suite()
     for item in report.items:
         status = "PASS" if item.passed else "FAIL"
         print(f"{status} {item.name}: {item.detail}", file=sys.stderr)
-    env = _envelope(argv, verification=report.to_json())
-    _emit(env, started)
-    if not report.all_passed:
-        failed = [i.name for i in report.items if not i.passed]
+    failed = [i.name for i in report.items if not i.passed]
+    if failed:
         print(f"failed items: {', '.join(failed)}", file=sys.stderr)
-        return 5
-    return 0
+    return {"verification": report.to_json()}, 5 if failed else 0
 
 
 _REQUIRED = object()                    # the default of a flag that must be given
@@ -314,18 +255,38 @@ def parse_argv(argv: list) -> SimpleNamespace:
     return ns
 
 
+def _asks_help(argv: list) -> bool:
+    """True iff -h or --help is the command, or stands past it before `--` and is no flag's value."""
+    flags = _COMMANDS[argv[0]][2] if argv and argv[0] in _COMMANDS else {}
+    items = iter(argv[1:])
+    for arg in items:
+        if arg == "--":
+            break
+        if arg in flags:
+            next(items, None)           # the flag's value
+        elif arg in ("-h", "--help"):
+            return True
+    return argv[:1] in (["-h"], ["--help"])
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if "-h" in argv or "--help" in argv:
+    if _asks_help(argv):
         sys.stdout.write(__doc__)
         return 0
     try:
         ns = parse_argv(argv)
         started = time.perf_counter()
-        return _COMMANDS[ns.cmd][0](ns, argv, started)
+        fields, code = _COMMANDS[ns.cmd][0](ns)
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    if fields is not None:
+        env = {"schema": 1, "version": __version__, "command": argv, "backend": backend_name(), **fields,
+               "timing_s": round(time.perf_counter() - started, 6)}
+        json.dump(env, sys.stdout, sort_keys=True)
+        sys.stdout.write("\n")
+    return code
 
 
 if __name__ == "__main__":

@@ -15,6 +15,10 @@ and with u = sin^2(theta/2) the measure 1/2 * sin(theta) d(theta) becomes du
 on [0, 1].  A product is one `ProductSpec`; an extra element, such as the
 "shift" of a product file, is one more factor (`ProductSpec.with_extra`), so
 `integrate_product(spec)` and `frequency_of(spec)` take the spec alone.
+`ProductSpec.from_json` reads a product file: a "factors" list of
+{"l", "m", "n", "power"} objects (half-integers as ints or strings such as
+"1/2", power a positive integer, 1 when absent) and an optional "shift"
+{"l", "m", "n"} object, which becomes one more factor of power 1.
 
 `integrate_product` works on the u-form of each element, the `eps`, `delta`,
 `denom` and `poly` fields of `wigner.theta_restriction`
@@ -36,7 +40,7 @@ from math import lcm
 from typing import Optional, Sequence, Tuple
 
 from . import _kernel
-from .scalars import RadicalScalar, radical_normalize
+from .scalars import RadicalScalar
 from .wigner import MatrixElementIndex, theta_restriction
 
 
@@ -61,6 +65,24 @@ class ProductSpec:
         if extra is None:
             return self
         return ProductSpec(self.factors + ((extra, 1),))
+
+    @staticmethod
+    def from_json(obj: dict) -> "ProductSpec":
+        """Parse the product-file format, its "shift" folded in; any malformed shape raises ValueError."""
+        if "factors" not in obj:
+            raise ValueError("missing field 'factors'")
+        if not isinstance(obj["factors"], list):
+            raise ValueError("factors must be a list of factor objects")
+        factors = []
+        for i, fac in enumerate(obj["factors"]):
+            idx = MatrixElementIndex.from_json(fac, f"factors[{i}]")
+            power = fac.get("power", 1)
+            if not isinstance(power, int) or isinstance(power, bool) or power < 1:
+                raise ValueError(f"factors[{i}].power must be a positive integer")
+            factors.append((idx, power))
+        shift = obj.get("shift")
+        return ProductSpec(tuple(factors)).with_extra(
+            None if shift is None else MatrixElementIndex.from_json(shift, "shift"))
 
 
 def frequency_of(spec: ProductSpec) -> Tuple[int, int]:
@@ -102,7 +124,4 @@ def integrate_product(spec: ProductSpec) -> RadicalScalar:
     # sums are even (eps_i = m_i + n_i, delta_i = m_i - n_i mod 2): c^2 = 1 - u, s^2 = u
     assert eps % 2 == delta % 2 == 0, "a zero-frequency product has even parities"
     poly = [0] * (delta // 2) + _kernel.convolve(poly, _kernel.vec_pow([1, -1], eps // 2))
-    extra, radicand = radical_normalize(Fraction(1), sqfree_prod)
-    assert extra.denominator == 1
-    value = u_integral(poly, denom) * (mult * int(extra))
-    return RadicalScalar.from_terms(real=[(value, radicand)])
+    return RadicalScalar.from_terms(real=[(u_integral(poly, denom) * mult, sqfree_prod)])

@@ -84,10 +84,6 @@ def _as_gaussian(coeff) -> GaussianRational:
     return (Fraction(coeff), Fraction(0))
 
 
-def gaussian_mul(a: GaussianRational, b: GaussianRational) -> GaussianRational:
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
 def _is_json_int_or_str(value) -> bool:
     return isinstance(value, (int, str)) and not isinstance(value, bool)
 
@@ -185,8 +181,6 @@ def enumerate_balanced_compositions(
     return _kernel.balanced_compositions(ms2, ns2, power, target[0], target[1])
 
 
-_I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))
-
 _StateKey = Tuple[int, int, int, int, int]          # (2M, 2N, eps, delta, radicand)
 
 
@@ -197,21 +191,16 @@ def _scaled_u_polys(terms) -> Tuple[int, Dict[_StateKey, List[Tuple[int, int]]]]
     parities and phase, so terms that also share the radicand add into one
     polynomial.
     """
-    parts = []
-    for idx, coeff in terms:
-        form = theta_restriction(idx)
-        re, im = gaussian_mul(coeff, _I_POWERS[form.phase])
-        unit = lcm(re.denominator, im.denominator)
-        key = (idx.m2, idx.n2, form.eps, form.delta, form.radicand)
-        parts.append((key, unit * form.denom, re.numerator * (unit // re.denominator),
-                      im.numerator * (unit // im.denominator), form.poly))
-    scale = lcm(*(denom for _, denom, _, _, _ in parts))
+    forms = [(idx, coeff, theta_restriction(idx)) for idx, coeff in terms]
+    scale = lcm(*(form.denom * lcm(re.denominator, im.denominator) for _, (re, im), form in forms))
     polys: Dict[_StateKey, List[Tuple[int, int]]] = {}
-    for key, denom, re, im, poly in parts:
-        acc = polys.setdefault(key, [])
-        acc.extend([(0, 0)] * (len(poly) - len(acc)))
-        re, im = re * (scale // denom), im * (scale // denom)
-        for j, q in enumerate(poly):
+    for idx, (re, im), form in forms:
+        unit = scale // form.denom
+        re, im = re.numerator * (unit // re.denominator), im.numerator * (unit // im.denominator)
+        re, im = ((re, im), (-im, re), (-re, -im), (im, -re))[form.phase]      # times i^phase
+        acc = polys.setdefault((idx.m2, idx.n2, form.eps, form.delta, form.radicand), [])
+        acc.extend([(0, 0)] * (len(form.poly) - len(acc)))
+        for j, q in enumerate(form.poly):
             acc[j] = (acc[j][0] + re * q, acc[j][1] + im * q)
     return scale, polys
 

@@ -8,9 +8,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import TrigPolynomial, gaussian_pow, group_matrix, monomial_theta_integral
+from oracles import TrigPolynomial, gaussian_mul, gaussian_pow, group_matrix, monomial_theta_integral
 from su2haar.integrals import ProductSpec, frequency_of, integrate_product
-from su2haar.powers import FiniteFunction, enumerate_balanced_compositions, gaussian_mul
+from su2haar.powers import FiniteFunction, enumerate_balanced_compositions
 from su2haar.scalars import RadicalScalar, parse_half
 from su2haar.wigner import MatrixElementIndex
 

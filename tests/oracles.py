@@ -11,8 +11,8 @@ is an independent route to a value the package computes another way:
   integral of c^a s^b, for the (c, s) route to `integrate_product`;
 * `conjugate_index`: the conjugation identity on indices, for the symmetry
   tests of `power_scan`;
-* `gaussian_pow`: exact powers of Gaussian rationals, for the multinomial
-  sums that check `power_scan`;
+* `gaussian_mul` and `gaussian_pow`: exact products and powers of Gaussian
+  rationals, for the multinomial sums that check `power_scan`;
 * `dense_convolve` and `dense_vec_pow`: the schoolbook coefficient loop, for
   the packed products of `_kernel.convolve` and `_kernel.vec_pow`;
 * numeric group matrices: Haar sampling, the 2x2 matrix of Euler angles and
@@ -30,7 +30,7 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 import numpy as np
 
 from su2haar.numeric import EulerAngles, eval_matrix_element
-from su2haar.powers import GaussianRational, gaussian_mul
+from su2haar.powers import GaussianRational
 from su2haar.scalars import RadicalScalar
 from su2haar.wigner import MatrixElementIndex, matrix_element_trigpoly
 
@@ -172,6 +172,10 @@ def monomial_theta_integral(c_exp: int, s_exp: int) -> Fraction:
     half_a, half_b = c_exp // 2, s_exp // 2
     fact = math.factorial
     return Fraction(2 * fact(half_a) * fact(half_b), fact(half_a + half_b + 1))
+
+
+def gaussian_mul(a: GaussianRational, b: GaussianRational) -> GaussianRational:
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
 
 
 def gaussian_pow(a: GaussianRational, n: int) -> GaussianRational:

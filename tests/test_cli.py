@@ -255,6 +255,32 @@ class TestMalformedInput:
             path.write_text(json.dumps({"terms": [dict(self.TERM, coeff={"re": re, "im": "0"})]}))
             assert run_cli(capsys, "hull", str(path))[0] == 0, re
 
+    INDEX = {"l": "0", "m": "0", "n": "0"}
+
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ({}, "missing field 'factors'"),
+            ({"factors": "x"}, "factors must be a list of factor objects"),
+            ({"factors": ["x"]}, "factors[0]: expected an object with fields l, m, n"),
+            ({"factors": [dict(INDEX, l=1.5)]}, 'factors[0].l must be a string such as "1/2" or an integer'),
+            ({"factors": [dict(INDEX, l="1/3")]}, "factors[0]: not a half-integer: '1/3'"),
+            ({"factors": [INDEX, dict(INDEX, power=0)]}, "factors[1].power must be a positive integer"),
+            ({"factors": [dict(INDEX, power=True)]}, "factors[0].power must be a positive integer"),
+            ({"factors": [dict(INDEX, power=1.5)]}, "factors[0].power must be a positive integer"),
+            ({"factors": [], "shift": {"l": "1/2", "m": "3/2", "n": "1/2"}},
+             "shift: |m|,|n| must not exceed l: l=1/2, m=3/2, n=1/2"),
+            ({"factors": [], "shift": "x"}, "shift: expected an object with fields l, m, n"),
+        ],
+        ids=["no-factors", "string-factors", "string-factor", "float-l", "third-l", "power-0", "power-true",
+             "power-float", "shift-out-of-range", "string-shift"],
+    )
+    def test_product_file(self, capsys, tmp_path, obj, message):
+        """Each product-file fault is one stderr line: the path, then the field and what is wrong with it."""
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        assert run_cli(capsys, "integrate", str(path)) == (2, "", f"error: {path}: {message}\n")
+
     def test_boolean_power_rejected(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"factors": [{"l": "0", "m": "0", "n": "0", "power": True}]}))
@@ -777,6 +803,39 @@ class TestArgv:
             words = [word.strip("[]") for word in usage[command]]
             assert [word for word in words if word.startswith("--")] == list(flags), command
             assert words[:len(names)] == [name.upper() for name in names], command
+
+    def test_help_as_a_positional_is_data(self, capsys, tmp_path, monkeypatch):
+        """After `--`, -h is the file to read, not a request for the usage."""
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "hull", "--", "-h")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot read -h: ")
+
+    def test_help_as_a_flag_value_is_data(self, capsys, tmp_path, monkeypatch):
+        """The item after a flag is its value: --out -h writes the reports to the file -h."""
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "fuzz", "--seed", "1", "--trials", "1", "--out", "-h")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["out"] == "-h"
+        assert len((tmp_path / "-h").read_text().splitlines()) == 2
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["power-scan", "{f}", "--pmax", "2", "--with-h="], "--with-h: expected 'l,m,n', got ''"),
+            (["threshold", "{f}", "--h="], "--h: expected 'l,m,n', got ''"),
+        ],
+        ids=["with-h", "h"],
+    )
+    def test_empty_index_flag_exits_2(self, capsys, single_element, argv, line):
+        """An empty value is a value: it is parsed and rejected, never read as an absent flag."""
+        argv = [arg.replace("{f}", single_element) for arg in argv]
+        assert run_cli(capsys, *argv) == (2, "", f"error: {line}\n")
+
+    def test_empty_out_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "fuzz", "--seed", "1", "--trials", "1", "--out=")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot write : ") and err.count("\n") == 1
 
     def test_help_under_python_oo(self):
         """-OO strips docstrings; the usage block is assigned to __doc__, so --help still prints it."""

@@ -44,6 +44,27 @@ class TestProductSpec:
         b = product(idx(H, H, H), idx(1, 0, 0))
         assert a == b
 
+    def test_from_json_folds_the_shift_in(self):
+        obj = {"factors": [{"l": "1/2", "m": "1/2", "n": "1/2", "power": 2}, {"l": 1, "m": 0, "n": 0}],
+               "shift": {"l": "1/2", "m": "1/2", "n": "1/2"}}
+        assert ProductSpec.from_json(obj) == product((idx(H, H, H), 3), idx(1, 0, 0))
+
+    @pytest.mark.parametrize("extra", [{}, {"shift": None}], ids=["absent", "null"])
+    def test_from_json_without_shift(self, extra):
+        obj = {"factors": [{"l": "1", "m": "-1", "n": "1", "power": 3}], **extra}
+        assert ProductSpec.from_json(obj) == product((idx(1, -1, 1), 3))
+
+    def test_from_json_empty_product(self):
+        spec = ProductSpec.from_json({"factors": []})
+        assert spec.factors == ()
+        assert integrate_product(spec) == RadicalScalar.one()
+
+    def test_from_json_errors_name_the_field(self):
+        with pytest.raises(ValueError, match=r"^factors\[1\]\.power must be a positive integer$"):
+            ProductSpec.from_json({"factors": [{"l": 0, "m": 0, "n": 0}, {"l": 0, "m": 0, "n": 0, "power": 0}]})
+        with pytest.raises(ValueError, match=r"^shift: expected an object with fields l, m, n$"):
+            ProductSpec.from_json({"factors": [], "shift": 7})
+
 
 class TestThetaIntegral:
     def test_examples(self):

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import all_indices, brute_force_power_integral, ff, idx, pt
-from oracles import gaussian_pow
+from oracles import gaussian_mul, gaussian_pow
 from su2haar.hull import SupportHull, origin_in_hull
 from su2haar.integrals import ProductSpec, integrate_product
 from su2haar.powers import (
@@ -221,8 +221,6 @@ class TestDeterminism:
         expected = power_integral(f, p)
         total = RadicalScalar.zero()
         from math import factorial
-
-        from su2haar.powers import gaussian_mul
 
         for alpha in reversed(enumerate_balanced_compositions(f, p)):
             coeff = (Fraction(factorial(p)), Fraction(0))

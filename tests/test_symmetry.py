@@ -29,8 +29,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ACCEPTANCE, RADICALS_5_2, all_indices, ff, idx
-from oracles import conjugate_index
-from su2haar.powers import FiniteFunction, gaussian_mul, power_scan
+from oracles import conjugate_index, gaussian_mul
+from su2haar.powers import FiniteFunction, power_scan
 from su2haar.scalars import RadicalScalar
 from su2haar.wigner import MatrixElementIndex, theta_restriction
 
