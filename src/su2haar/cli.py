@@ -51,8 +51,9 @@ def _load(path: str, parse):
         raise InputError(f"{path}: invalid JSON: {e}") from None
     if not isinstance(obj, dict):
         raise InputError(f"{path}: expected a JSON object at the top level")
-    if "schema" in obj and obj["schema"] != 1:
-        raise InputError(f"{path}: unsupported schema {obj['schema']!r}")
+    schema = obj.get("schema", 1)
+    if schema != 1 or isinstance(schema, bool):          # True == 1 in Python
+        raise InputError(f"{path}: unsupported schema {schema!r}")
     try:
         return parse(obj)
     except ValueError as e:

@@ -4,9 +4,11 @@ The harness ties the geometry to the integration engine.  The proven
 direction is one-sided: when the origin lies outside the convex hull of the
 support points, every power integral must vanish exactly, so any nonzero
 value is an implementation bug ("violation").  When the origin is inside,
-finding some nonzero power is "consistent" with the two-sided vanishing
-conjecture, and an all-zero scan up to the horizon is only
-"inconclusive-candidate": no finite horizon proves anything.
+some nonzero power is "consistent", and an all-zero scan up to the horizon
+is only "inconclusive-candidate": no finite horizon proves anything.  The
+converse of the proven direction, stated on the raw (m, n) support, is
+false: some functions with the origin inside the hull have every power
+integral zero (two are pinned in tests/test_harness.py).
 """
 
 from __future__ import annotations

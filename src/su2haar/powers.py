@@ -278,17 +278,16 @@ def power_scan(
                 acc = nxt.get(key)
                 nxt[key] = (re, im) if acc is None else (acc[0] + re, acc[1] + im)
         states = {key: v for key, v in nxt.items() if v[0] or v[1]}
-        real, imag = {}, {}
+        terms = {}
         for (m2, n2, eps, delta, r), (sr, si) in states.items():
             if m2 or n2:
                 continue
             assert not (eps or delta), "a zero-frequency product has even parities"
-            for part, packed_part in ((real, sr), (imag, si)):
-                value = u_integral(unpack(packed_part, width), denom)
-                if value:
-                    part[r] = value
-        # each radicand is squarefree and keys one state: the maps are canonical
-        values.append((p, RadicalScalar(real, imag)))
+            re, im = u_integral(unpack(sr, width), denom), u_integral(unpack(si, width), denom)
+            if re or im:
+                terms[r] = (re, im)
+        # each radicand is squarefree and keys one state: the map is canonical
+        values.append((p, RadicalScalar(terms)))
     return values
 
 

@@ -5,12 +5,12 @@ A half-integer j is carried as the plain int 2j from parsing to printing:
 
 The value field for every integral in this package is the set of numbers
 
-    (sum_j p_j * sqrt(N_j))  +  i * (sum_j q_j * sqrt(M_j))
+    sum_r (p_r + i q_r) * sqrt(r)
 
-with rational p_j, q_j and squarefree positive integer radicands.  Because
+with rational p_r, q_r and squarefree positive integer radicands r.  Because
 square roots of distinct squarefree integers are linearly independent over
-the rationals, keeping coefficient maps canonical (squarefree keys, no zero
-coefficients) makes equality and the zero test exact map comparisons.
+the rationals, keeping the map {r: (p_r, q_r)} canonical (squarefree keys,
+no (0, 0) value) makes equality and the zero test exact map comparisons.
 """
 
 from __future__ import annotations
@@ -74,43 +74,39 @@ def radical_normalize(coeff: Fraction, radicand: int) -> Tuple[Fraction, int]:
     return (Fraction(coeff) * square_part, free_part)
 
 
-def _add_into(out: dict, r: int, c: Fraction) -> None:
-    """Add c at radicand r of the canonical map `out`, dropping r when the sum is 0."""
-    acc = out.get(r, 0) + c
-    if acc:
-        out[r] = acc
+_ZERO = Fraction(0)
+
+
+def _add_into(out: dict, r: int, p: Fraction, q: Fraction) -> None:
+    """Add (p + i q) sqrt(r) into the canonical map `out`, dropping r when the sum is 0."""
+    old = out.get(r)
+    if old is not None:
+        p, q = old[0] + p, old[1] + q
+    if p or q:
+        out[r] = (p, q)
     else:
         out.pop(r, None)
 
 
-def _canonical_map(terms: Iterable[Tuple[Fraction, int]]) -> dict:
-    out: dict = {}
-    for coeff, radicand in terms:
-        c, r = radical_normalize(Fraction(coeff), radicand)
-        _add_into(out, r, c)
-    return out
-
-
 class RadicalScalar:
-    """Exact complex number of the form sum q_j*sqrt(N_j) + i*sum q'_j*sqrt(N'_j).
+    """Exact complex number sum_r (p_r + i q_r) * sqrt(r), rational p_r and q_r.
 
-    Values are immutable and canonical: radicand keys are squarefree positive
-    integers and no stored coefficient is zero, so equality is map equality
-    and ``is_zero`` is decidable.
+    Values are immutable and canonical: the one map {r: (p_r, q_r)} has
+    squarefree positive integer keys and no (0, 0) value, so equality is map
+    equality and ``is_zero`` is decidable.
     """
 
-    __slots__ = ("_re", "_im")
+    __slots__ = ("_terms",)
 
-    def __init__(self, re: Mapping[int, Fraction] = None, im: Mapping[int, Fraction] = None):
-        """Wrap maps that are already canonical; `from_terms` normalises arbitrary terms."""
-        self._re = dict(re or {})
-        self._im = dict(im or {})
+    def __init__(self, terms: Mapping[int, Tuple[Fraction, Fraction]] = None):
+        """Wrap a map that is already canonical; `from_terms` normalises arbitrary terms."""
+        self._terms = dict(terms) if terms else {}
 
     # ---- constructors -------------------------------------------------
 
     @staticmethod
     def zero() -> "RadicalScalar":
-        return RadicalScalar({}, {})
+        return RadicalScalar()
 
     @staticmethod
     def one() -> "RadicalScalar":
@@ -118,105 +114,95 @@ class RadicalScalar:
 
     @staticmethod
     def from_rational(q) -> "RadicalScalar":
-        q = Fraction(q)
-        return RadicalScalar({1: q} if q else {}, {})
+        return RadicalScalar.from_gaussian(q, _ZERO)
 
     @staticmethod
     def from_gaussian(re, im) -> "RadicalScalar":
         re, im = Fraction(re), Fraction(im)
-        return RadicalScalar({1: re} if re else {}, {1: im} if im else {})
+        return RadicalScalar({1: (re, im)} if re or im else None)
 
     @staticmethod
     def from_terms(real: Iterable[Tuple[Fraction, int]] = (), imag: Iterable[Tuple[Fraction, int]] = ()) -> "RadicalScalar":
         """Build from (coefficient, radicand) pairs; radicands need not be squarefree."""
-        return RadicalScalar(_canonical_map(real), _canonical_map(imag))
+        out: dict = {}
+        for coeff, radicand in real:
+            c, r = radical_normalize(coeff, radicand)
+            _add_into(out, r, c, _ZERO)
+        for coeff, radicand in imag:
+            c, r = radical_normalize(coeff, radicand)
+            _add_into(out, r, _ZERO, c)
+        return RadicalScalar(out)
 
     # ---- structure ----------------------------------------------------
 
     def real_terms(self) -> Tuple[Tuple[int, Fraction], ...]:
-        return tuple(sorted(self._re.items()))
+        return tuple((r, p) for r, (p, _) in sorted(self._terms.items()) if p)
 
     def imag_terms(self) -> Tuple[Tuple[int, Fraction], ...]:
-        return tuple(sorted(self._im.items()))
+        return tuple((r, q) for r, (_, q) in sorted(self._terms.items()) if q)
 
     def is_zero(self) -> bool:
-        return not self._re and not self._im
+        return not self._terms
 
     def is_rational(self) -> bool:
-        return not self._im and set(self._re) <= {1}
+        return all(r == 1 and not q for r, (_, q) in self._terms.items())
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self._re.get(1, Fraction(0))
+        return self._terms.get(1, (_ZERO,))[0]
 
     # ---- arithmetic ----------------------------------------------------
 
     def __add__(self, other: "RadicalScalar") -> "RadicalScalar":
         if not isinstance(other, RadicalScalar):
             return NotImplemented
-        re, im = dict(self._re), dict(self._im)
-        for r, c in other._re.items():
-            _add_into(re, r, c)
-        for r, c in other._im.items():
-            _add_into(im, r, c)
-        return RadicalScalar(re, im)
+        out = dict(self._terms)
+        for r, (p, q) in other._terms.items():
+            _add_into(out, r, p, q)
+        return RadicalScalar(out)
 
     def __sub__(self, other: "RadicalScalar") -> "RadicalScalar":
         return self + (-other)
 
     def __neg__(self) -> "RadicalScalar":
-        return RadicalScalar(
-            {r: -c for r, c in self._re.items()},
-            {r: -c for r, c in self._im.items()},
-        )
-
-    @staticmethod
-    def _map_mul(a: Mapping[int, Fraction], b: Mapping[int, Fraction], out: dict, sign: int) -> None:
-        for r1, c1 in a.items():
-            for r2, c2 in b.items():
-                c, r = radical_normalize(c1 * c2, r1 * r2)
-                _add_into(out, r, c if sign > 0 else -c)
+        return RadicalScalar({r: (-p, -q) for r, (p, q) in self._terms.items()})
 
     def __mul__(self, other) -> "RadicalScalar":
+        """sqrt(r1) * sqrt(r2) = g * sqrt(r1 r2 / g^2) with g = gcd(r1, r2), squarefree for squarefree r1, r2."""
         if not isinstance(other, RadicalScalar):
             if isinstance(other, (int, Fraction)):
                 other = RadicalScalar.from_rational(other)
             else:
                 return NotImplemented
-        re: dict = {}
-        im: dict = {}
-        RadicalScalar._map_mul(self._re, other._re, re, +1)
-        RadicalScalar._map_mul(self._im, other._im, re, -1)
-        RadicalScalar._map_mul(self._re, other._im, im, +1)
-        RadicalScalar._map_mul(self._im, other._re, im, +1)
-        return RadicalScalar(re, im)
+        out: dict = {}
+        for r1, (p1, q1) in self._terms.items():
+            for r2, (p2, q2) in other._terms.items():
+                g = math.gcd(r1, r2)
+                _add_into(out, (r1 // g) * (r2 // g), (p1 * p2 - q1 * q2) * g, (p1 * q2 + q1 * p2) * g)
+        return RadicalScalar(out)
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "RadicalScalar":
-        return RadicalScalar(self._re, {r: -c for r, c in self._im.items()})
+        return RadicalScalar({r: (p, -q) for r, (p, q) in self._terms.items()})
 
     def times_i_power(self, k: int) -> "RadicalScalar":
-        """Multiply by i**k exactly (k may be negative)."""
-        k %= 4
-        if k == 0:
-            return self
-        if k == 1:
-            return RadicalScalar({r: -c for r, c in self._im.items()}, self._re)
-        if k == 2:
-            return -self
-        return RadicalScalar(self._im, {r: -c for r, c in self._re.items()})
+        """Multiply by i**k exactly (k may be negative): k mod 4 turns (p, q) -> (-q, p)."""
+        terms = self._terms
+        for _ in range(k % 4):
+            terms = {r: (-q, p) for r, (p, q) in terms.items()}
+        return RadicalScalar(terms)
 
     # ---- comparison / hashing ------------------------------------------
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RadicalScalar):
             return NotImplemented
-        return self._re == other._re and self._im == other._im
+        return self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash((self.real_terms(), self.imag_terms()))
+        return hash(frozenset(self._terms.items()))
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -224,14 +210,13 @@ class RadicalScalar:
     # ---- conversions ----------------------------------------------------
 
     def to_complex(self) -> complex:
-        re = sum(float(c) * math.sqrt(r) for r, c in self._re.items())
-        im = sum(float(c) * math.sqrt(r) for r, c in self._im.items())
-        return complex(re, im)
+        return sum((complex(p, q) * math.sqrt(r) for r, (p, q) in self._terms.items()), 0j)
 
     def to_json(self) -> dict:
+        items = sorted(self._terms.items())
         return {
-            "real": [{"radicand": r, "coeff": str(c)} for r, c in self.real_terms()],
-            "imag": [{"radicand": r, "coeff": str(c)} for r, c in self.imag_terms()],
+            "real": [{"radicand": r, "coeff": str(p)} for r, (p, _) in items if p],
+            "imag": [{"radicand": r, "coeff": str(q)} for r, (_, q) in items if q],
         }
 
     @staticmethod

@@ -216,8 +216,9 @@ class TestMalformedInput:
             ({"terms": "x"}, "terms must be a list"),
             ({"terms": ["x"]}, "terms[0] must be an object"),
             ([TERM], "JSON object"),
+            ({"terms": [TERM], "schema": True}, "unsupported schema True"),         # True == 1 in Python
         ],
-        ids=["float-spin", "string-coeff", "string-terms", "string-term", "top-level-list"],
+        ids=["float-spin", "string-coeff", "string-terms", "string-term", "top-level-list", "schema-true"],
     )
     def test_function_file(self, capsys, tmp_path, obj, message):
         path = tmp_path / "bad.json"
@@ -271,9 +272,10 @@ class TestMalformedInput:
             ({"factors": [], "shift": {"l": "1/2", "m": "3/2", "n": "1/2"}},
              "shift: |m|,|n| must not exceed l: l=1/2, m=3/2, n=1/2"),
             ({"factors": [], "shift": "x"}, "shift: expected an object with fields l, m, n"),
+            ({"factors": [INDEX], "schema": True}, "unsupported schema True"),
         ],
         ids=["no-factors", "string-factors", "string-factor", "float-l", "third-l", "power-0", "power-true",
-             "power-float", "shift-out-of-range", "string-shift"],
+             "power-float", "shift-out-of-range", "string-shift", "schema-true"],
     )
     def test_product_file(self, capsys, tmp_path, obj, message):
         """Each product-file fault is one stderr line: the path, then the field and what is wrong with it."""
@@ -1006,6 +1008,55 @@ class TestBackendContract:
                               env=dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1"))
         assert proc.returncode == 0, proc.stderr
         assert int(proc.stdout) > 0
+
+    TRACED_ARGV = (
+        ["integrate", "shifted.json"],
+        ["power-scan", "acceptance.json", "--pmax", "4", "--with-h", "2,-1,1"],
+        ["hull", "acceptance.json"],
+        ["threshold", "outside.json", "--h", "3/2,-3/2,-1/2"],
+        ["verify"],
+    )
+
+    @staticmethod
+    def _without_timing(out: str) -> dict:
+        env = json.loads(out)
+        env.pop("timing_s")
+        return env
+
+    def test_traced_calls_match_untraced(self, capsys, tmp_path, monkeypatch):
+        """Commands run under the benchmark's installed tracer print what they print untraced, and no call
+        bypasses its span: a refactor of a wrapped function or RadicalScalar method cannot break traced runs
+        unseen."""
+        for name, obj in GOLDEN_FILES.items():
+            (tmp_path / name).write_text(json.dumps(obj))
+        root = pathlib.Path(__file__).resolve().parents[1]
+        path = os.pathsep.join(p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p)
+        script = textwrap.dedent(f"""
+            import contextlib, io, json, sys
+            import su2haar.cli
+            sys.path.insert(0, {str(root / 'clibench')!r})
+            import tracer
+            trace = tracer.install()
+            runs = []
+            for argv in {[list(argv) for argv in self.TRACED_ARGV]!r}:
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = su2haar.cli.main(argv)
+                runs.append([code, out.getvalue(), err.getvalue()])
+            summary = trace.summary()
+            print(json.dumps({{"runs": runs, "escaped": summary["escaped"], "calls": summary["calls"]}}))
+        """)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, cwd=tmp_path,
+                              env=dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1"))
+        assert proc.returncode == 0, proc.stderr
+        traced = json.loads(proc.stdout)
+        assert traced["escaped"] == {}
+        assert traced["calls"].get("scalars", 0) > 0 and traced["calls"].get("cli.main") == len(self.TRACED_ARGV)
+        monkeypatch.chdir(tmp_path)
+        for argv, (code, out, err) in zip(self.TRACED_ARGV, traced["runs"]):
+            expected = run_cli(capsys, *argv)
+            assert (code, err) == (expected[0], expected[2]), argv
+            assert self._without_timing(out) == self._without_timing(expected[1]), argv
 
 
 class TestColdStart:

@@ -14,6 +14,7 @@ from su2haar.harness import (
     run_verification_suite,
     trial_rng,
 )
+from su2haar.hull import SupportHull, origin_in_hull
 from su2haar.powers import power_scan
 from su2haar.scalars import RadicalScalar
 
@@ -200,3 +201,25 @@ class TestVerificationSuite:
             "schur-orthogonality", "single-element-scans", "two-term-criterion",
             "three-term-rank-consistency", "threshold-soundness",
         ]
+
+
+# Origin inside the hull, yet every power integral vanishes: the converse of the
+# proven direction, stated on the raw (m, n) support, is false.
+INSIDE_BUT_VANISHING = [
+    # -t[1,-1,-1] + t[1/2,-1/2,1/2] - t[1/2,1/2,1/2] + t[1,1,-1]
+    pytest.param((((1, -1, -1), -1), ((H, -H, H), 1), ((H, H, H), -1), ((1, 1, -1), 1)), id="A"),
+    # 1/2 t[1,0,-1] - i t[1,0,0] - t[1,0,1] - t[2,-2,0]: t[2,-2,0] enters no balanced
+    # product, and (1/2, -i, -1) is a null vector of the spin-1 row n = 0
+    pytest.param((((1, 0, -1), H), ((1, 0, 0), (0, -1)), ((1, 0, 1), -1), ((2, -2, 0), -1)), id="B"),
+]
+
+
+@pytest.mark.parametrize("terms", INSIDE_BUT_VANISHING)
+def test_inside_instance_with_all_powers_zero(terms):
+    f = ff(*terms)
+    assert origin_in_hull(SupportHull.from_function(f))
+    assert all(v.is_zero() for _, v in power_scan(f, 40))
+    assert all(v.is_zero() for _, v in composition_power_scan(f, 8))
+    report = check_proven_direction(f, 40)
+    assert report.verdict == "inconclusive-candidate"
+    assert report.origin_inside and report.first_nonzero_p is None

@@ -171,3 +171,47 @@ class TestRadicalScalar:
             real=[(Fraction(1), 2)], imag=[(Fraction(-3), 5)]
         )
         assert not (x * x.conjugate()).imag_terms()
+
+
+class TestRadicalScalarLaws:
+    """Laws of the one-map value type that the examples above leave open."""
+
+    @given(scalars)
+    def test_times_i_power_is_repeated_multiplication_by_i(self, x):
+        for k in range(-9, 10):
+            unit = RadicalScalar.from_gaussian(0, 1 if k >= 0 else -1)
+            expected = x
+            for _ in range(abs(k)):
+                expected = expected * unit
+            assert x.times_i_power(k) == expected, k
+
+    @given(scalars, scalars, scalars)
+    @settings(max_examples=100)
+    def test_associativity(self, x, y, z):
+        assert (x * y) * z == x * (y * z)
+
+    @given(term_lists, term_lists, st.randoms(use_true_random=False))
+    def test_equal_values_hash_equal(self, real, imag, rnd):
+        """Each term c*sqrt(r) rewritten as (c/2)*sqrt(r) + (c/4k)*sqrt(4k^2 r), then shuffled."""
+        def disguise(terms):
+            out = []
+            for c, r in terms:
+                k = rnd.choice((1, 2, 3))
+                out += [(c / 2, r), (c / (4 * k), 4 * k * k * r)]
+            rnd.shuffle(out)
+            return out
+
+        x = RadicalScalar.from_terms(real=real, imag=imag)
+        y = RadicalScalar.from_terms(real=disguise(real), imag=disguise(imag))
+        assert y == x
+        assert hash(y) == hash(x)
+        assert len({x, y}) == 1
+
+    @given(scalars, coeffs, st.integers(1, 12))
+    def test_as_rational_returns_a_fraction(self, x, c, k):
+        square = RadicalScalar.from_terms(real=[(c, k * k)])
+        assert square.as_rational() == c * k
+        for value in (square, x - x, x * 0, RadicalScalar.from_rational(k), RadicalScalar.from_gaussian(c, 0)):
+            assert type(value.as_rational()) is Fraction
+        if x.is_rational():
+            assert type(x.as_rational()) is Fraction

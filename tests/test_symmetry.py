@@ -176,3 +176,11 @@ def test_instances_reach_irrational_values():
         for value in scan(terms, h, pmax):
             radicands.update(r for r, _ in value.real_terms() + value.imag_terms())
     assert {2, 5, 10} <= radicands
+
+
+def test_conjugation_deep():
+    """Conjugation on the acceptance instance at pmax 64, plain scan only."""
+    g = mapped(ff(*ACCEPTANCE), conjugate_index, conj=True)
+    expected = [v.conjugate() for v in scan(ACCEPTANCE, None, 64)]
+    assert values(power_scan(g, 64)) == expected
+    assert any(not v.is_zero() for v in expected)
