@@ -46,6 +46,7 @@ from .numeric import (
     McEstimate,
     eval_matrix_element,
     mc_integral,
+    mc_scan,
 )
 
 __all__ = [
@@ -86,4 +87,5 @@ __all__ = [
     "McEstimate",
     "eval_matrix_element",
     "mc_integral",
+    "mc_scan",
 ]

@@ -30,7 +30,7 @@ from ._kernel import backend_name
 from .harness import FuzzConfig, fuzz, run_verification_suite
 from .hull import OriginInHullError, SupportHull, hull_certificate, vanishing_threshold
 from .integrals import ProductSpec, integrate_product
-from .numeric import mc_integral
+from .numeric import mc_integral, mc_scan
 from .powers import FiniteFunction, power_scan
 from .scalars import half_str, parse_half
 from .wigner import MatrixElementIndex
@@ -52,7 +52,7 @@ def _load(path: str, parse):
     if not isinstance(obj, dict):
         raise InputError(f"{path}: expected a JSON object at the top level")
     schema = obj.get("schema", 1)
-    if schema != 1 or isinstance(schema, bool):          # True == 1 in Python
+    if type(schema) is not int or schema != 1:          # True == 1 == 1.0 in Python
         raise InputError(f"{path}: unsupported schema {schema!r}")
     try:
         return parse(obj)
@@ -77,17 +77,15 @@ def _check_mc(ns) -> None:
         raise InputError("--seed must be >= 0 with --mc")
 
 
-def _mc_block(target, samples: int, seed: int) -> dict:
+def _numeric(estimates) -> list:
+    """The `numeric` block of each McEstimate that estimates() returns; a float overflow exits 2."""
     try:
-        est = mc_integral(target, samples=samples, seed=seed)
+        return [
+            {"mean_re": est.mean.real, "mean_im": est.mean.imag, "std_error": est.std_error, "samples": est.samples}
+            for est in estimates()
+        ]
     except OverflowError:
         raise InputError("--mc: a coefficient is too large for floating point") from None
-    return {
-        "mean_re": est.mean.real,
-        "mean_im": est.mean.imag,
-        "std_error": est.std_error,
-        "samples": est.samples,
-    }
 
 
 def _cmd_integrate(ns):
@@ -95,7 +93,8 @@ def _cmd_integrate(ns):
     spec = _load(ns.file, ProductSpec.from_json)
     fields = {"exact": integrate_product(spec).to_json()}
     if ns.mc:
-        fields.update(numeric=_mc_block(spec, ns.mc, ns.seed), seed=ns.seed)
+        numeric, = _numeric(lambda: [mc_integral(spec, samples=ns.mc, seed=ns.seed)])
+        fields.update(numeric=numeric, seed=ns.seed)
     return fields, 0
 
 
@@ -105,17 +104,14 @@ def _cmd_power_scan(ns):
     _check_mc(ns)
     f = _load(ns.file, FiniteFunction.from_json)
     witness = parse_index_flag(ns.with_h, "--with-h") if ns.with_h is not None else None
-    rows = []
-    for p, value in power_scan(f, ns.pmax, witness=witness):
-        row = {"P": p, "exact": value.to_json()}
-        if ns.mc:
-            target = (f, p, witness) if witness is not None else (f, p)
-            row["numeric"] = _mc_block(target, ns.mc, ns.seed + p)
-        rows.append(row)
+    rows = [{"P": p, "exact": value.to_json()} for p, value in power_scan(f, ns.pmax, witness=witness)]
     fields = {"scan": rows, "pmax": ns.pmax}
     if witness is not None:
         fields["with_h"] = ns.with_h
     if ns.mc:
+        numeric = _numeric(lambda: mc_scan(f, ns.pmax, witness, samples=ns.mc, seed=ns.seed))
+        for row, block in zip(rows, numeric):
+            row["numeric"] = block
         fields["seed"] = ns.seed
     return fields, 0
 

@@ -6,11 +6,12 @@ same pinned phase convention.  The test suite builds its numeric
 representation matrices and the 2x2 composition check of every spin on
 `eval_matrix_element` (`tests/oracles.py`).
 
-Draws.  `mc_integral` draws chunks of `_CHUNK` samples from one PCG64 stream,
-in a fixed order per chunk: phi uniform on [0, 2pi), then psi uniform on
-[-2pi, 2pi), then U uniform on [0, 1).  U is already u = sin^2(theta/2) of a
-Haar-distributed theta = arccos(1 - 2U), so c = cos(theta/2) = sqrt(1 - U)
-and s = sin(theta/2) = sqrt(U), with no inverse cosine.
+Draws.  `mc_integral` and `mc_scan` draw chunks of `_CHUNK` samples from one
+PCG64 stream, in a fixed order per chunk: phi uniform on [0, 2pi), then psi
+uniform on [-2pi, 2pi), then U uniform on [0, 1).  U is already
+u = sin^2(theta/2) of a Haar-distributed theta = arccos(1 - 2U), so
+c = cos(theta/2) = sqrt(1 - U) and s = sin(theta/2) = sqrt(U), with no
+inverse cosine.
 
 Blocks.  Each chunk is evaluated in lazily made blocks of `_BLOCK` samples.
 A block holds its tables: e^(-i phi/2) and e^(-i psi/2), each from one
@@ -25,10 +26,13 @@ terms are summed as they are: expanding c^2 = 1 - u into a polynomial in u
 loses digits to the cancelling binomials (up to 4e-3 absolute at spin 20,
 against 1e-11 here).  `eval_matrix_element` reads a one-sample block.
 
-Targets.  Every target of `mc_integral` is one product of powered sums: a
-`ProductSpec` gives one single-element factor per (index, power), and
-(f, P[, h]) gives the sum of f's terms at power P, then h at power 1.  Each
-power is one repeated squaring.
+Targets.  `mc_integral` estimates one product: a `ProductSpec` gives one
+single-element factor per (index, power), each power one repeated squaring.
+`mc_scan` estimates every integral(f^P [h]) for P = 1..pmax from one pass:
+per block it sums f's elements once, evaluates h once, and forms base^P by
+one multiplication from base^(P-1), folding each row into its sums before
+the next is formed.  Its rows read the same draws, so they are correlated;
+each row's mean and standard error are those of a run on that row alone.
 
 numpy is imported by the functions that use it, on the first Monte Carlo or
 `eval_matrix_element` call, so importing the package does not load it.
@@ -37,7 +41,7 @@ numpy is imported by the functions that use it, on the first Monte Carlo or
 from __future__ import annotations
 
 import math
-from typing import Iterator, NamedTuple, Tuple, Union
+from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from .integrals import ProductSpec
 from .powers import FiniteFunction
@@ -178,56 +182,89 @@ def eval_matrix_element(idx: MatrixElementIndex, g: EulerAngles) -> complex:
     return complex(_Block.at(g).element(_resolve(idx))[0])
 
 
-McTarget = Union[ProductSpec, Tuple[FiniteFunction, int], Tuple[FiniteFunction, int, MatrixElementIndex]]
+def _estimates(rows: int, integrand: Callable[[_Block], Iterable], samples: int, seed: int) -> List[McEstimate]:
+    """The McEstimate of each of `rows` integrands over `samples` draws seeded with `seed`.
 
-
-def mc_integral(target: McTarget, samples: int = 1_000_000, seed: int = 0) -> McEstimate:
-    """Monte Carlo Haar estimate of a product integral or of integral(f^P [h]).
-
-    target: a ProductSpec, or (f, P), or (f, P, h).  Deterministic for a
-    given (seed, samples): draws happen in fixed-size chunks from one
-    PCG64 stream, and block sums merge by sample count.  Raises
-    OverflowError, without numpy warnings, when the mean or its standard
-    error is not finite in floating point.
+    integrand(block) yields the rows' values on a block in row order; each
+    array is folded into its row's sums before the next is asked for.  Block
+    sums merge by sample count.  Raises OverflowError, without numpy
+    warnings, when a row's mean or standard error is not finite in floating
+    point.
     """
     import numpy as np
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    total = [0.0 + 0.0j] * rows
+    total_sq_re = [0.0] * rows
+    total_sq_im = [0.0] * rows
+    estimates = []
+    with np.errstate(over="ignore", invalid="ignore"):      # a non-finite result raises below
+        for block in _blocks(np.random.default_rng(seed), samples):
+            for row, vals in enumerate(integrand(block)):
+                total[row] += vals.sum()
+                total_sq_re[row] += float(np.sum(vals.real ** 2))
+                total_sq_im[row] += float(np.sum(vals.imag ** 2))
 
-    # (elements summed, power) per factor of one product
-    if isinstance(target, ProductSpec):
-        factors = [([_resolve(idx)], power) for idx, power in target.factors]
-    else:
-        f, power = target[0], target[1]
-        factors = [([_resolve(idx, complex(float(re), float(im))) for idx, (re, im) in f.terms], power)]
-        factors += [([_resolve(h)], 1) for h in target[2:]]
+        for row in range(rows):
+            mean = total[row] / samples
+            if samples > 1:
+                var_re = max(total_sq_re[row] / samples - mean.real ** 2, 0.0) * samples / (samples - 1)
+                var_im = max(total_sq_im[row] / samples - mean.imag ** 2, 0.0) * samples / (samples - 1)
+                std_error = math.sqrt((var_re + var_im) / samples)
+            else:
+                std_error = 0.0
+            if not all(map(math.isfinite, (mean.real, mean.imag, std_error))):
+                raise OverflowError("the Monte Carlo estimate is not finite in floating point")
+            estimates.append(McEstimate(mean=complex(mean), std_error=std_error, samples=samples, seed=seed))
+    return estimates
+
+
+def mc_integral(target: ProductSpec, samples: int = 1_000_000, seed: int = 0) -> McEstimate:
+    """Monte Carlo Haar estimate of the product integral `target`.
+
+    Deterministic for a given (seed, samples): draws happen in fixed-size
+    chunks from one PCG64 stream.  Raises OverflowError, without numpy
+    warnings, when the mean or its standard error is not finite in floating
+    point.
+    """
+    import numpy as np
+    factors = [(_resolve(idx), power) for idx, power in target.factors]
 
     def integrand(block):
         acc = None                      # the first factor seeds it: no pass over ones per block
-        for elements, power in factors:
-            base = block.element(elements[0])
-            for el in elements[1:]:
-                base = base + block.element(el)
-            acc = _ipow(base, power) if acc is None else acc * _ipow(base, power)
-        return np.ones(block.size, dtype=complex) if acc is None else acc
+        for el, power in factors:
+            value = _ipow(block.element(el), power)
+            acc = value if acc is None else acc * value
+        yield np.ones(block.size, dtype=complex) if acc is None else acc
 
-    total = 0.0 + 0.0j
-    total_sq_re = 0.0
-    total_sq_im = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):      # a non-finite result raises below
-        for block in _blocks(np.random.default_rng(seed), samples):
-            vals = integrand(block)
-            total += vals.sum()
-            total_sq_re += float(np.sum(vals.real ** 2))
-            total_sq_im += float(np.sum(vals.imag ** 2))
+    return _estimates(1, integrand, samples, seed)[0]
 
-        mean = total / samples
-        if samples > 1:
-            var_re = max(total_sq_re / samples - mean.real ** 2, 0.0) * samples / (samples - 1)
-            var_im = max(total_sq_im / samples - mean.imag ** 2, 0.0) * samples / (samples - 1)
-            std_error = math.sqrt((var_re + var_im) / samples)
-        else:
-            std_error = 0.0
-    if not all(map(math.isfinite, (mean.real, mean.imag, std_error))):
-        raise OverflowError("the Monte Carlo estimate is not finite in floating point")
-    return McEstimate(mean=complex(mean), std_error=std_error, samples=samples, seed=seed)
+
+def mc_scan(
+    f: FiniteFunction, pmax: int, witness: Optional[MatrixElementIndex] = None,
+    samples: int = 1_000_000, seed: int = 0,
+) -> List[McEstimate]:
+    """Monte Carlo Haar estimates of integral(f^P), or of integral(f^P * witness), for P = 1..pmax.
+
+    One pass over the draws of `mc_integral` at the same (samples, seed)
+    serves every row, so the rows are correlated.  Raises OverflowError,
+    without numpy warnings, when any row's mean or standard error is not
+    finite in floating point.
+    """
+    if pmax < 1:
+        raise ValueError("pmax must be >= 1")
+    elements = [_resolve(idx, complex(float(re), float(im))) for idx, (re, im) in f.terms]
+    h = _resolve(witness) if witness is not None else None
+
+    def integrand(block):
+        base = block.element(elements[0])
+        for el in elements[1:]:
+            base = base + block.element(el)
+        h_vals = block.element(h) if h is not None else None
+        power = base
+        for p in range(1, pmax + 1):
+            if p > 1:
+                power = power * base
+            yield power if h_vals is None else power * h_vals
+
+    return _estimates(pmax, integrand, samples, seed)

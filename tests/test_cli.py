@@ -169,10 +169,30 @@ class TestPowerScan:
         assert "--mc" in err
 
     def test_negative_seed_with_mc_exits_2(self, capsys, single_element):
-        """Row P draws with seed + P, so --seed -5 at --pmax 2 seeds below 0 on every row."""
+        """--seed -5 is refused with --mc and ignored without it."""
         argv = ["power-scan", single_element, "--pmax", "2", "--seed", "-5"]
         assert run_cli(capsys, *argv, "--mc", "10") == (2, "", "error: --seed must be >= 0 with --mc\n")
         assert run_cli(capsys, *argv)[0] == 0
+
+    def test_mc_blocks_are_one_scan(self, capsys, monkeypatch, tmp_path):
+        """Every row's numeric block comes from one mc_scan pass: one draw stream for the whole scan."""
+        from su2haar import numeric
+
+        passes = []
+        blocks = numeric._blocks
+        monkeypatch.setattr(numeric, "_blocks", lambda *args: passes.append(args) or blocks(*args))
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(GOLDEN_FILES["acceptance.json"]))
+        argv = ["power-scan", str(path), "--pmax", "6", "--with-h", "2,-1,1", "--mc", "3000", "--seed", "11"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and len(passes) == 1
+        f = su2haar.FiniteFunction.from_json(GOLDEN_FILES["acceptance.json"])
+        expected = numeric.mc_scan(f, 6, su2haar.MatrixElementIndex.of(2, -1, 1), samples=3000, seed=11)
+        rows = json.loads(out)["scan"]
+        assert [row["numeric"] for row in rows] == [
+            {"mean_re": e.mean.real, "mean_im": e.mean.imag, "std_error": e.std_error, "samples": e.samples}
+            for e in expected
+        ]
 
     @pytest.mark.parametrize("pmax", ["1", "2"])
     def test_mc_with_non_finite_estimate_exits_2(self, capsys, tmp_path, pmax):
@@ -217,8 +237,10 @@ class TestMalformedInput:
             ({"terms": ["x"]}, "terms[0] must be an object"),
             ([TERM], "JSON object"),
             ({"terms": [TERM], "schema": True}, "unsupported schema True"),         # True == 1 in Python
+            ({"terms": [TERM], "schema": 1.0}, "unsupported schema 1.0"),           # 1.0 == 1 in Python
         ],
-        ids=["float-spin", "string-coeff", "string-terms", "string-term", "top-level-list", "schema-true"],
+        ids=["float-spin", "string-coeff", "string-terms", "string-term", "top-level-list", "schema-true",
+             "schema-float"],
     )
     def test_function_file(self, capsys, tmp_path, obj, message):
         path = tmp_path / "bad.json"
@@ -273,9 +295,10 @@ class TestMalformedInput:
              "shift: |m|,|n| must not exceed l: l=1/2, m=3/2, n=1/2"),
             ({"factors": [], "shift": "x"}, "shift: expected an object with fields l, m, n"),
             ({"factors": [INDEX], "schema": True}, "unsupported schema True"),
+            ({"factors": [INDEX], "schema": 1.0}, "unsupported schema 1.0"),
         ],
         ids=["no-factors", "string-factors", "string-factor", "float-l", "third-l", "power-0", "power-true",
-             "power-float", "shift-out-of-range", "string-shift", "schema-true"],
+             "power-float", "shift-out-of-range", "string-shift", "schema-true", "schema-float"],
     )
     def test_product_file(self, capsys, tmp_path, obj, message):
         """Each product-file fault is one stderr line: the path, then the field and what is wrong with it."""
@@ -707,6 +730,9 @@ class TestGoldenOutputs:
             (["power-scan", "radicals.json", "--pmax", "12", "--with-h", "3/2,-1/2,1/2"], (0, "6f21cdb94ef707ec", E)),
             (["integrate", "shifted.json"], (0, "9a2e852e2841543d", E)),
             (["integrate", "shifted.json", "--mc", "2000", "--seed", "3"], (0, "e1c5ff80fad7dd9e", E)),
+            (["power-scan", "acceptance.json", "--pmax", "4", "--mc", "2000", "--seed", "3"], (0, "4143b0a66a99e4e4", E)),
+            (["power-scan", "acceptance.json", "--pmax", "4", "--mc", "2000", "--seed", "3", "--with-h", "2,-1,1"],
+             (0, "78c46fd793d61230", E)),
             (["hull", "acceptance.json"], (0, "dec701f92e19a315", E)),
             (["hull", "outside.json"], (0, "8af21db3c29b8c52", E)),
             (["threshold", "acceptance.json", "--h", "1,0,0"], (3, E, "b6cc0593e966fdfa")),
@@ -714,6 +740,7 @@ class TestGoldenOutputs:
             (["verify"], (0, "d575b6e57cf3b04b", "a8a5c6a396a37120")),
         ],
         ids=["scan-acceptance", "scan-acceptance-with-h", "scan-radicals-with-h", "integrate-shift", "integrate-shift-mc",
+             "scan-acceptance-mc", "scan-acceptance-with-h-mc",
              "hull-inside", "hull-outside", "threshold-inside", "threshold-outside", "verify"],
     )
     def test_pinned_output(self, capsys, tmp_path, monkeypatch, argv, pinned):
@@ -1012,6 +1039,7 @@ class TestBackendContract:
     TRACED_ARGV = (
         ["integrate", "shifted.json"],
         ["power-scan", "acceptance.json", "--pmax", "4", "--with-h", "2,-1,1"],
+        ["power-scan", "acceptance.json", "--pmax", "4", "--mc", "2000", "--seed", "3"],
         ["hull", "acceptance.json"],
         ["threshold", "outside.json", "--h", "3/2,-3/2,-1/2"],
         ["verify"],

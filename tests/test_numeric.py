@@ -23,6 +23,7 @@ from su2haar.numeric import (
     _resolve,
     eval_matrix_element,
     mc_integral,
+    mc_scan,
 )
 from su2haar.powers import FiniteFunction
 from su2haar.wigner import MatrixElementIndex
@@ -168,12 +169,12 @@ class TestMcIntegral:
 
     def test_power_target(self):
         f = FiniteFunction.from_terms([((H, H, H), (1, 0))])
-        est = mc_integral((f, 1), samples=200_000, seed=3)
+        est = mc_scan(f, 1, samples=200_000, seed=3)[-1]
         assert abs(est.mean) <= 5 * est.std_error
 
     def test_witness_target(self):
         f = FiniteFunction.from_terms([((H, H, H), (1, 0))])
-        est = mc_integral((f, 2, idx(1, -1, -1)), samples=300_000, seed=4)
+        est = mc_scan(f, 2, idx(1, -1, -1), samples=300_000, seed=4)[-1]
         assert abs(est.mean - 1 / 3) <= 5 * est.std_error
 
     def test_seed_determinism(self):
@@ -218,12 +219,12 @@ class TestMcIntegral:
 
 class TestDrawStream:
     def test_mean_over_the_documented_draws(self):
-        """mc_integral is the mean of f^P over phi, psi, then U draws, theta = arccos(1 - 2U)."""
+        """mc_scan's last row is the mean of f^P over phi, psi, then U draws, theta = arccos(1 - 2U)."""
         f = FiniteFunction.from_terms([((H, H, -H), (1, 0)), ((Fraction(3, 2), -H, Fraction(3, 2)), (2, -1))])
         power, seed = 3, 21
         n = _BLOCK + 300                    # past one block boundary, within one chunk
         assert n <= _CHUNK
-        est = mc_integral((f, power), samples=n, seed=seed)
+        est = mc_scan(f, power, samples=n, seed=seed)[-1]
 
         local = np.random.default_rng(seed)
         phi = local.uniform(0.0, 2.0 * math.pi, n)
@@ -236,12 +237,33 @@ class TestDrawStream:
         ]
         assert abs(est.mean - np.mean(values)) <= 1e-12
 
+    @pytest.mark.parametrize("witness", [None, idx(1, -1, 0)], ids=["plain", "with-h"])
+    def test_every_row_is_the_mean_over_the_documented_draws(self, witness):
+        """Row P of mc_scan is the mean of f^P [h] over the documented draws, drawn once for every row."""
+        f = FiniteFunction.from_terms([((H, H, -H), (1, 0)), ((Fraction(3, 2), -H, Fraction(3, 2)), (2, -1))])
+        pmax, seed = 5, 22
+        n = _BLOCK + 300
+        rows = mc_scan(f, pmax, witness, samples=n, seed=seed)
+
+        local = np.random.default_rng(seed)
+        phi = local.uniform(0.0, 2.0 * math.pi, n)
+        psi = local.uniform(-2.0 * math.pi, 2.0 * math.pi, n)
+        theta = np.arccos(1.0 - 2.0 * local.uniform(0.0, 1.0, n))
+        coeffs = [(index, complex(float(re), float(im))) for index, (re, im) in f.terms]
+        draws = [EulerAngles(*g) for g in zip(phi, theta, psi)]
+        bases = np.array([sum(a * eval_matrix_element(index, g) for index, a in coeffs) for g in draws])
+        h = np.array([eval_matrix_element(witness, g) for g in draws]) if witness is not None else 1.0
+        assert len(rows) == pmax
+        for p, est in enumerate(rows, start=1):
+            assert (est.samples, est.seed) == (n, seed)
+            assert abs(est.mean - np.mean(bases ** p * h)) <= 1e-12, p
+
     def test_terms_resolve_once_per_call(self, monkeypatch):
         calls = []
         original = numeric.theta_restriction
         monkeypatch.setattr(numeric, "theta_restriction", lambda index: calls.append(index) or original(index))
         f = FiniteFunction.from_terms([((H, H, -H), (1, 0)), ((1, 0, 1), (0, 1))])
-        mc_integral((f, 2, idx(1, 0, 0)), samples=3 * _BLOCK, seed=1)
+        mc_scan(f, 2, idx(1, 0, 0), samples=3 * _BLOCK, seed=1)[-1]
         assert len(calls) == 3
 
 

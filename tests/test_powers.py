@@ -160,7 +160,7 @@ class TestWitnessIntegral:
 
     def test_linearity_over_witnesses(self):
         """integral(f^P (c1 h1 + c2 h2)) built term by term matches the MC oracle."""
-        from su2haar.numeric import mc_integral
+        from su2haar.numeric import mc_scan
 
         f = ff(((H, H, H), 1), ((H, -H, -H), 1))
         h1, h2 = idx(1, -1, -1), idx(0, 0, 0)
@@ -169,8 +169,8 @@ class TestWitnessIntegral:
             power_integral_with_witness(f, p, h1) * RadicalScalar.from_rational(3)
             + power_integral_with_witness(f, p, h2) * RadicalScalar.from_rational(-2)
         )
-        rough = mc_integral((f, p, h1), samples=120_000, seed=8)
-        rough2 = mc_integral((f, p, h2), samples=120_000, seed=9)
+        rough = mc_scan(f, p, h1, samples=120_000, seed=8)[-1]
+        rough2 = mc_scan(f, p, h2, samples=120_000, seed=9)[-1]
         combo = 3 * rough.mean - 2 * rough2.mean
         err = 3 * rough.std_error + 2 * rough2.std_error
         assert abs(exact.to_complex() - combo) <= 5 * err
