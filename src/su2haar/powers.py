@@ -13,18 +13,20 @@ and with u = sin^2(theta/2) the rest of the normalized Haar measure is du on
     t[l, m, n](a(theta)) = i^phase * sqrt(r) * c^eps * s^delta * q(u),
 
 with c = cos(theta/2), s = sin(theta/2), r squarefree, q a rational
-polynomial, and the parities eps, delta fixed by (m, n).  A balanced
-product has even parities, so its integral is integral_0^1 poly(u) du =
+polynomial, and the parities eps, delta bit 1 of 2m + 2n and of 2m - 2n.
+A product's parities are those of its total frequency, so a balanced
+product has even parities and its integral is integral_0^1 poly(u) du =
 sum_j c_j / (j + 1): the constant-term view of Duistermaat and van der
 Kallen.  `integrate_product` computes single products from the same form.
 
-States.  After step P a state is the part of f^P (times h, folded in as the
-starting state) with total frequency (M, N), keyed by
-(2M, 2N, eps, delta, r).  Every coefficient is scaled by one common integer
-E per factor of f, so the state's polynomial has Gaussian-integer
-coefficients.  Each polynomial is Kronecker-packed (`_kernel.pack`) into two
-Python ints, its real and imaginary parts, with one signed slot of w bits per
-power of u.  A step is a few big-integer multiplies per (state, element):
+States.  After step P a state is the part of f^P times the start with
+total frequency (M, N) and radicand r, keyed by (2M, 2N, r).  The start is
+h, or t[0,0,0] = 1 without a witness; a state's parities are read off
+(2M, 2N).  Every coefficient is scaled by one common integer E per factor
+of f, so the state's polynomial has Gaussian-integer coefficients.  Each
+polynomial is Kronecker-packed (`_kernel.pack`) into two Python ints, its
+real and imaginary parts, with one signed slot of w bits per power of u.
+A step is a few big-integer multiplies per (state, element):
 c^2 folds in as 1 - u, s^2 as u, and sqrt(a) * sqrt(b) as
 g * sqrt(ab / g^2), g = gcd(a, b).
 
@@ -32,9 +34,9 @@ Slot bound.  Writing ||.|| for the sum of |re| + |im| over all coefficients,
 one step multiplies the summed norm of all states by at most
 sum_i 2 r_i ||Q_i|| (Q_i the scaled polynomial of element i, r_i its
 radicand), so every coefficient any state can hold is bounded by
-||H|| * (sum_i 2 r_i ||Q_i||)^pmax, with H the scaled witness polynomial
-(1 without a witness).  w is fixed from that bound up front, so every slot
-unpacks exactly.
+||H|| * (sum_i 2 r_i ||Q_i||)^pmax, with H the scaled polynomial of the
+start (1 without a witness).  w is fixed from that bound up front, so every
+slot unpacks exactly.
 
 Pruning.  A state at step p can still reach the target (M, N) = 0 within at
 most rem = pmax - p further steps only if -(M, N) lies in
@@ -160,7 +162,8 @@ class FiniteFunction:
                     f"terms[{i}].coeff: exponent notation is not accepted; write an integer, p/q or a decimal"
                 )
             try:
-                re, im = Fraction(parts[0]), Fraction(parts[1])
+                # a JSON number is the decimal it prints as (0.1 is 1/10); its exponent is at most 308
+                re, im = (Fraction(repr(x) if isinstance(x, float) else x) for x in parts)
             except (ValueError, ZeroDivisionError, OverflowError):
                 raise ValueError(f"terms[{i}].coeff: invalid rational") from None
             terms.append((idx, (re, im)))
@@ -181,15 +184,14 @@ def enumerate_balanced_compositions(
     return _kernel.balanced_compositions(ms2, ns2, power, target[0], target[1])
 
 
-_StateKey = Tuple[int, int, int, int, int]          # (2M, 2N, eps, delta, radicand)
+_StateKey = Tuple[int, int, int]          # (2M, 2N, radicand)
 
 
 def _scaled_u_polys(terms) -> Tuple[int, Dict[_StateKey, List[Tuple[int, int]]]]:
     """(E, polys): sum_i A_i t_i as Gaussian-integer u-polynomials over one denominator E.
 
-    Keys are (2m, 2n, eps, delta, r).  Elements sharing (m, n) share their
-    parities and phase, so terms that also share the radicand add into one
-    polynomial.
+    Keys are (2m, 2n, r).  Elements sharing (m, n) share their parities and
+    phase, so terms that also share the radicand add into one polynomial.
     """
     forms = [(idx, coeff, theta_restriction(idx)) for idx, coeff in terms]
     scale = lcm(*(form.denom * lcm(re.denominator, im.denominator) for _, (re, im), form in forms))
@@ -198,7 +200,7 @@ def _scaled_u_polys(terms) -> Tuple[int, Dict[_StateKey, List[Tuple[int, int]]]]
         unit = scale // form.denom
         re, im = re.numerator * (unit // re.denominator), im.numerator * (unit // im.denominator)
         re, im = ((re, im), (-im, re), (-re, -im), (im, -re))[form.phase]      # times i^phase
-        acc = polys.setdefault((idx.m2, idx.n2, form.eps, form.delta, form.radicand), [])
+        acc = polys.setdefault((idx.m2, idx.n2, form.radicand), [])
         acc.extend([(0, 0)] * (len(form.poly) - len(acc)))
         for j, q in enumerate(form.poly):
             acc[j] = (acc[j][0] + re * q, acc[j][1] + im * q)
@@ -225,11 +227,9 @@ def power_scan(
     if pmax < 1:
         raise ValueError("pmax must be >= 1")
     scale_f, elements = _scaled_u_polys(f.terms)
-    if witness is None:
-        scale_h, start = 1, {(0, 0, 0, 0, 1): [(1, 0)]}
-    else:
-        scale_h, start = _scaled_u_polys(((witness, (Fraction(1), Fraction(0))),))
-    growth = sum(2 * key[4] * _norm(poly) for key, poly in elements.items())
+    # the start is h, or t[0,0,0] = 1 without a witness
+    scale_h, start = _scaled_u_polys(((witness or MatrixElementIndex(0, 0, 0), (1, 0)),))
+    growth = sum(2 * key[2] * _norm(poly) for key, poly in elements.items())
     width = (sum(_norm(poly) for poly in start.values()) * growth ** pmax).bit_length() + 1
 
     def pack_parts(poly):
@@ -239,13 +239,14 @@ def power_scan(
     states = {key: pack_parts(poly) for key, poly in start.items()}
     hull = _halfplanes(convex_hull_ccw([k[:2] for k in elements] + [(0, 0)]))
     one_minus_u = 1 - (1 << width)
-    folded: dict = {}            # (state eps, delta, r, element) -> folded element and new parities
+    folded: dict = {}            # (state c and s bits, r, element) -> new radicand and folded element
 
-    def fold(eps, delta, r, i):
-        (_, _, e_eps, e_delta, e_r), re, im = packed[i]
+    def fold(c, s, r, i):
+        # the c (s) parity of a position (2m, 2n) is bit 1 of 2m + 2n (2m - 2n)
+        (dm, dn, e_r), re, im = packed[i]
         g = gcd(r, e_r)
-        factor = g * (one_minus_u if eps & e_eps else 1) << (width if delta & e_delta else 0)
-        return (eps ^ e_eps, delta ^ e_delta, (r // g) * (e_r // g), re * factor, im * factor)
+        factor = g * (one_minus_u if c & (dm + dn) else 1) << (width if s & (dm - dn) else 0)
+        return (r // g) * (e_r // g), re * factor, im * factor
 
     values: List[Tuple[int, RadicalScalar]] = []
     denom = scale_h
@@ -254,35 +255,33 @@ def power_scan(
         denom *= scale_f
         reachable: dict = {}
         nxt: dict = {}
-        for (m2, n2, eps, delta, r), (sr, si) in states.items():
-            for i, ((dm, dn, *_), _, _) in enumerate(packed):
+        for (m2, n2, r), (sr, si) in states.items():
+            c, s = (m2 + n2) & 2, (m2 - n2) & 2
+            for i, ((dm, dn, _), _, _) in enumerate(packed):
                 pos = (m2 + dm, n2 + dn)
                 ok = reachable.get(pos)
                 if ok is None:
                     ok = reachable[pos] = _reachable(pos, rem, hull)
                 if not ok:
                     continue
-                fkey = (eps, delta, r, i)
+                fkey = (c, s, r, i)
                 entry = folded.get(fkey)
                 if entry is None:
-                    entry = folded[fkey] = fold(eps, delta, r, i)
-                new_eps, new_delta, new_r, er, ei = entry
+                    entry = folded[fkey] = fold(c, s, r, i)
+                new_r, er, ei = entry
                 if not ei:
                     re, im = sr * er, si * er
-                elif not si:
-                    re, im = sr * er, sr * ei
                 else:
                     k1 = er * (sr + si)
                     re, im = k1 - si * (er + ei), k1 + sr * (ei - er)
-                key = (pos[0], pos[1], new_eps, new_delta, new_r)
+                key = (pos[0], pos[1], new_r)
                 acc = nxt.get(key)
                 nxt[key] = (re, im) if acc is None else (acc[0] + re, acc[1] + im)
         states = {key: v for key, v in nxt.items() if v[0] or v[1]}
         terms = {}
-        for (m2, n2, eps, delta, r), (sr, si) in states.items():
+        for (m2, n2, r), (sr, si) in states.items():
             if m2 or n2:
                 continue
-            assert not (eps or delta), "a zero-frequency product has even parities"
             re, im = u_integral(unpack(sr, width), denom), u_integral(unpack(si, width), denom)
             if re or im:
                 terms[r] = (re, im)

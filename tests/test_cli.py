@@ -222,6 +222,25 @@ class TestPowerScan:
         assert "--mc" in err
         assert "Traceback" not in err
 
+    def test_json_number_coefficient_is_its_decimal(self, capsys, tmp_path):
+        """{"re": 0.1} is 1/10 as "0.1" is, not the double nearest to it."""
+        envelopes = []
+        for coeff in ({"re": 0.1, "im": -2.5}, {"re": "0.1", "im": "-5/2"}):
+            path = tmp_path / "f.json"
+            path.write_text(json.dumps({"terms": [
+                {"l": "1/2", "m": "1/2", "n": "-1/2", "coeff": coeff},
+                {"l": "1/2", "m": "-1/2", "n": "1/2", "coeff": {"re": 1}},
+            ]}))
+            code, out, _ = run_cli(capsys, "power-scan", str(path), "--pmax", "4")
+            assert code == 0
+            env = json.loads(out)
+            env.pop("command")
+            env.pop("timing_s")
+            envelopes.append(env)
+        assert envelopes[0] == envelopes[1]
+        assert envelopes[0]["scan"][1]["exact"] == {"real": [{"radicand": 1, "coeff": "-1/10"}],
+                                                    "imag": [{"radicand": 1, "coeff": "5/2"}]}
+
 
 class TestMalformedInput:
     """Every malformed file exits 2 with one error line and no traceback."""
@@ -238,9 +257,14 @@ class TestMalformedInput:
             ([TERM], "JSON object"),
             ({"terms": [TERM], "schema": True}, "unsupported schema True"),         # True == 1 in Python
             ({"terms": [TERM], "schema": 1.0}, "unsupported schema 1.0"),           # 1.0 == 1 in Python
+            # json.dumps writes these as the JSON extensions NaN, Infinity and -Infinity
+            ({"terms": [dict(TERM, coeff={"re": float("nan")})]}, "terms[0].coeff: invalid rational"),
+            ({"terms": [dict(TERM, coeff={"re": float("inf")})]}, "terms[0].coeff: invalid rational"),
+            ({"terms": [dict(TERM, coeff={"re": 1, "im": -float("inf")})]}, "terms[0].coeff: invalid rational"),
+            ({"terms": [dict(TERM, coeff={"re": -0.0})]}, "zero coefficient on t[1,0,0]"),
         ],
         ids=["float-spin", "string-coeff", "string-terms", "string-term", "top-level-list", "schema-true",
-             "schema-float"],
+             "schema-float", "coeff-nan", "coeff-infinity", "coeff-minus-infinity", "coeff-minus-zero"],
     )
     def test_function_file(self, capsys, tmp_path, obj, message):
         path = tmp_path / "bad.json"

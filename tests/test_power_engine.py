@@ -10,6 +10,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     ACCEPTANCE,
@@ -22,7 +24,7 @@ from conftest import (
 )
 from su2haar.cli import main
 from su2haar.powers import FiniteFunction, power_scan
-from su2haar.wigner import theta_restriction
+from su2haar.wigner import MatrixElementIndex, theta_restriction
 
 H = Fraction(1, 2)
 
@@ -127,6 +129,20 @@ class TestAgainstOracles:
         scan = power_scan(g, 8, witness=h)
         assert [p for p, value in scan if not value.is_zero()] == [2]
         assert_scan_matches_oracle(g, 8, h)
+
+
+@st.composite
+def pool_functions(draw):
+    """1 to 4 distinct elements of spin <= 3/2 with coefficients from COMPLEX_POOL."""
+    indices = draw(st.lists(st.sampled_from(all_indices(Fraction(3, 2))), min_size=1, max_size=4, unique=True))
+    return FiniteFunction(tuple((i, draw(st.sampled_from(COMPLEX_POOL))) for i in indices))
+
+
+@settings(max_examples=60, deadline=None)
+@given(pool_functions(), st.integers(1, 8))
+def test_plain_scan_is_the_scan_with_witness_t000(f, pmax):
+    """Without a witness the scan starts from t[0,0,0] = 1, so naming that witness changes nothing."""
+    assert power_scan(f, pmax, MatrixElementIndex(0, 0, 0)) == power_scan(f, pmax)
 
 
 class TestFuzzStreamIdentity:

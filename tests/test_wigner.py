@@ -64,6 +64,18 @@ class TestExpansionStructure:
             assert p + q == index.l2
             assert (q - mn) % 2 == 0
 
+    def test_parities_are_bit_1_of_the_position(self):
+        """eps and delta are bit 1 of 2m + 2n and of 2m - 2n, and every (c, s) term has them.
+
+        `power_scan` reads a state's parities off its position on this rule.
+        """
+        for index in all_indices(4):
+            form = theta_restriction(index)
+            parities = ((index.m2 + index.n2) >> 1 & 1, (index.m2 - index.n2) >> 1 & 1)
+            assert (form.eps, form.delta) == parities, index
+            for c_exp, s_exp, _ in form.terms:
+                assert (c_exp % 2, s_exp % 2) == parities, index
+
     @pytest.mark.parametrize("l", range(0, 7))
     def test_legendre_consistency(self, l):
         """t[l,0,0](a(theta)) equals P_l(c^2 - s^2) expanded."""
