@@ -23,6 +23,7 @@ import dataclasses
 import json
 import sys
 import time
+from decimal import Decimal
 from types import SimpleNamespace
 
 from . import __version__
@@ -44,7 +45,7 @@ def _load(path: str, parse):
     """parse(obj) of the JSON object in `path`; every fault is an InputError naming the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+            obj = json.load(fh, parse_float=Decimal)     # a JSON number keeps every digit
     except OSError as e:
         raise InputError(f"cannot read {path}: {e}") from None
     except ValueError as e:             # bad JSON, bad UTF-8, or an integer over the digit limit
@@ -53,7 +54,7 @@ def _load(path: str, parse):
         raise InputError(f"{path}: expected a JSON object at the top level")
     schema = obj.get("schema", 1)
     if type(schema) is not int or schema != 1:          # True == 1 == 1.0 in Python
-        raise InputError(f"{path}: unsupported schema {schema!r}")
+        raise InputError(f"{path}: unsupported schema {float(schema) if isinstance(schema, Decimal) else schema!r}")
     try:
         return parse(obj)
     except ValueError as e:
@@ -281,8 +282,7 @@ def main(argv=None) -> int:
     if fields is not None:
         env = {"schema": 1, "version": __version__, "command": argv, "backend": backend_name(), **fields,
                "timing_s": round(time.perf_counter() - started, 6)}
-        json.dump(env, sys.stdout, sort_keys=True)
-        sys.stdout.write("\n")
+        sys.stdout.write(json.dumps(env, sort_keys=True) + "\n")
     return code
 
 

@@ -20,16 +20,17 @@ on [0, 1].  A product is one `ProductSpec`; an extra element, such as the
 "1/2", power a positive integer, 1 when absent) and an optional "shift"
 {"l", "m", "n"} object, which becomes one more factor of power 1.
 
-`integrate_product` works on the u-form of each element, the `eps`, `delta`,
+`integrate_product` works on the u-form of each element, the `radicand`,
 `denom` and `poly` fields of `wigner.theta_restriction`
-(i^phase * sqrt(r) * c^eps * s^delta * q(u)): it multiplies the factors'
-integer u-polynomials with the packed products of `_kernel`, sums their
-parities (a balanced product has even ones, so c^2 folds in as 1 - u and s^2
-as u) and reads the integral off as sum_j c_j / (j + 1) with `u_integral`,
-the read-out `power_scan` shares.  The closed form
-2 * (a/2)! * (b/2)! / ((a+b)/2 + 1)! of a single monomial c^a s^b, for the
-(c, s) route the tests compare against, lives with the test oracles
-(`tests/oracles.py`).  No pi ever appears in a stored value.
+(i^phase * sqrt(r) * c^eps * s^delta * q(u)).  It reads each factor's
+parities off (m, n), as `power_scan` does; a balanced product has even
+parity sums C and S, so it starts from u^(S/2) (1 - u)^(C/2), multiplies in
+the factors' integer u-polynomials with the packed products of `_kernel` and
+their radicands as one integer, and reads the integral off as
+sum_j c_j / (j + 1) with `u_integral`, the read-out `power_scan` shares.
+The closed form 2 * (a/2)! * (b/2)! / ((a+b)/2 + 1)! of a single monomial
+c^a s^b, for the (c, s) route the tests compare against, lives with the
+test oracles (`tests/oracles.py`).  No pi ever appears in a stored value.
 """
 
 from __future__ import annotations
@@ -107,21 +108,15 @@ def integrate_product(spec: ProductSpec) -> RadicalScalar:
     if frequency_of(spec) != (0, 0):
         return RadicalScalar.zero()
 
-    eps = delta = 0
-    mult = sqfree_prod = denom = 1
-    poly = [1]
+    # zero frequency makes the phase i^(N - M) 1 and the parity sums C, S even; a factor's
+    # c (s) parity is bit 1 of 2m + 2n (2m - 2n), so c2 = 2C, s2 = 2S; c^2 = 1 - u, s^2 = u
+    c2 = sum(power * ((idx.m2 + idx.n2) & 2) for idx, power in spec.factors)
+    s2 = sum(power * ((idx.m2 - idx.n2) & 2) for idx, power in spec.factors)
+    radicand = denom = 1
+    poly = [0] * (s2 // 4) + _kernel.vec_pow([1, -1], c2 // 4)
     for idx, power in spec.factors:
         form = theta_restriction(idx)
-        eps += form.eps * power
-        delta += form.delta * power
-        mult *= form.radicand ** (power // 2)
-        if power % 2:
-            sqfree_prod *= form.radicand
+        radicand *= form.radicand ** power
         denom *= form.denom ** power
         poly = _kernel.convolve(poly, _kernel.vec_pow(form.poly, power))
-
-    # zero frequency forces M = N = 0, so the phase i^(N - M) is 1 and both parity
-    # sums are even (eps_i = m_i + n_i, delta_i = m_i - n_i mod 2): c^2 = 1 - u, s^2 = u
-    assert eps % 2 == delta % 2 == 0, "a zero-frequency product has even parities"
-    poly = [0] * (delta // 2) + _kernel.convolve(poly, _kernel.vec_pow([1, -1], eps // 2))
-    return RadicalScalar.from_terms(real=[(u_integral(poly, denom) * mult, sqfree_prod)])
+    return RadicalScalar.from_terms(real=[(u_integral(poly, denom), radicand)])

@@ -57,6 +57,7 @@ multinomial sum over frequency-balanced compositions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -142,7 +143,7 @@ class FiniteFunction:
     def from_json(obj: dict) -> "FiniteFunction":
         """Parse the function-file format; any malformed shape raises ValueError."""
         if "terms" not in obj:
-            raise ValueError("missing field: terms")
+            raise ValueError("missing field 'terms'")
         if not isinstance(obj["terms"], list):
             raise ValueError("terms must be a list of term objects")
         terms = []
@@ -154,16 +155,20 @@ class FiniteFunction:
             if not isinstance(coeff, dict):
                 raise ValueError(f"terms[{i}].coeff must be an object with fields re and im")
             parts = (coeff.get("re", "0"), coeff.get("im", "0"))
-            if not all(_is_json_int_or_str(x) or isinstance(x, float) for x in parts):
+            if not all(_is_json_int_or_str(x) or isinstance(x, (float, Decimal)) for x in parts):
                 raise ValueError(f"terms[{i}].coeff: re and im must be rationals such as \"-3/4\"")
             if any(isinstance(x, str) and "e" in x.lower() for x in parts):
                 # Fraction("1e200000000") would build the integer 10^200000000
                 raise ValueError(
                     f"terms[{i}].coeff: exponent notation is not accepted; write an integer, p/q or a decimal"
                 )
+            # a JSON number keeps every digit (the CLI reads it as a Decimal; a float is the decimal it
+            # prints as, 0.1 is 1/10); a nonzero one past a double's exponent range would build 10^|exponent|
+            parts = [Decimal(repr(x)) if isinstance(x, float) else x for x in parts]
+            if any(isinstance(x, Decimal) and x and not -324 <= x.adjusted() <= 308 for x in parts):
+                raise ValueError(f"terms[{i}].coeff: a JSON number's exponent must lie in -324..308")
             try:
-                # a JSON number is the decimal it prints as (0.1 is 1/10); its exponent is at most 308
-                re, im = (Fraction(repr(x) if isinstance(x, float) else x) for x in parts)
+                re, im = (Fraction(x) for x in parts)
             except (ValueError, ZeroDivisionError, OverflowError):
                 raise ValueError(f"terms[{i}].coeff: invalid rational") from None
             terms.append((idx, (re, im)))

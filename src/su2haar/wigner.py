@@ -37,12 +37,13 @@ the (c, s) terms it carries the same expansion in u = s**2,
 
     t[l, m, n](a(theta)) = i**phase * sqrt(r) * c**eps * s**delta * q(u),
 
-with r squarefree, q an integer polynomial over one denominator and the
-parities eps, delta fixed by (m, n).  The integration engines
-(`integrate_product`, `power_scan`) compute with the u-form, the Monte Carlo
-evaluator with the (c, s) terms.  `matrix_element_trigpoly` is an uncached
-view of the (c, s) terms as RadicalScalar coefficients; the tests build
-their independent (c, s) product route on it.
+with r squarefree and q an integer polynomial over one denominator.  The
+integration engines (`integrate_product`, `power_scan`) compute with the
+u-form and read the parities eps, delta off (m, n) as bit 1 of 2m + 2n and
+of 2m - 2n; the Monte Carlo evaluator reads the (c, s) terms.
+`matrix_element_trigpoly` is an uncached view of the (c, s) terms as
+RadicalScalar coefficients; the tests build their independent (c, s)
+product route on it.
 """
 
 from __future__ import annotations
@@ -110,14 +111,13 @@ class ThetaRestriction(NamedTuple):
     """Exact data of t[l,m,n](a(theta)) in two forms over one phase and radicand.
 
     t[l,m,n](a(theta)) = i^phase * sqrt(radicand) * sum coeff * c^p * s^q
-                       = i^phase * sqrt(radicand) * c^eps * s^delta * sum_j poly[j] u^j / denom.
+                       = i^phase * sqrt(radicand) * c^eps * s^delta * sum_j poly[j] u^j / denom,
+    eps and delta being bit 1 of 2m + 2n and of 2m - 2n (not stored).
     """
 
     phase: int                  # (n - m) mod 4
     radicand: int               # squarefree part of (l+m)!(l-m)!(l+n)!(l-n)!
     terms: Tuple[Tuple[int, int, Fraction], ...]   # (c_exp, s_exp, rational coeff), c_exp + s_exp = 2l
-    eps: int                    # parity of every c_exp
-    delta: int                  # parity of every s_exp
     denom: int                  # lcm of the coefficient denominators
     poly: Tuple[int, ...]       # integer u-polynomial with floor(l) + 1 coefficients
 
@@ -163,9 +163,7 @@ def theta_restriction(idx: MatrixElementIndex) -> ThetaRestriction:
         for j in range(a + 1):
             poly[b + j] += -scaled * comb(a, j) if j % 2 else scaled * comb(a, j)
     return ThetaRestriction(
-        phase=(-mn) % 4, radicand=radicand, terms=tuple(terms),
-        eps=(l2 - mn) % 2, delta=mn % 2, denom=denom, poly=tuple(poly),
-    )
+        phase=(-mn) % 4, radicand=radicand, terms=tuple(terms), denom=denom, poly=tuple(poly))
 
 
 def matrix_element_trigpoly(idx: MatrixElementIndex) -> Dict[Tuple[int, int], RadicalScalar]:

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import time
 import warnings
 from fractions import Fraction
 
@@ -241,6 +242,26 @@ class TestPowerScan:
         assert envelopes[0]["scan"][1]["exact"] == {"real": [{"radicand": 1, "coeff": "-1/10"}],
                                                     "imag": [{"radicand": 1, "coeff": "5/2"}]}
 
+    def test_json_number_coefficient_keeps_every_digit(self, capsys, tmp_path):
+        """A JSON number past a double's 17 digits is read exactly, and an exponent past a double's range exits 2 fast."""
+        path = tmp_path / "f.json"
+        template = '{"terms": [{"l": "1", "m": "0", "n": "0", "coeff": {"re": %s}}]}'
+        path.write_text(template % "0.10000000000000000001")
+        code, out, _ = run_cli(capsys, "power-scan", str(path), "--pmax", "2")
+        assert code == 0
+        value = Fraction(10**19 + 1, 10**20) ** 2 / 3           # integral of t[1,0,0]^2 is 1/3
+        assert json.loads(out)["scan"][1]["exact"] == {"real": [{"radicand": 1, "coeff": str(value)}], "imag": []}
+        path.write_text(template % "1e5")
+        code, out, _ = run_cli(capsys, "power-scan", str(path), "--pmax", "1", "--with-h", "1,0,0")
+        assert json.loads(out)["scan"][0]["exact"]["real"] == [{"radicand": 1, "coeff": str(Fraction(10**5, 3))}]
+        for number in ("2.5e200000000", "-1e-400", "1e309"):
+            path.write_text(template % number)
+            started = time.perf_counter()
+            code, out, err = run_cli(capsys, "hull", str(path))
+            assert (code, out) == (2, ""), number
+            assert err == f"error: {path}: terms[0].coeff: a JSON number's exponent must lie in -324..308\n"
+            assert time.perf_counter() - started < 1.0, number
+
 
 class TestMalformedInput:
     """Every malformed file exits 2 with one error line and no traceback."""
@@ -262,9 +283,10 @@ class TestMalformedInput:
             ({"terms": [dict(TERM, coeff={"re": float("inf")})]}, "terms[0].coeff: invalid rational"),
             ({"terms": [dict(TERM, coeff={"re": 1, "im": -float("inf")})]}, "terms[0].coeff: invalid rational"),
             ({"terms": [dict(TERM, coeff={"re": -0.0})]}, "zero coefficient on t[1,0,0]"),
+            ({}, "missing field 'terms'"),
         ],
         ids=["float-spin", "string-coeff", "string-terms", "string-term", "top-level-list", "schema-true",
-             "schema-float", "coeff-nan", "coeff-infinity", "coeff-minus-infinity", "coeff-minus-zero"],
+             "schema-float", "coeff-nan", "coeff-infinity", "coeff-minus-infinity", "coeff-minus-zero", "no-terms"],
     )
     def test_function_file(self, capsys, tmp_path, obj, message):
         path = tmp_path / "bad.json"
@@ -739,6 +761,27 @@ GOLDEN_FILES = {
 E = "e3b0c44298fc1c14"                   # sha256 of empty output
 
 
+# id -> (argv, (exit code, sha256 prefix of stdout, of stderr)) of the pinned calls
+GOLDEN_CALLS = {
+    "scan-acceptance": (["power-scan", "acceptance.json", "--pmax", "18"], (0, "da35ac28073a5380", E)),
+    "scan-acceptance-with-h": (["power-scan", "acceptance.json", "--pmax", "18", "--with-h", "2,-1,1"],
+                               (0, "cab18c190e684ea2", E)),
+    "scan-radicals-with-h": (["power-scan", "radicals.json", "--pmax", "12", "--with-h", "3/2,-1/2,1/2"],
+                             (0, "6f21cdb94ef707ec", E)),
+    "integrate-shift": (["integrate", "shifted.json"], (0, "9a2e852e2841543d", E)),
+    "integrate-shift-mc": (["integrate", "shifted.json", "--mc", "2000", "--seed", "3"], (0, "e1c5ff80fad7dd9e", E)),
+    "scan-acceptance-mc": (["power-scan", "acceptance.json", "--pmax", "4", "--mc", "2000", "--seed", "3"],
+                           (0, "4143b0a66a99e4e4", E)),
+    "scan-acceptance-with-h-mc": (["power-scan", "acceptance.json", "--pmax", "4", "--mc", "2000", "--seed", "3",
+                                   "--with-h", "2,-1,1"], (0, "78c46fd793d61230", E)),
+    "hull-inside": (["hull", "acceptance.json"], (0, "dec701f92e19a315", E)),
+    "hull-outside": (["hull", "outside.json"], (0, "8af21db3c29b8c52", E)),
+    "threshold-inside": (["threshold", "acceptance.json", "--h", "1,0,0"], (3, E, "b6cc0593e966fdfa")),
+    "threshold-outside": (["threshold", "outside.json", "--h", "3/2,-3/2,-1/2"], (0, "c29ecdf1eb76dfa7", E)),
+    "verify": (["verify"], (0, "d575b6e57cf3b04b", "a8a5c6a396a37120")),
+}
+
+
 class TestGoldenOutputs:
     """Stdout (without timing_s and command), stderr and exit code of fixed calls, pinned.
 
@@ -746,27 +789,7 @@ class TestGoldenOutputs:
     alters any printed byte of these calls fails here.
     """
 
-    @pytest.mark.parametrize(
-        "argv, pinned",
-        [
-            (["power-scan", "acceptance.json", "--pmax", "18"], (0, "da35ac28073a5380", E)),
-            (["power-scan", "acceptance.json", "--pmax", "18", "--with-h", "2,-1,1"], (0, "cab18c190e684ea2", E)),
-            (["power-scan", "radicals.json", "--pmax", "12", "--with-h", "3/2,-1/2,1/2"], (0, "6f21cdb94ef707ec", E)),
-            (["integrate", "shifted.json"], (0, "9a2e852e2841543d", E)),
-            (["integrate", "shifted.json", "--mc", "2000", "--seed", "3"], (0, "e1c5ff80fad7dd9e", E)),
-            (["power-scan", "acceptance.json", "--pmax", "4", "--mc", "2000", "--seed", "3"], (0, "4143b0a66a99e4e4", E)),
-            (["power-scan", "acceptance.json", "--pmax", "4", "--mc", "2000", "--seed", "3", "--with-h", "2,-1,1"],
-             (0, "78c46fd793d61230", E)),
-            (["hull", "acceptance.json"], (0, "dec701f92e19a315", E)),
-            (["hull", "outside.json"], (0, "8af21db3c29b8c52", E)),
-            (["threshold", "acceptance.json", "--h", "1,0,0"], (3, E, "b6cc0593e966fdfa")),
-            (["threshold", "outside.json", "--h", "3/2,-3/2,-1/2"], (0, "c29ecdf1eb76dfa7", E)),
-            (["verify"], (0, "d575b6e57cf3b04b", "a8a5c6a396a37120")),
-        ],
-        ids=["scan-acceptance", "scan-acceptance-with-h", "scan-radicals-with-h", "integrate-shift", "integrate-shift-mc",
-             "scan-acceptance-mc", "scan-acceptance-with-h-mc",
-             "hull-inside", "hull-outside", "threshold-inside", "threshold-outside", "verify"],
-    )
+    @pytest.mark.parametrize("argv, pinned", list(GOLDEN_CALLS.values()), ids=list(GOLDEN_CALLS))
     def test_pinned_output(self, capsys, tmp_path, monkeypatch, argv, pinned):
         for name, obj in GOLDEN_FILES.items():
             (tmp_path / name).write_text(json.dumps(obj))
@@ -1148,3 +1171,89 @@ class TestColdStart:
         env.pop("command")
         digest = hashlib.sha256((json.dumps(env, sort_keys=True) + "\n").encode()).hexdigest()[:16]
         assert digest == "e1c5ff80fad7dd9e"              # TestGoldenOutputs' integrate-shift-mc pin
+
+
+TRACER = "pinned by name in clibench/tracer.py, whose install looks every name up"
+SCALAR = "RadicalScalar stays whole as the value type (README, Power engine); the test oracles compute with it"
+
+
+class TestReachability:
+    """Every function defined in src/su2haar is reached by a CLI call or listed in UNREACHED with its reason."""
+
+    CALLS = [argv for argv, _ in GOLDEN_CALLS.values()] + [
+        ["fuzz", "--seed", "1", "--trials", "30"],
+        ["fuzz", "--seed", "1", "--trials", "30", "--rank2-bias", "0.5", "--out", "fuzz.jsonl"],
+        ["-h"],
+        ["hull", "duplicate.json"],             # exit 2 from the function-file loader
+        ["integrate", "no-factors.json"],       # exit 2 from the product-file loader
+    ]
+    CODES = [code for _, (code, _, _) in GOLDEN_CALLS.values()] + [0, 0, 0, 2, 2]
+
+    # "module:qualname" -> why the package keeps a function that no call above reaches
+    UNREACHED = {
+        "_kernel:balanced_compositions": TRACER,
+        "_kernel:balanced_compositions.<locals>.descend": TRACER,
+        "powers:enumerate_balanced_compositions": TRACER,
+        "powers:power_integral_with_witness": TRACER,
+        "wigner:matrix_element_trigpoly": TRACER,
+        "numeric:eval_matrix_element": "library API shown in the README (Monte Carlo); the oracles build "
+                                       "representation matrices on it",
+        "numeric:_Block.at": "eval_matrix_element reads its one sample through it",
+        **{f"scalars:RadicalScalar.{name}": SCALAR for name in (
+            "__add__", "__sub__", "__neg__", "__mul__", "__bool__", "__hash__", "__repr__", "__str__",
+            "__str__.<locals>.side", "conjugate", "times_i_power", "one", "real_terms", "imag_terms",
+            "from_json", "from_json.<locals>.load", "to_complex")},
+    }
+
+    SCRIPT = textwrap.dedent("""
+        import contextlib, io, json, os, sys, types
+        root = os.path.join(sys.argv[1], "su2haar") + os.sep
+        reached = set()
+
+        def profile(frame, event, arg):
+            code = frame.f_code
+            if event == "call" and code.co_filename.startswith(root):
+                reached.add(os.path.basename(code.co_filename)[:-3] + ":" + code.co_qualname)
+
+        sys.setprofile(profile)
+        from su2haar.cli import main
+        codes = []
+        for argv in json.loads(sys.argv[2]):
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                codes.append(main(argv))
+        sys.setprofile(None)
+
+        defined = set()
+
+        def walk(code, module):
+            for const in code.co_consts:
+                if isinstance(const, types.CodeType):
+                    if not const.co_name.startswith("<"):       # no lambdas, comprehensions or modules
+                        defined.add(module + ":" + const.co_qualname)
+                    walk(const, module)
+
+        for name in sorted(os.listdir(root)):
+            if name.endswith(".py"):
+                with open(os.path.join(root, name), encoding="utf-8") as fh:
+                    walk(compile(fh.read(), os.path.join(root, name), "exec"), name[:-3])
+        print(json.dumps({"codes": codes, "defined": sorted(defined), "reached": sorted(reached & defined)}))
+    """)
+
+    def test_every_library_function_is_reached_or_listed(self, tmp_path):
+        for name, obj in GOLDEN_FILES.items():
+            (tmp_path / name).write_text(json.dumps(obj))
+        term = {"l": "1", "m": "0", "n": "0", "coeff": {"re": "1"}}
+        (tmp_path / "duplicate.json").write_text(json.dumps({"terms": [term, term]}))
+        (tmp_path / "no-factors.json").write_text("{}")
+        src = str(pathlib.Path(su2haar.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT, src, json.dumps(self.CALLS)], capture_output=True,
+                              text=True, cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1"))
+        assert proc.returncode == 0, proc.stderr
+        run = json.loads(proc.stdout)
+        assert run["codes"] == self.CODES
+        defined, reached = set(run["defined"]), set(run["reached"])
+        listed = set(self.UNREACHED)
+        faults = {"unreached, not listed": sorted(defined - reached - listed),
+                  "listed, but reached": sorted(listed & reached), "listed, not defined": sorted(listed - defined)}
+        assert faults == {fault: [] for fault in faults}

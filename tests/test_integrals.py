@@ -156,7 +156,29 @@ class TestIntegrateProduct:
         for spec, shift in cases:
             assert integrate_product(spec.with_extra(shift)) == integrate_via_trigpoly(spec, shift), spec.factors
 
-    def test_memoization_returns_identical_results(self):
+    @pytest.mark.parametrize("a", [1, 2, 3, 7, 40, 101])
+    def test_closed_forms_at_large_powers(self, a):
+        """c^2a, (i s)^2a and cos(theta)^2a: the c fold, the s fold with its phase, and no fold.
+
+        c^2a cos(theta) = (1 - u)^a (1 - 2u) is not symmetric under u <-> 1 - u, so it tells the folds apart.
+        """
+        c_pair = product((idx(H, H, H), a), (idx(H, -H, -H), a))
+        s_pair = product((idx(H, H, -H), a), (idx(H, -H, H), a))
+        assert integrate_product(c_pair) == RadicalScalar.from_rational(Fraction(1, a + 1))
+        assert integrate_product(s_pair) == RadicalScalar.from_rational(Fraction((-1) ** a, a + 1))
+        assert integrate_product(product((idx(1, 0, 0), 2 * a))) == RadicalScalar.from_rational(Fraction(1, 2 * a + 1))
+        value = integrate_product(c_pair.with_extra(idx(1, 0, 0)))
+        assert value == RadicalScalar.from_rational(Fraction(a, (a + 1) * (a + 2)))
+
+    @pytest.mark.parametrize("a", [5, 7])
+    def test_odd_power_of_radicand_6(self, a):
+        """t[2,-1,0] carries sqrt(6); at an odd power the value keeps one sqrt(6), equal to the (c, s) route."""
+        spec = product((idx(2, -1, 0), a), (idx(H, H, -H), a), (idx(Fraction(3, 2), H, H), a))
+        value = integrate_product(spec)
+        assert [r for r, _ in value.real_terms()] == [6] and not value.imag_terms()
+        assert value == integrate_via_trigpoly(spec)
+
+    def test_repeated_calls_return_equal_results(self):
         spec = product((idx(1, 1, 1), 2), (idx(1, -1, -1), 2))
         first = integrate_product(spec)
         second = integrate_product(spec)
