@@ -48,7 +48,7 @@ def _load(path: str, parse):
             obj = json.load(fh, parse_float=Decimal)     # a JSON number keeps every digit
     except OSError as e:
         raise InputError(f"cannot read {path}: {e}") from None
-    except ValueError as e:             # bad JSON, bad UTF-8, or an integer over the digit limit
+    except (ValueError, RecursionError) as e:   # bad JSON or UTF-8, an integer over the digit limit, deep nesting
         raise InputError(f"{path}: invalid JSON: {e}") from None
     if not isinstance(obj, dict):
         raise InputError(f"{path}: expected a JSON object at the top level")

@@ -8,14 +8,16 @@ some nonzero power is "consistent", and an all-zero scan up to the horizon
 is only "inconclusive-candidate": no finite horizon proves anything.  The
 converse of the proven direction, stated on the raw (m, n) support, is
 false: some functions with the origin inside the hull have every power
-integral zero (two are pinned in tests/test_harness.py).
+integral zero (two are pinned in tests/test_harness.py).  A report keeps
+its evidence and reads its verdict off it; a summary tallies its reports.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -70,25 +72,31 @@ def classify_instance(f: FiniteFunction) -> str:
 
 @dataclass(frozen=True)
 class InstanceReport:
-    """Outcome of scanning one instance against the proven direction."""
+    """One instance, its hull verdict and its scan; the verdict is read off them."""
 
     function: FiniteFunction
-    case_tag: str
     origin_inside: bool
-    pmax: int
     scan: Tuple[Tuple[int, RadicalScalar], ...]
-    verdict: str
-    first_nonzero_p: Optional[int]
     trial: Optional[int] = None
+
+    @property
+    def first_nonzero_p(self) -> Optional[int]:
+        return next((p for p, v in self.scan if not v.is_zero()), None)
+
+    @property
+    def verdict(self) -> str:
+        if self.first_nonzero_p is None:
+            return VERDICT_INCONCLUSIVE if self.origin_inside else VERDICT_CONSISTENT
+        return VERDICT_CONSISTENT if self.origin_inside else VERDICT_VIOLATION
 
     def to_json(self) -> dict:
         return {
             "schema": 1,
             "trial": self.trial,
             "function": self.function.to_json(),
-            "case": self.case_tag,
+            "case": classify_instance(self.function),
             "origin_inside": self.origin_inside,
-            "pmax": self.pmax,
+            "pmax": len(self.scan),
             "first_nonzero_p": self.first_nonzero_p,
             "scan": [[p, v.to_json()] for p, v in self.scan],
             "verdict": self.verdict,
@@ -98,22 +106,7 @@ class InstanceReport:
 def check_proven_direction(f: FiniteFunction, pmax: int, trial: Optional[int] = None) -> InstanceReport:
     """Scan integral(f^P) for P <= pmax and judge it against the hull verdict."""
     inside = origin_in_hull(SupportHull.from_function(f))
-    scan = tuple(power_scan(f, pmax))
-    first_nonzero = next((p for p, v in scan if not v.is_zero()), None)
-    if not inside:
-        verdict = VERDICT_VIOLATION if first_nonzero is not None else VERDICT_CONSISTENT
-    else:
-        verdict = VERDICT_CONSISTENT if first_nonzero is not None else VERDICT_INCONCLUSIVE
-    return InstanceReport(
-        function=f,
-        case_tag=classify_instance(f),
-        origin_inside=inside,
-        pmax=pmax,
-        scan=scan,
-        verdict=verdict,
-        first_nonzero_p=first_nonzero,
-        trial=trial,
-    )
+    return InstanceReport(f, inside, tuple(power_scan(f, pmax)), trial)
 
 
 @dataclass(frozen=True)
@@ -147,13 +140,26 @@ class FuzzConfig:
             )
 
 
-@dataclass
+@dataclass(frozen=True)
 class FuzzSummary:
     seed: int
-    trials_run: int
-    counts_by_verdict: Dict[str, int] = field(default_factory=dict)
-    counts_by_case: Dict[str, int] = field(default_factory=dict)
-    violations: List[int] = field(default_factory=list)
+    reports: Tuple[InstanceReport, ...]
+
+    @property
+    def trials_run(self) -> int:
+        return len(self.reports)
+
+    @property
+    def counts_by_verdict(self) -> Dict[str, int]:
+        return Counter(r.verdict for r in self.reports)
+
+    @property
+    def counts_by_case(self) -> Dict[str, int]:
+        return Counter(classify_instance(r.function) for r in self.reports)
+
+    @property
+    def violations(self) -> List[int]:
+        return [r.trial for r in self.reports if r.verdict == VERDICT_VIOLATION]
 
     def to_json(self) -> dict:
         return {
@@ -163,7 +169,7 @@ class FuzzSummary:
             "trials_run": self.trials_run,
             "counts_by_verdict": dict(sorted(self.counts_by_verdict.items())),
             "counts_by_case": dict(sorted(self.counts_by_case.items())),
-            "violations": list(self.violations),
+            "violations": self.violations,
         }
 
 
@@ -250,20 +256,13 @@ def fuzz(cfg: FuzzConfig) -> Tuple[List[InstanceReport], FuzzSummary]:
     The violating report (with full reproduction data) is the last element of
     the returned list when the summary records a violation.
     """
-    summary = FuzzSummary(seed=cfg.seed, trials_run=0)
     reports: List[InstanceReport] = []
     for trial in range(cfg.trials):
-        rng = trial_rng(cfg.seed, trial)
-        f = generate_instance(rng, cfg)
-        report = check_proven_direction(f, cfg.p_max, trial=trial)
-        reports.append(report)
-        summary.trials_run += 1
-        summary.counts_by_verdict[report.verdict] = summary.counts_by_verdict.get(report.verdict, 0) + 1
-        summary.counts_by_case[report.case_tag] = summary.counts_by_case.get(report.case_tag, 0) + 1
-        if report.verdict == VERDICT_VIOLATION:
-            summary.violations.append(trial)
+        f = generate_instance(trial_rng(cfg.seed, trial), cfg)
+        reports.append(check_proven_direction(f, cfg.p_max, trial=trial))
+        if reports[-1].verdict == VERDICT_VIOLATION:
             break
-    return reports, summary
+    return reports, FuzzSummary(cfg.seed, tuple(reports))
 
 
 @dataclass(frozen=True)

@@ -134,13 +134,6 @@ class _Block:
         self._c, self._s = _Powers(c), _Powers(s)
         self._phi, self._psi = _Powers(z_phi), _Powers(z_psi)
 
-    @staticmethod
-    def at(g: EulerAngles) -> "_Block":
-        import numpy as np
-        half = 0.5 * g.theta
-        return _Block(np.array([g.phi]), np.array([math.cos(half)]),
-                      np.array([math.sin(half)]), np.array([g.psi]))
-
     def element(self, el: _Element):
         c, s = self._c, self._s
         acc = 0.0
@@ -179,7 +172,11 @@ def _ipow(z, power: int):
 
 def eval_matrix_element(idx: MatrixElementIndex, g: EulerAngles) -> complex:
     """exp(-i m phi) * t[l,m,n](a(theta)) * exp(-i n psi)."""
-    return complex(_Block.at(g).element(_resolve(idx))[0])
+    import numpy as np
+    half = 0.5 * g.theta
+    block = _Block(np.array([g.phi]), np.array([math.cos(half)]),
+                   np.array([math.sin(half)]), np.array([g.psi]))
+    return complex(block.element(_resolve(idx))[0])
 
 
 def _estimates(rows: int, integrand: Callable[[_Block], Iterable], samples: int, seed: int) -> List[McEstimate]:

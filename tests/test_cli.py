@@ -312,6 +312,23 @@ class TestMalformedInput:
         assert (code, out) == (2, "")
         assert "invalid JSON" in err
 
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("hull", '{"terms": ' + "[" * 1000 + "]" * 1000 + "}"),
+            ("integrate", '{"factors": [' + '{"a": ' * 5000 + "1" + "}" * 5000 + "]}"),
+        ],
+        ids=["function-file", "product-file"],
+    )
+    def test_deep_nesting(self, capsys, tmp_path, command, text):
+        """json.load raises RecursionError past about 1 000 levels; that is invalid JSON too."""
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, command, str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: invalid JSON: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_exponent_notation_coefficient_rejected(self, capsys, tmp_path):
         """Fraction("1e200000000") would build 10^200000000; exponents are refused up front."""
         path = tmp_path / "f.json"
@@ -707,25 +724,10 @@ class TestFuzzCommand:
         assert "cannot write" in err
 
     def test_violation_exits_4_with_reproduction_data(self, capsys, monkeypatch):
+        """A hull that wrongly puts the origin outside turns the first nonzero scan into a violation."""
         import su2haar.harness as harness_mod
-        from su2haar.harness import InstanceReport, check_proven_direction
 
-        real = check_proven_direction
-
-        def forced_violation(f, pmax, trial=None):
-            report = real(f, pmax, trial=trial)
-            return InstanceReport(
-                function=report.function,
-                case_tag=report.case_tag,
-                origin_inside=report.origin_inside,
-                pmax=report.pmax,
-                scan=report.scan,
-                verdict="violation",
-                first_nonzero_p=report.first_nonzero_p,
-                trial=report.trial,
-            )
-
-        monkeypatch.setattr(harness_mod, "check_proven_direction", forced_violation)
+        monkeypatch.setattr(harness_mod, "origin_in_hull", lambda hull: False)
         code, out, err = run_cli(capsys, "fuzz", "--seed", "2", "--trials", "5", "--pmax", "2")
         assert code == 4
         assert "violation at trial 0" in err
@@ -733,6 +735,7 @@ class TestFuzzCommand:
         assert json.loads(lines[0])["verdict"] == "violation"
         assert json.loads(lines[0])["function"]["terms"]
         assert json.loads(lines[-1])["violations"] == [0]
+        assert json.loads(lines[0])["first_nonzero_p"] == 1 and len(lines) == 2     # the run stops at trial 0
 
 
 def _terms(*rows):
@@ -1198,7 +1201,6 @@ class TestReachability:
         "wigner:matrix_element_trigpoly": TRACER,
         "numeric:eval_matrix_element": "library API shown in the README (Monte Carlo); the oracles build "
                                        "representation matrices on it",
-        "numeric:_Block.at": "eval_matrix_element reads its one sample through it",
         **{f"scalars:RadicalScalar.{name}": SCALAR for name in (
             "__add__", "__sub__", "__neg__", "__mul__", "__bool__", "__hash__", "__repr__", "__str__",
             "__str__.<locals>.side", "conjugate", "times_i_power", "one", "real_terms", "imag_terms",

@@ -7,6 +7,8 @@ from conftest import all_indices, composition_power_scan, ff
 from su2haar.harness import (
     DEFAULT_COEFF_POOL,
     FuzzConfig,
+    FuzzSummary,
+    InstanceReport,
     check_proven_direction,
     classify_instance,
     fuzz,
@@ -78,6 +80,43 @@ class TestProvenDirection:
         assert obj["trial"] == 7
         assert obj["case"] == "single"
         assert len(obj["scan"]) == 3
+
+
+class TestVerdictRule:
+    """The verdict, first nonzero P, pmax and case of a hand-built report are read off its evidence."""
+
+    ZERO, ONE = RadicalScalar.zero(), RadicalScalar.from_rational(1)
+    F = ff(((1, 1, 0), 1), ((1, 0, 1), 1), ((1, -1, -1), 1))
+
+    @pytest.mark.parametrize(
+        "inside, values, verdict, first",
+        [
+            (False, (ZERO, ONE, ZERO), "violation", 2),
+            (False, (ZERO, ZERO, ZERO), "consistent", None),
+            (True, (ZERO, ONE, ZERO), "consistent", 2),
+            (True, (ZERO, ZERO, ZERO), "inconclusive-candidate", None),
+        ],
+        ids=["outside-nonzero", "outside-zero", "inside-nonzero", "inside-zero"],
+    )
+    def test_verdict(self, inside, values, verdict, first):
+        report = InstanceReport(self.F, inside, tuple(enumerate(values, 1)), trial=5)
+        assert (report.verdict, report.first_nonzero_p) == (verdict, first)
+        obj = report.to_json()
+        assert (obj["verdict"], obj["first_nonzero_p"], obj["trial"]) == (verdict, first, 5)
+        assert obj["pmax"] == len(values) == 3
+        assert obj["case"] == classify_instance(self.F) == "three-term-rank-3"
+
+    def test_summary_tallies_its_reports(self):
+        zeros = ((1, self.ZERO), (2, self.ZERO))
+        reports = (InstanceReport(self.F, True, zeros, 0), InstanceReport(ff(((H, H, H), 1)), False, zeros, 1),
+                   InstanceReport(self.F, False, ((1, self.ONE),), 2))
+        summary = FuzzSummary(seed=9, reports=reports)
+        assert summary.to_json() == {
+            "schema": 1, "summary": True, "seed": 9, "trials_run": 3,
+            "counts_by_verdict": {"consistent": 1, "inconclusive-candidate": 1, "violation": 1},
+            "counts_by_case": {"single": 1, "three-term-rank-3": 2},
+            "violations": [2],
+        }
 
 
 class TestFuzz:
