@@ -361,8 +361,6 @@ def _suite_two_term() -> str:
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             p1, p2 = pts[i], pts[j]
-            if p1 == p2 == (0, 0):
-                continue
             i1, i2 = _min_spin_index(p1), _min_spin_index(p2)
             f = FiniteFunction(
                 ((i1, (Fraction(1), Fraction(0))), (i2, (Fraction(1), Fraction(0))))

@@ -22,7 +22,7 @@ on [0, 1].  A product is one `ProductSpec`; an extra element, such as the
 
 `integrate_product` works on the u-form of each element, the `radicand`,
 `denom` and `poly` fields of `wigner.theta_restriction`
-(i^phase * sqrt(r) * c^eps * s^delta * q(u)).  It reads each factor's
+(i^(n-m) * sqrt(r) * c^eps * s^delta * q(u)).  It reads each factor's
 parities off (m, n), as `power_scan` does; a balanced product has even
 parity sums C and S, so it starts from u^(S/2) (1 - u)^(C/2), multiplies in
 the factors' integer u-polynomials with the packed products of `_kernel` and

@@ -17,9 +17,10 @@ Blocks.  Each chunk is evaluated in lazily made blocks of `_BLOCK` samples.
 A block holds its tables: e^(-i phi/2) and e^(-i psi/2), each from one
 tan(-angle/4) by the half-angle formulas, and the powers of those and of c
 and s, each power one multiplication from the one before (conj for negative
-powers).  An element, resolved once per call from `theta_restriction`, reads
+powers).  An element, resolved once per call from `theta_restriction`, with
+its phase i^(n-m) read off (m, n), reads
 
-    t[l,m,n](g) = i^phase sqrt(r) e^(-i phi/2)^(2m) (sum_k coeff_k c^p_k s^q_k) e^(-i psi/2)^(2n)
+    t[l,m,n](g) = i^(n-m) sqrt(r) e^(-i phi/2)^(2m) (sum_k coeff_k c^p_k s^q_k) e^(-i psi/2)^(2n)
 
 from them, with no complex exp and no float pow per element.  The (c, s)
 terms are summed as they are: expanding c^2 = 1 - u into a polynomial in u
@@ -77,7 +78,7 @@ class _Element(NamedTuple):
 def _resolve(idx: MatrixElementIndex, coeff: complex = 1.0) -> _Element:
     """coeff * t[l,m,n] in float form, from the exact (c, s) expansion."""
     data = theta_restriction(idx)
-    scale = coeff * _I_POWERS[data.phase] * math.sqrt(data.radicand)
+    scale = coeff * _I_POWERS[(idx.n2 - idx.m2) // 2 % 4] * math.sqrt(data.radicand)
     terms = tuple((p, q, float(c)) for p, q, c in data.terms)
     return _Element(idx.m2, idx.n2, scale, terms)
 

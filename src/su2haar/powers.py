@@ -10,22 +10,26 @@ and with u = sin^2(theta/2) the rest of the normalized Haar measure is du on
 [0, 1].  Each element restricted to a(theta) reads (the u-form fields of
 `wigner.theta_restriction`)
 
-    t[l, m, n](a(theta)) = i^phase * sqrt(r) * c^eps * s^delta * q(u),
+    t[l, m, n](a(theta)) = i^(n - m) * sqrt(r) * c^eps * s^delta * q(u),
 
 with c = cos(theta/2), s = sin(theta/2), r squarefree, q a rational
 polynomial, and the parities eps, delta bit 1 of 2m + 2n and of 2m - 2n.
-A product's parities are those of its total frequency, so a balanced
-product has even parities and its integral is integral_0^1 poly(u) du =
-sum_j c_j / (j + 1): the constant-term view of Duistermaat and van der
-Kallen.  `integrate_product` computes single products from the same form.
+A product's phase and parities are those of its total frequency, so a
+balanced product has phase i^(N - M) = 1 and even parities, and its
+integral is integral_0^1 poly(u) du = sum_j c_j / (j + 1): the
+constant-term view of Duistermaat and van der Kallen.  Both engines
+therefore integrate phase-free: `integrate_product` computes single products
+from the same form, and `power_scan` applies no phase.
 
 States.  After step P a state is the part of f^P times the start with
 total frequency (M, N) and radicand r, keyed by (2M, 2N, r).  The start is
 h, or t[0,0,0] = 1 without a witness; a state's parities are read off
-(2M, 2N).  Every coefficient is scaled by one common integer E per factor
-of f, so the state's polynomial has Gaussian-integer coefficients.  Each
-polynomial is Kronecker-packed (`_kernel.pack`) into two Python ints, its
-real and imaginary parts, with one signed slot of w bits per power of u.
+(2M, 2N), and so is its phase i^(N - M), which no state carries: only the
+state at (0, 0), of phase 1, is read out.  Every coefficient is scaled by
+one common integer E per factor of f, so the state's polynomial has
+Gaussian-integer coefficients.  Each polynomial is Kronecker-packed
+(`_kernel.pack`) into two Python ints, its real and imaginary parts, with
+one signed slot of w bits per power of u.
 A step is a few big-integer multiplies per (state, element):
 c^2 folds in as 1 - u, s^2 as u, and sqrt(a) * sqrt(b) as
 g * sqrt(ab / g^2), g = gcd(a, b).
@@ -64,7 +68,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import _kernel
 from ._kernel import pack, unpack
-from .hull import _halfplanes, convex_hull_ccw
+from .hull import _halfplanes, convex_hull_ccw, two_term_criterion
 from .integrals import u_integral
 from .scalars import RadicalScalar
 from .wigner import MatrixElementIndex, theta_restriction
@@ -195,8 +199,9 @@ _StateKey = Tuple[int, int, int]          # (2M, 2N, radicand)
 def _scaled_u_polys(terms) -> Tuple[int, Dict[_StateKey, List[Tuple[int, int]]]]:
     """(E, polys): sum_i A_i t_i as Gaussian-integer u-polynomials over one denominator E.
 
-    Keys are (2m, 2n, r).  Elements sharing (m, n) share their parities and
-    phase, so terms that also share the radicand add into one polynomial.
+    Keys are (2m, 2n, r).  Elements sharing (m, n) share their parities, so
+    terms that also share the radicand add into one polynomial.  No phase
+    i^(n - m) is applied: the read-out state at (0, 0) has phase 1.
     """
     forms = [(idx, coeff, theta_restriction(idx)) for idx, coeff in terms]
     scale = lcm(*(form.denom * lcm(re.denominator, im.denominator) for _, (re, im), form in forms))
@@ -204,7 +209,6 @@ def _scaled_u_polys(terms) -> Tuple[int, Dict[_StateKey, List[Tuple[int, int]]]]
     for idx, (re, im), form in forms:
         unit = scale // form.denom
         re, im = re.numerator * (unit // re.denominator), im.numerator * (unit // im.denominator)
-        re, im = ((re, im), (-im, re), (-re, -im), (im, -re))[form.phase]      # times i^phase
         acc = polys.setdefault((idx.m2, idx.n2, form.radicand), [])
         acc.extend([(0, 0)] * (len(form.poly) - len(acc)))
         for j, q in enumerate(form.poly):
@@ -315,24 +319,15 @@ def minimal_balanced_pair(p1: Tuple[int, int], p2: Tuple[int, int]) -> Tuple[int
     """Componentwise-minimal nonzero (alpha, beta) in N^2 balancing two twice-int support points.
 
     Solves alpha*m1 + beta*m2 = 0 = alpha*n1 + beta*n2 for points satisfying
-    the two-point vanishing criterion (zero determinant, nonpositive
-    coordinate products, not both points zero).
+    `hull.two_term_criterion`, not both zero.  Under the criterion one point
+    is a nonpositive multiple of the other, so (||p2||_1, ||p1||_1) solves it
+    and its quotient by the gcd is the minimal solution.
     """
     (m1, n1), (m2, n2) = p1, p2
     if (m1, n1) == (0, 0) and (m2, n2) == (0, 0):
         raise NoSolutionError("both points are the origin")
-    det = m1 * n2 - m2 * n1
-    if det != 0 or m1 * m2 > 0 or n1 * n2 > 0:
+    if not two_term_criterion(p1, p2):
         raise NoSolutionError(f"twice-int points {p1}, {p2} do not meet the two-point criterion")
-    if (m1, n1) == (0, 0):
-        return (1, 0)
-    if (m2, n2) == (0, 0):
-        return (0, 1)
-    if m1 != 0 or m2 != 0:
-        alpha, beta = abs(m2), abs(m1)
-    else:
-        alpha, beta = abs(n2), abs(n1)
-    if alpha * m1 + beta * m2 != 0 or alpha * n1 + beta * n2 != 0:
-        raise NoSolutionError(f"no nonzero natural solution for twice-int points {p1}, {p2}")
+    alpha, beta = abs(m2) + abs(n2), abs(m1) + abs(n1)
     g = gcd(alpha, beta)
     return (alpha // g, beta // g)

@@ -35,15 +35,16 @@ ints; `MatrixElementIndex.of` and `from_json` parse half-integer input with
 `theta_restriction` returns the one exact record of an element.  Beside
 the (c, s) terms it carries the same expansion in u = s**2,
 
-    t[l, m, n](a(theta)) = i**phase * sqrt(r) * c**eps * s**delta * q(u),
+    t[l, m, n](a(theta)) = i**(n-m) * sqrt(r) * c**eps * s**delta * q(u),
 
 with r squarefree and q an integer polynomial over one denominator.  The
-integration engines (`integrate_product`, `power_scan`) compute with the
-u-form and read the parities eps, delta off (m, n) as bit 1 of 2m + 2n and
-of 2m - 2n; the Monte Carlo evaluator reads the (c, s) terms.
-`matrix_element_trigpoly` is an uncached view of the (c, s) terms as
-RadicalScalar coefficients; the tests build their independent (c, s)
-product route on it.
+phase i**(n-m) and the parities eps, delta (bit 1 of 2m + 2n and of
+2m - 2n) are read off (m, n), not stored.  The integration engines
+(`integrate_product`, `power_scan`) compute with the u-form and need no
+phase, since a balanced product has phase 1; the Monte Carlo evaluator
+reads the (c, s) terms and the phase.  `matrix_element_trigpoly` is an
+uncached view of the (c, s) terms as RadicalScalar coefficients; the tests
+build their independent (c, s) product route on it.
 """
 
 from __future__ import annotations
@@ -108,14 +109,14 @@ class MatrixElementIndex:
 
 
 class ThetaRestriction(NamedTuple):
-    """Exact data of t[l,m,n](a(theta)) in two forms over one phase and radicand.
+    """Exact data of t[l,m,n](a(theta)) in two forms over one radicand.
 
-    t[l,m,n](a(theta)) = i^phase * sqrt(radicand) * sum coeff * c^p * s^q
-                       = i^phase * sqrt(radicand) * c^eps * s^delta * sum_j poly[j] u^j / denom,
-    eps and delta being bit 1 of 2m + 2n and of 2m - 2n (not stored).
+    t[l,m,n](a(theta)) = i^(n-m) * sqrt(radicand) * sum coeff * c^p * s^q
+                       = i^(n-m) * sqrt(radicand) * c^eps * s^delta * sum_j poly[j] u^j / denom,
+    eps and delta being bit 1 of 2m + 2n and of 2m - 2n; the phase and the
+    parities are read off the index, not stored.
     """
 
-    phase: int                  # (n - m) mod 4
     radicand: int               # squarefree part of (l+m)!(l-m)!(l+n)!(l-n)!
     terms: Tuple[Tuple[int, int, Fraction], ...]   # (c_exp, s_exp, rational coeff), c_exp + s_exp = 2l
     denom: int                  # lcm of the coefficient denominators
@@ -162,14 +163,14 @@ def theta_restriction(idx: MatrixElementIndex) -> ThetaRestriction:
         scaled = coeff.numerator * (denom // coeff.denominator)
         for j in range(a + 1):
             poly[b + j] += -scaled * comb(a, j) if j % 2 else scaled * comb(a, j)
-    return ThetaRestriction(
-        phase=(-mn) % 4, radicand=radicand, terms=tuple(terms), denom=denom, poly=tuple(poly))
+    return ThetaRestriction(radicand=radicand, terms=tuple(terms), denom=denom, poly=tuple(poly))
 
 
 def matrix_element_trigpoly(idx: MatrixElementIndex) -> Dict[Tuple[int, int], RadicalScalar]:
-    """The (c, s) terms of t[l,m,n](a(theta)) as {(c_exp, s_exp): coeff}, phase and radicand folded in."""
+    """The (c, s) terms of t[l,m,n](a(theta)) as {(c_exp, s_exp): coeff}, phase i^(n-m) and radicand folded in."""
     data = theta_restriction(idx)
+    phase = (idx.n2 - idx.m2) // 2
     return {
-        (c_exp, s_exp): RadicalScalar.from_terms(real=[(coeff, data.radicand)]).times_i_power(data.phase)
+        (c_exp, s_exp): RadicalScalar.from_terms(real=[(coeff, data.radicand)]).times_i_power(phase)
         for c_exp, s_exp, coeff in data.terms
     }

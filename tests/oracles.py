@@ -15,6 +15,9 @@ is an independent route to a value the package computes another way:
   rationals, for the multinomial sums that check `power_scan`;
 * `dense_convolve` and `dense_vec_pow`: the schoolbook coefficient loop, for
   the packed products of `_kernel.convolve` and `_kernel.vec_pow`;
+* `weyl_power_integrals`: integral(f^P) of a class function by the Weyl
+  integration formula, a power of a one-variable Laurent polynomial, for
+  deep scans of `power_scan`;
 * numeric group matrices: Haar sampling, the 2x2 matrix of Euler angles and
   back, spin-l representation matrices built on `eval_matrix_element`, and
   the homomorphism check T(g1) T(g2) = T(g1 g2).
@@ -208,6 +211,38 @@ def dense_vec_pow(v: Sequence[int], p: int) -> List[int]:
     for _ in range(p):
         result = dense_convolve(result, v)
     return result
+
+
+def weyl_power_integrals(chars: Sequence[Tuple[int, GaussianRational]], pmax: int) -> List[RadicalScalar]:
+    """[integral(f^P) for P = 1..pmax] of the class function f = sum_l a_l chi_l.
+
+    `chars` holds pairs (l2, a_l): twice a spin and a Gaussian-rational
+    coefficient.  On the torus chi_l = sum_m t[l,m,m] is sum_m w^(2m), and the
+    Weyl integration formula gives integral(f^P) = 1/2 CT[F(w)^P (2 - w^2 - w^-2)]
+    with F(w) = sum_l a_l sum_m w^(2m).  F is a list of Gaussian-integer pairs
+    (re, im) over one denominator `den`, index e + lmax holding w^e, and F^P is
+    built by P schoolbook products; no u-form, state, pruning or radicand.
+    """
+    den = math.lcm(*(Fraction(x).denominator for _, a in chars for x in a))
+    lmax = max(l2 for l2, _ in chars)
+    base = [(0, 0)] * (2 * lmax + 1)
+    for l2, a in chars:
+        re, im = (int(Fraction(x) * den) for x in a)
+        for e in range(-l2, l2 + 1, 2):
+            base[e + lmax] = (base[e + lmax][0] + re, base[e + lmax][1] + im)
+    values, power = [], [(1, 0)]            # F^0, w^0 at index 0
+    for p in range(1, pmax + 1):
+        out = [(0, 0)] * (len(power) + 2 * lmax)
+        for i, (pr, pi) in enumerate(power):
+            for j, (br, bi) in enumerate(base):
+                re, im = out[i + j]
+                out[i + j] = (re + pr * br - pi * bi, im + pr * bi + pi * br)
+        power = out                          # w^e at index e + p * lmax
+        at = lambda e: power[e + p * lmax] if 0 <= e + p * lmax < len(power) else (0, 0)
+        ct = [2 * at(0)[k] - at(2)[k] - at(-2)[k] for k in (0, 1)]
+        values.append(RadicalScalar.from_terms(real=[(Fraction(ct[0], 2 * den ** p), 1)],
+                                               imag=[(Fraction(ct[1], 2 * den ** p), 1)]))
+    return values
 
 
 def sample_haar(rng: np.random.Generator) -> EulerAngles:

@@ -195,6 +195,18 @@ class TestPowerScan:
             for e in expected
         ]
 
+    @pytest.mark.parametrize("command, fixture, flags, rows", [
+        ("integrate", "schur_product", [], 1),
+        ("power-scan", "single_element", ["--pmax", "2"], 2),
+    ], ids=["integrate", "power-scan"])
+    def test_one_sample_has_zero_std_error(self, capsys, request, command, fixture, flags, rows):
+        """With one sample there is no variance to estimate: every row reports a standard error of 0."""
+        code, out, _ = run_cli(capsys, command, request.getfixturevalue(fixture), *flags, "--mc", "1")
+        env = json.loads(out)
+        assert code == 0
+        assert [(row["numeric"]["samples"], row["numeric"]["std_error"]) for row in env.get("scan", [env])] == [
+            (1, 0.0)] * rows
+
     @pytest.mark.parametrize("pmax", ["1", "2"])
     def test_mc_with_non_finite_estimate_exits_2(self, capsys, tmp_path, pmax):
         """10^200 fits a float but its square does not: at P=1 the mean is finite and the
@@ -267,6 +279,7 @@ class TestMalformedInput:
     """Every malformed file exits 2 with one error line and no traceback."""
 
     TERM = {"l": "1", "m": "0", "n": "0", "coeff": {"re": "1", "im": "0"}}
+    RATIONALS = 'terms[0].coeff: re and im must be rationals such as "-3/4"'
 
     @pytest.mark.parametrize(
         "obj, message",
@@ -284,9 +297,14 @@ class TestMalformedInput:
             ({"terms": [dict(TERM, coeff={"re": 1, "im": -float("inf")})]}, "terms[0].coeff: invalid rational"),
             ({"terms": [dict(TERM, coeff={"re": -0.0})]}, "zero coefficient on t[1,0,0]"),
             ({}, "missing field 'terms'"),
+            ({"terms": [dict(TERM, coeff={"re": [1]})]}, RATIONALS),
+            ({"terms": [dict(TERM, coeff={"im": {"p": 1}})]}, RATIONALS),
+            ({"terms": [dict(TERM, coeff={"re": True})]}, RATIONALS),
+            ({"terms": [dict(TERM, coeff={"im": None})]}, RATIONALS),
         ],
         ids=["float-spin", "string-coeff", "string-terms", "string-term", "top-level-list", "schema-true",
-             "schema-float", "coeff-nan", "coeff-infinity", "coeff-minus-infinity", "coeff-minus-zero", "no-terms"],
+             "schema-float", "coeff-nan", "coeff-infinity", "coeff-minus-infinity", "coeff-minus-zero", "no-terms",
+             "coeff-re-list", "coeff-im-object", "coeff-re-boolean", "coeff-im-null"],
     )
     def test_function_file(self, capsys, tmp_path, obj, message):
         path = tmp_path / "bad.json"

@@ -6,6 +6,7 @@ unfiltered brute-force sum.  Fuzz streams must be byte-identical to the ones
 the harness writes with the oracle in place of the engine.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -22,8 +23,10 @@ from conftest import (
     ff,
     idx,
 )
+from oracles import weyl_power_integrals
 from su2haar.cli import main
 from su2haar.powers import FiniteFunction, power_scan
+from su2haar.scalars import RadicalScalar
 from su2haar.wigner import MatrixElementIndex, theta_restriction
 
 H = Fraction(1, 2)
@@ -143,6 +146,40 @@ def pool_functions(draw):
 def test_plain_scan_is_the_scan_with_witness_t000(f, pmax):
     """Without a witness the scan starts from t[0,0,0] = 1, so naming that witness changes nothing."""
     assert power_scan(f, pmax, MatrixElementIndex(0, 0, 0)) == power_scan(f, pmax)
+
+
+def class_function(chars) -> FiniteFunction:
+    """f = sum_l a_l chi_l, chi_l = sum_m t[l,m,m], from pairs (l2, a_l) of distinct twice-spins."""
+    return FiniteFunction(tuple((MatrixElementIndex(l2, m2, m2), a) for l2, a in chars for m2 in range(-l2, l2 + 1, 2)))
+
+
+def scan_values(f, pmax):
+    return [value for _, value in power_scan(f, pmax)]
+
+
+class TestWeylOracle:
+    """Class functions against the Weyl integration formula, which shares no code with power_scan."""
+
+    def test_chi_half_gives_the_catalan_numbers(self):
+        values = weyl_power_integrals([(1, (1, 0))], 20)
+        catalan = [math.comb(p, p // 2) // (p // 2 + 1) if p % 2 == 0 else 0 for p in range(1, 21)]
+        assert values == [RadicalScalar.from_terms(real=[(Fraction(c), 1)]) for c in catalan]
+        assert scan_values(class_function([(1, (1, 0))]), 20) == values
+
+    # P = 48 costs about 1.4 s per row in power_scan and grows fast (about 6 s at P = 64)
+    @pytest.mark.parametrize("chars", [
+        ((2, (1, 0)), (4, (H, H)), (1, (-3, 0))),        # chi_1 + (1+i)/2 chi_2 - 3 chi_1/2
+        ((5, (1, 0)), (3, (0, -1))),                     # chi_5/2 - i chi_3/2
+    ], ids=["chi1+chi2-chi1/2", "chi5/2-i*chi3/2"])
+    def test_deep_rows(self, chars):
+        assert scan_values(class_function(chars), 48) == weyl_power_integrals(chars, 48)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 5), st.tuples(
+        st.fractions(-3, 3, max_denominator=3), st.fractions(-3, 3, max_denominator=3)).filter(any)),
+        min_size=1, max_size=3, unique_by=lambda char: char[0]), st.integers(1, 16))
+    def test_random_class_functions(self, chars, pmax):
+        assert scan_values(class_function(chars), pmax) == weyl_power_integrals(chars, pmax)
 
 
 class TestFuzzStreamIdentity:

@@ -11,6 +11,7 @@ from conftest import all_indices, brute_force_power_integral, ff, idx, pt
 from oracles import gaussian_mul, gaussian_pow
 from su2haar.hull import SupportHull, origin_in_hull
 from su2haar.integrals import ProductSpec, integrate_product
+from su2haar.numeric import mc_integral, mc_scan
 from su2haar.powers import (
     FiniteFunction,
     NoSolutionError,
@@ -297,3 +298,21 @@ class TestTwoTermPositivityMechanism:
             assert not power_integral(f, 2 * total).is_zero(), (p1, p2)
             checked += 1
         assert checked >= 20
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: SupportHull(()), ValueError, "a support hull needs at least one point"),
+    (lambda: ff(((1, 0, 0), 1j)), TypeError, "use exact (re, im) pairs, not floats"),
+    (lambda: FiniteFunction((((1, 0, 0), (1, 0)),)), TypeError, "term index must be MatrixElementIndex, got (1, 0, 0)"),
+    (lambda: ProductSpec((((1, 0, 0), 1),)), TypeError, "factor index must be MatrixElementIndex, got (1, 0, 0)"),
+    (lambda: MatrixElementIndex(2.0, 0, 0), TypeError, "index components must be twice-value ints"),
+    (lambda: power_scan(ff(((1, 0, 0), 1)), 0), ValueError, "pmax must be >= 1"),
+    (lambda: mc_scan(ff(((1, 0, 0), 1)), 0), ValueError, "pmax must be >= 1"),
+    (lambda: mc_integral(ProductSpec(((idx(1, 0, 0), 2),)), samples=0), ValueError, "samples must be >= 1"),
+], ids=["empty-hull", "complex-coeff", "non-index-term", "non-index-factor", "float-index", "power-scan-pmax-0",
+        "mc-scan-pmax-0", "mc-integral-no-samples"])
+def test_library_input_checks(call, error, message):
+    """Each library constructor and entry point rejects what the CLI never passes it."""
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message

@@ -69,7 +69,7 @@ def weyl_factor(l2, m2):
     data = theta_restriction(MatrixElementIndex(l2, m2, -m2))
     (coeff,) = [coeff for p, _, coeff in data.terms if p == 0]
     assert data.radicand == 1 and abs(coeff) == 1
-    return gaussian_mul(I_POWERS[data.phase], (coeff, Fraction(0)))
+    return gaussian_mul(I_POWERS[-m2 % 4], (coeff, Fraction(0)))        # the phase i^(n-m), n - m = -2m
 
 
 # Each translation gives (factor, image) with t[index](translated g) = factor * t[image](g).
