@@ -13,14 +13,15 @@ A flag is `--flag value` or `--flag=value`, named in full; when it repeats,
 the last one wins, and after `--` every item is a positional.  `-h` or
 `--help` prints this text.
 
-Exit codes: 0 success, 2 unreadable/invalid input or usage, 3 threshold
-precondition violated (origin inside hull), 4 fuzz found a violation,
-5 verification suite failure.  Diagnostics go to stderr; stdout carries JSON
-only (JSON-lines for fuzz streams).
+Exit codes: 0 success, 2 unreadable/invalid input or usage, or output that
+cannot be written, 3 threshold precondition violated (origin inside hull),
+4 fuzz found a violation, 5 verification suite failure.  Diagnostics go to
+stderr; stdout carries JSON only (JSON-lines for fuzz streams).
 """
 
 import dataclasses
 import json
+import os
 import sys
 import time
 from decimal import Decimal
@@ -118,22 +119,19 @@ def _cmd_power_scan(ns):
 
 
 def _cmd_hull(ns):
-    support = _load(ns.file, FiniteFunction.from_json).support_points()
-    hull = SupportHull(support)
+    hull = SupportHull(_load(ns.file, FiniteFunction.from_json).support_points())
     cert = hull_certificate(hull)
     body = {"origin_inside": cert.inside}
     if cert.inside:
-        # one weight per printed support entry: a repeated (m, n) gets 0
-        weight = dict(zip(hull.points, cert.weights))
-        body["weights"] = [str(weight.pop(point, 0)) for point in support]
+        body["weights"] = [str(w) for w in cert.weights]
     else:
         u, v, bound = cert.separator
         body["separator"] = {"u": str(u), "v": str(v), "min_dot": str(bound)}
-    return {"hull": body, "support": [[half_str(m2), half_str(n2)] for m2, n2 in support]}, 0
+    return {"hull": body, "support": [[half_str(m2), half_str(n2)] for m2, n2 in hull.points]}, 0
 
 
 def _cmd_threshold(ns):
-    hull = SupportHull.from_function(_load(ns.file, FiniteFunction.from_json))
+    hull = SupportHull(_load(ns.file, FiniteFunction.from_json).support_points())
     witness = parse_index_flag(ns.h, "--h")
     try:
         p0 = vanishing_threshold(hull, (witness.m2, witness.n2))
@@ -169,22 +167,20 @@ def _cmd_fuzz(ns):
     reports, summary = fuzz(cfg)
     lines = [json.dumps(r.to_json(), sort_keys=True) for r in reports]
     lines.append(json.dumps(summary.to_json(), sort_keys=True))
-    fields = None
+    out = "\n".join(lines) + "\n"
     if ns.out is not None:
         try:
             with open(ns.out, "a", encoding="utf-8") as fh:
-                fh.write("\n".join(lines) + "\n")
+                fh.write(out)
         except OSError as e:
             raise InputError(f"cannot write {ns.out}: {e}") from None
-        fields = {"summary": summary.to_json(), "out": ns.out, "seed": ns.seed}
-    else:
-        sys.stdout.write("\n".join(lines) + "\n")
+        out = {"summary": summary.to_json(), "out": ns.out, "seed": ns.seed}
     if summary.violations:
         print(
             f"violation at trial {summary.violations[0]}; reproduction data in the last report",
             file=sys.stderr,
         )
-    return fields, 4 if summary.violations else 0
+    return out, 4 if summary.violations else 0
 
 
 def _cmd_verify(ns):
@@ -203,7 +199,8 @@ _REQUIRED = object()                    # the default of a flag that must be giv
 _FUZZ_DEFAULT = {f.name: f.default for f in dataclasses.fields(FuzzConfig)}
 _MC_FLAGS = {"--mc": (int, 0), "--seed": (int, 0)}
 # command -> (handler, positional names, {flag: (type, default)}); a flag's attribute is
-# its name without the dashes, "-" read as "_"
+# its name without the dashes, "-" read as "_".  A handler returns (out, exit code):
+# out is the envelope's fields, the text of a fuzz stream, or None for no stdout
 _COMMANDS = {
     "integrate": (_cmd_integrate, ("file",), _MC_FLAGS),
     "power-scan": (_cmd_power_scan, ("file",), {"--pmax": (int, _REQUIRED), "--with-h": (str, None),
@@ -269,20 +266,27 @@ def _asks_help(argv: list) -> bool:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if _asks_help(argv):
-        sys.stdout.write(__doc__)
-        return 0
     try:
-        ns = parse_argv(argv)
+        ns = None if _asks_help(argv) else parse_argv(argv)
         started = time.perf_counter()
-        fields, code = _COMMANDS[ns.cmd][0](ns)
+        out, code = (__doc__, 0) if ns is None else _COMMANDS[ns.cmd][0](ns)
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    if fields is not None:
-        env = {"schema": 1, "version": __version__, "command": argv, "backend": backend_name(), **fields,
+    if isinstance(out, dict):
+        env = {"schema": 1, "version": __version__, "command": argv, "backend": backend_name(), **out,
                "timing_s": round(time.perf_counter() - started, 6)}
-        sys.stdout.write(json.dumps(env, sort_keys=True) + "\n")
+        out = json.dumps(env, sort_keys=True) + "\n"
+    try:
+        sys.stdout.write(out or "")
+        sys.stdout.flush()
+    except OSError as e:
+        print(f"error: cannot write stdout: {e}", file=sys.stderr)
+        # the text stays buffered: the flush at exit writes it nowhere rather than failing again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, 1)
+        os.close(devnull)
+        return 2
     return code
 
 

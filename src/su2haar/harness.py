@@ -105,7 +105,7 @@ class InstanceReport:
 
 def check_proven_direction(f: FiniteFunction, pmax: int, trial: Optional[int] = None) -> InstanceReport:
     """Scan integral(f^P) for P <= pmax and judge it against the hull verdict."""
-    inside = origin_in_hull(SupportHull.from_function(f))
+    inside = origin_in_hull(SupportHull(f.support_points()))
     return InstanceReport(f, inside, tuple(power_scan(f, pmax)), trial)
 
 
@@ -432,7 +432,7 @@ def _suite_threshold() -> str:
         k = rng.randint(1, 3)
         idxs = _random_distinct_indices(rng, 3, k)
         f = FiniteFunction(tuple((i, (Fraction(1), Fraction(0))) for i in idxs))
-        h = SupportHull.from_function(f)
+        h = SupportHull(f.support_points())
         if origin_in_hull(h):
             continue
         witness = _random_index(rng, 4)

@@ -2,7 +2,8 @@
 
 Points are the integer twice-coordinates (2m_i, 2n_i), plain int pairs, in
 and out: ``SupportHull.points``, the ``vanishing_threshold`` witness and the
-arguments of ``two_term_criterion`` and ``rank_classification``.  No floating
+arguments of ``two_term_criterion`` and ``rank_classification``.  A support
+keeps a point repeated at another spin; only ``convex_hull_ccw`` drops it.  No floating
 point: the certificates divide integers through ``Fraction(num, den)`` and
 are stated in the half-integer units of (m, n); the vanishing threshold
 needs only integer floor and ceiling division.
@@ -29,35 +30,34 @@ class OriginInHullError(ValueError):
 
 @dataclass(frozen=True)
 class SupportHull:
-    """Deduplicated twice-int support points (2m_i, 2n_i) and queries against their hull."""
+    """Twice-int support points (2m_i, 2n_i), one per support entry, repeats kept."""
 
     points: Tuple[Point, ...]
 
     def __post_init__(self):
         if not self.points:
             raise ValueError("a support hull needs at least one point")
-        object.__setattr__(self, "points", tuple(dict.fromkeys(self.points)))
-
-    @staticmethod
-    def from_function(f) -> "SupportHull":
-        return SupportHull(f.support_points())
 
 
 @dataclass(frozen=True)
 class HullCertificate:
-    """Rational witness for an origin-membership verdict.
+    """Rational witness for an origin-membership verdict; the verdict is read off it.
 
-    Inside: convex weights, one per stored point of the ``SupportHull`` and
+    Inside: convex weights, one per entry of ``SupportHull.points`` and
     summing to 1, that hit the origin; at most three are nonzero (the hull
-    vertices of the point, segment or fan triangle that holds the origin).
+    vertices of the point, segment or fan triangle that holds the origin),
+    and a repeated point carries its weight at its first entry only.
     Outside: a direction (u, v) and a bound with u*m + v*n >= bound > 0 on
     every support point, the bound being the minimum; (u, v) is the negated
     normal of a hull half-plane that excludes the origin.
     """
 
-    inside: bool
     weights: Optional[Tuple[Fraction, ...]] = None
     separator: Optional[Tuple[Fraction, Fraction, Fraction]] = None
+
+    @property
+    def inside(self) -> bool:
+        return self.weights is not None
 
 
 def _cross(a, b):
@@ -73,7 +73,7 @@ def _sub(a, b):
 
 
 def convex_hull_ccw(points: Sequence[Point]) -> List[Point]:
-    """Monotone chain over exact coordinates; collinear interior points dropped.
+    """Monotone chain over exact coordinates; repeated and collinear interior points dropped.
 
     Returns hull vertices in counterclockwise order (1 or 2 points for
     degenerate inputs).
@@ -133,14 +133,13 @@ def _fan_weights(hull: List[Point]) -> Dict[Point, Fraction]:
 
 def hull_certificate(h: SupportHull) -> HullCertificate:
     """Origin membership with a rational certificate either way."""
-    pts = h.points
-    hull = convex_hull_ccw(pts)
+    hull = convex_hull_ccw(h.points)
     for u, v, c in _halfplanes(hull):
         if c < 0:
             # u*x + v*y <= c < 0 on every twice-coordinate point
-            return HullCertificate(inside=False, separator=(Fraction(-u), Fraction(-v), Fraction(-c, 2)))
+            return HullCertificate(separator=(Fraction(-u), Fraction(-v), Fraction(-c, 2)))
     weights = _fan_weights(hull)
-    return HullCertificate(inside=True, weights=tuple(weights.get(p, Fraction(0)) for p in pts))
+    return HullCertificate(weights=tuple(weights.pop(p, Fraction(0)) for p in h.points))
 
 
 def origin_in_hull(h: SupportHull) -> bool:

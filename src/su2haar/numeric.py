@@ -159,8 +159,7 @@ def _blocks(rng, samples: int) -> Iterator[_Block]:
 
 
 def _ipow(z, power: int):
-    """z**power for an integer power >= 0, by repeated squaring."""
-    import numpy as np
+    """z**power for an integer power >= 1, by repeated squaring."""
     result = None
     while power:
         if power & 1:
@@ -168,7 +167,7 @@ def _ipow(z, power: int):
         power >>= 1
         if power:
             z = z * z
-    return np.ones_like(z) if result is None else result
+    return result
 
 
 def eval_matrix_element(idx: MatrixElementIndex, g: EulerAngles) -> complex:

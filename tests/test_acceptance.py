@@ -119,7 +119,7 @@ def test_acceptance_5_threshold_soundness():
     assert power_integral_with_witness(f, 2, h) == RadicalScalar.from_rational(Fraction(1, 3))
     for p in range(3, 13):
         assert power_integral_with_witness(f, p, h).is_zero(), p
-    p0 = vanishing_threshold(SupportHull.from_function(f), (h.m2, h.n2))
+    p0 = vanishing_threshold(SupportHull(f.support_points()), (h.m2, h.n2))
     assert p0 == 3
 
     rnd = random.Random(0xACCE5)
@@ -132,7 +132,7 @@ def test_acceptance_5_threshold_soundness():
         f = FiniteFunction.from_terms(
             [(i, (Fraction(rnd.choice([1, -1, 2])), Fraction(rnd.choice([0, 1])))) for i in chosen]
         )
-        hull = SupportHull.from_function(f)
+        hull = SupportHull(f.support_points())
         if origin_in_hull(hull):
             continue
         witness = rnd.choice(witness_pool)

@@ -1048,6 +1048,39 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["exact"]["real"][0]["coeff"] == "1/2"
 
+    # every command that writes stdout, into a pipe whose read end is closed, and one into a full device
+    UNWRITABLE_STDOUT = [
+        *[pytest.param(argv, "pipe", id=argv[0]) for argv in (
+            ["integrate", "shifted.json"],
+            ["power-scan", "acceptance.json", "--pmax", "3"],
+            ["hull", "acceptance.json"],
+            ["threshold", "outside.json", "--h", "3/2,-3/2,-1/2"],
+            ["fuzz", "--seed", "1", "--trials", "5"],
+            ["verify"],
+            ["-h"],
+        )],
+        pytest.param(["hull", "acceptance.json"], "/dev/full", id="hull-dev-full",
+                     marks=pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")),
+    ]
+
+    @pytest.mark.parametrize("argv, sink", UNWRITABLE_STDOUT)
+    def test_unwritable_stdout_exits_2(self, golden_dir, argv, sink):
+        src = str(pathlib.Path(su2haar.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        if sink == "pipe":
+            read_end, out = os.pipe()
+            os.close(read_end)
+        else:
+            out = os.open(sink, os.O_WRONLY)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "su2haar.cli", *argv], stdout=out, stderr=subprocess.PIPE,
+                                  text=True, cwd=golden_dir, env=dict(os.environ, PYTHONPATH=path))
+        finally:
+            os.close(out)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.splitlines()[-1].startswith("error: cannot write stdout: ")
+        assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
 
 
 class TestBackendContract:
@@ -1092,7 +1125,7 @@ class TestBackendContract:
             "from su2haar.wigner import MatrixElementIndex\n"
             "index = MatrixElementIndex.of(1, 0, 0)\n"
             "spec = ProductSpec(((index, 2),))\n"
-            "hull = SupportHull.from_function(FiniteFunction(((index, (1, 0)),)))\n"
+            "hull = SupportHull(FiniteFunction(((index, (1, 0)),)).support_points())\n"
             "assert len(hull.points) == 1\n"
             "assert integrate_product(spec).is_zero() is False\n"
             "assert mc_integral(spec, samples=8).samples == 8\n"

@@ -256,7 +256,7 @@ INSIDE_BUT_VANISHING = [
 @pytest.mark.parametrize("terms", INSIDE_BUT_VANISHING)
 def test_inside_instance_with_all_powers_zero(terms):
     f = ff(*terms)
-    assert origin_in_hull(SupportHull.from_function(f))
+    assert origin_in_hull(SupportHull(f.support_points()))
     assert all(v.is_zero() for _, v in power_scan(f, 40))
     assert all(v.is_zero() for _, v in composition_power_scan(f, 8))
     report = check_proven_direction(f, 40)

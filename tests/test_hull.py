@@ -147,6 +147,32 @@ class TestCertificateProperties:
         assert not origin_in_hull(h)
 
 
+class TestRepeatedSupport:
+    """A support keeps a point repeated at another spin; its certificate has one weight per entry."""
+
+    def test_repeated_vertex_weighs_at_its_first_entry(self):
+        h = SupportHull(((2, 0), (2, 0), (-2, 0), (-2, 0), (2, 0), (0, 2)))
+        assert h.points == ((2, 0), (2, 0), (-2, 0), (-2, 0), (2, 0), (0, 2))
+        assert hull_certificate(h).weights == (H, 0, H, 0, 0, 0)
+
+    @given(st.lists(points, min_size=1, max_size=8, unique=True), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_certificate_per_entry(self, distinct, data):
+        repeats = data.draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=8))
+        entries = data.draw(st.permutations(distinct + repeats))
+        h = SupportHull(tuple(entries))
+        assert h.points == tuple(entries)
+        cert = hull_certificate(h)
+        check_certificate(h, cert)
+        if cert.inside:
+            assert all(w == 0 for i, (p, w) in enumerate(zip(entries, cert.weights)) if p in entries[:i])
+        else:
+            u, v, bound = cert.separator
+            assert all(u * m + v * n >= bound for m, n in fractions(h))
+        distinct_h = SupportHull(tuple(distinct))
+        assert cert.inside == (caratheodory_weights(fractions(distinct_h)) is not None)
+
+
 class TestConvexHullChain:
     def test_triangle(self):
         pts = [(Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)),
