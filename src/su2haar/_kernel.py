@@ -1,11 +1,14 @@
-"""Integer kernels: packed polynomial products and constrained composition search.
+"""Integer kernels: one packed polynomial product and the balanced compositions.
 
 `pack` writes an integer u-polynomial as one int, sum_j c_j 2^(w j), with a
 signed slot of w bits per power of u (Kronecker substitution); `unpack`
-reads it back while every |c_j| < 2^(w-1).  `convolve` and `vec_pow`, the
-products `integrate_product` uses, are one big-integer multiply or power
-between the two, at a slot width taken from the bit lengths of the factors'
-L1 norms; `power_scan` packs its states with the same pair.
+reads it back while every |c_j| < 2^(w-1).  `poly_product` multiplies
+factors v_i^p_i between the two: every factor is packed at one width,
+w = bits(prod_i ||v_i||_1^p_i) + 1, which bounds every coefficient of the
+product, raised to its power as one int, and the product is unpacked once.
+`integrate_product` makes one such call per product; `convolve` and
+`vec_pow` are its two-factor and one-factor views, and `power_scan` packs
+its states with the same `pack`/`unpack` pair at its own width.
 `balanced_compositions` lists the frequency-balanced compositions behind
 `enumerate_balanced_compositions`, which the test suite's composition oracle
 sums over.  Coefficients are Python ints throughout, so there is no overflow.
@@ -13,6 +16,8 @@ sums over.  Coefficients are Python ints throughout, so there is no overflow.
 
 from __future__ import annotations
 
+from itertools import combinations
+from math import prod
 from typing import Iterable, List, Sequence, Tuple
 
 
@@ -38,29 +43,30 @@ def unpack(packed: int, width: int, length: int = 0) -> List[int]:
     return coeffs + [0] * (length - len(coeffs))
 
 
-def _norm_bits(v: Sequence[int]) -> int:
-    """Bit length of the L1 norm of v, so every |c| <= ||v|| < 2^_norm_bits(v)."""
-    return sum(abs(c) for c in v).bit_length()
+def poly_product(factors: Iterable[Tuple[Sequence[int], int]]) -> List[int]:
+    """Product of v^p over the (v, p) factors: [] if a v is empty, [1] if no p is positive.
+
+    Every |c| of the product is at most the product of the ||v||_1^p, so one
+    slot width bits(that) + 1 unpacks it exactly.
+    """
+    factors = [(v, p) for v, p in factors if p]
+    if not all(v for v, _ in factors):
+        return []
+    width = prod(sum(map(abs, v)) ** p for v, p in factors).bit_length() + 1
+    length = 1 + sum(p * (len(v) - 1) for v, p in factors)
+    return unpack(prod(pack(v, width) ** p for v, p in factors), width, length)
 
 
 def convolve(a: Sequence[int], b: Sequence[int]) -> List[int]:
     """Product of two dense integer coefficient vectors."""
-    if not a or not b:
-        return []
-    width = _norm_bits(a) + _norm_bits(b) + 1
-    return unpack(pack(a, width) * pack(b, width), width, len(a) + len(b) - 1)
+    return poly_product([(a, 1), (b, 1)])
 
 
 def vec_pow(v: Sequence[int], p: int) -> List[int]:
     """p-th convolution power of v (p = 0 gives the unit [1])."""
     if p < 0:
         raise ValueError("negative power")
-    if p == 0:
-        return [1]
-    if not v:
-        return []
-    width = p * _norm_bits(v) + 1
-    return unpack(pack(v, width) ** p, width, p * (len(v) - 1) + 1)
+    return poly_product([(v, p)])
 
 
 def balanced_compositions(
@@ -68,52 +74,20 @@ def balanced_compositions(
 ) -> List[Tuple[int, ...]]:
     """All alpha in N^k with sum(alpha) = total, alpha.ms2 = tm2, alpha.ns2 = tn2.
 
-    Coordinates are twice-values so everything is integral.  Output is in
-    descending lexicographic order (alpha_1 largest first).  Prunes on
-    reachable-range bounds: with a residual budget R the remaining weighted
-    sums lie in [R*min, R*max] of the remaining coordinates.
+    Coordinates are twice-values so everything is integral.  Every
+    composition of `total` into k parts is tried, read off its k - 1 cut
+    points among total + k - 1 slots; output is in descending lexicographic
+    order (alpha_1 largest first).
     """
     k = len(ms2)
     if k != len(ns2):
         raise ValueError("coordinate lists must have equal length")
     if k == 0:
         return [()] if (total == 0 and tm2 == 0 and tn2 == 0) else []
-
-    min_m = [0] * k
-    max_m = [0] * k
-    min_n = [0] * k
-    max_n = [0] * k
-    min_m[k - 1] = max_m[k - 1] = ms2[k - 1]
-    min_n[k - 1] = max_n[k - 1] = ns2[k - 1]
-    for i in range(k - 2, -1, -1):
-        min_m[i] = min(ms2[i], min_m[i + 1])
-        max_m[i] = max(ms2[i], max_m[i + 1])
-        min_n[i] = min(ns2[i], min_n[i + 1])
-        max_n[i] = max(ns2[i], max_n[i + 1])
-
-    out: List[Tuple[int, ...]] = []
-    alpha = [0] * k
-
-    def descend(i: int, budget: int, rm: int, rn: int) -> None:
-        # rm, rn: remaining weighted sums still to be realized
-        if i == k - 1:
-            if budget * ms2[i] == rm and budget * ns2[i] == rn:
-                alpha[i] = budget
-                out.append(tuple(alpha))
-            return
-        for a in range(budget, -1, -1):
-            rem = budget - a
-            m_left = rm - a * ms2[i]
-            n_left = rn - a * ns2[i]
-            if not (rem * min_m[i + 1] <= m_left <= rem * max_m[i + 1]):
-                continue
-            if not (rem * min_n[i + 1] <= n_left <= rem * max_n[i + 1]):
-                continue
-            alpha[i] = a
-            descend(i + 1, rem, m_left, n_left)
-        alpha[i] = 0
-
-    # quick global feasibility check before recursing
-    if total * min_m[0] <= tm2 <= total * max_m[0] and total * min_n[0] <= tn2 <= total * max_n[0]:
-        descend(0, total, tm2, tn2)
-    return out
+    slots = total + k - 1
+    out = []
+    for cuts in combinations(range(slots), k - 1):
+        alpha = tuple(b - a - 1 for a, b in zip((-1,) + cuts, cuts + (slots,)))
+        if sum(a * m for a, m in zip(alpha, ms2)) == tm2 and sum(a * n for a, n in zip(alpha, ns2)) == tn2:
+            out.append(alpha)
+    return out[::-1]

@@ -8,7 +8,10 @@ some nonzero power is "consistent", and an all-zero scan up to the horizon
 is only "inconclusive-candidate": no finite horizon proves anything.  The
 converse of the proven direction, stated on the raw (m, n) support, is
 false: some functions with the origin inside the hull have every power
-integral zero (two are pinned in tests/test_harness.py).  A report keeps
+integral zero (two are pinned in tests/test_harness.py).  Both pinned ones
+are one-sided translates, x -> f(g x) or f(x g), of functions with the
+origin outside their hull, and the Haar measure is bi-invariant, so they
+vanish by the proven direction applied to the translate.  A report keeps
 its evidence and reads its verdict off it; a summary tallies its reports.
 """
 
@@ -86,6 +89,7 @@ class InstanceReport:
     @property
     def verdict(self) -> str:
         if self.first_nonzero_p is None:
+            # inside and all zero: some translate of f may have the origin outside its hull
             return VERDICT_INCONCLUSIVE if self.origin_inside else VERDICT_CONSISTENT
         return VERDICT_CONSISTENT if self.origin_inside else VERDICT_VIOLATION
 
@@ -200,21 +204,19 @@ def _random_distinct_indices(rng: random.Random, l_max2: int, k: int) -> List[Ma
 
 
 def _index_for_point(rng: random.Random, l_max2: int, m2: int, n2: int) -> Optional[MatrixElementIndex]:
-    """A valid index with the given (m, n), uniformly random spin, or None."""
+    """A valid index at (m, n), given |m2|, |n2| <= l_max2, of uniformly random spin; None off the lattice."""
     if (m2 - n2) % 2:
         return None
-    base = max(abs(m2), abs(n2))
-    options = [l2 for l2 in range(base, l_max2 + 1, 2)]
-    if not options:
-        return None
-    return MatrixElementIndex(rng.choice(options), m2, n2)
+    return MatrixElementIndex(rng.choice(range(max(abs(m2), abs(n2)), l_max2 + 1, 2)), m2, n2)
 
 
 def _random_rank2_indices(rng: random.Random, l_max2: int) -> Optional[List[MatrixElementIndex]]:
     """Three distinct indices whose (m, n) points have rank exactly 2.
 
-    The third point is a rational affine combination of the first two, kept
-    on the half-integer lattice.
+    The third point is p1 + t (p2 - p1) for a rational t outside {0, 1}, kept
+    on the half-integer lattice.  With p1 != p2 it is a third distinct point
+    on their line, so the indices are distinct and the rank is 2 by
+    construction.
     """
     for _ in range(80):
         i1, i2 = _random_distinct_indices(rng, l_max2, 2)
@@ -231,9 +233,7 @@ def _random_rank2_indices(rng: random.Random, l_max2: int) -> Optional[List[Matr
         if abs(m3) > l_max2 or abs(n3) > l_max2:
             continue
         i3 = _index_for_point(rng, l_max2, m3, n3)
-        if i3 is None or i3 == i1 or i3 == i2:
-            continue
-        if rank_classification(p1, p2, (m3, n3)) != 2:
+        if i3 is None:
             continue
         return [i1, i2, i3]
     return None

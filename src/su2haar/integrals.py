@@ -24,10 +24,11 @@ on [0, 1].  A product is one `ProductSpec`; an extra element, such as the
 `denom` and `poly` fields of `wigner.theta_restriction`
 (i^(n-m) * sqrt(r) * c^eps * s^delta * q(u)).  It reads each factor's
 parities off (m, n), as `power_scan` does; a balanced product has even
-parity sums C and S, so it starts from u^(S/2) (1 - u)^(C/2), multiplies in
-the factors' integer u-polynomials with the packed products of `_kernel` and
-their radicands as one integer, and reads the integral off as
-sum_j c_j / (j + 1) with `u_integral`, the read-out `power_scan` shares.
+parity sums C and S, so its integrand is u^(S/2) times one packed product,
+`_kernel.poly_product`, of (1 - u)^(C/2) and the factors' integer
+u-polynomials at their powers.  It multiplies the radicands as one integer
+and reads the integral off as sum_j c_j / (j + 1) with `u_integral`, the
+read-out `power_scan` shares.
 The closed form 2 * (a/2)! * (b/2)! / ((a+b)/2 + 1)! of a single monomial
 c^a s^b, for the (c, s) route the tests compare against, lives with the
 test oracles (`tests/oracles.py`).  No pi ever appears in a stored value.
@@ -113,10 +114,11 @@ def integrate_product(spec: ProductSpec) -> RadicalScalar:
     c2 = sum(power * ((idx.m2 + idx.n2) & 2) for idx, power in spec.factors)
     s2 = sum(power * ((idx.m2 - idx.n2) & 2) for idx, power in spec.factors)
     radicand = denom = 1
-    poly = [0] * (s2 // 4) + _kernel.vec_pow([1, -1], c2 // 4)
+    factors = [([1, -1], c2 // 4)]
     for idx, power in spec.factors:
         form = theta_restriction(idx)
         radicand *= form.radicand ** power
         denom *= form.denom ** power
-        poly = _kernel.convolve(poly, _kernel.vec_pow(form.poly, power))
+        factors.append((form.poly, power))
+    poly = [0] * (s2 // 4) + _kernel.poly_product(factors)
     return RadicalScalar.from_terms(real=[(u_integral(poly, denom), radicand)])

@@ -14,7 +14,8 @@ is an independent route to a value the package computes another way:
 * `gaussian_mul` and `gaussian_pow`: exact products and powers of Gaussian
   rationals, for the multinomial sums that check `power_scan`;
 * `dense_convolve` and `dense_vec_pow`: the schoolbook coefficient loop, for
-  the packed products of `_kernel.convolve` and `_kernel.vec_pow`;
+  the packed product `_kernel.poly_product` and its views `convolve` and
+  `vec_pow`;
 * `weyl_power_integrals`: integral(f^P) of a class function by the Weyl
   integration formula, a power of a one-variable Laurent polynomial, for
   deep scans of `power_scan`;

@@ -1246,7 +1246,8 @@ class TestReachability:
     # "module:qualname" -> why the package keeps a function that no call above reaches
     UNREACHED = {
         "_kernel:balanced_compositions": TRACER,
-        "_kernel:balanced_compositions.<locals>.descend": TRACER,
+        "_kernel:convolve": TRACER,
+        "_kernel:vec_pow": TRACER,
         "powers:enumerate_balanced_compositions": TRACER,
         "powers:power_integral_with_witness": TRACER,
         "wigner:matrix_element_trigpoly": TRACER,
@@ -1258,15 +1259,17 @@ class TestReachability:
             "from_json", "from_json.<locals>.load", "to_complex")},
     }
 
+    # Qualified names are derived in the walk, not read off co_qualname (Python 3.11+), so the test needs nothing
+    # newer than the package's floor, 3.10; a profiled frame is matched to its definition by (module, first line, name).
     SCRIPT = textwrap.dedent("""
-        import contextlib, io, json, os, sys, types
+        import contextlib, inspect, io, json, os, sys, types
         root = os.path.join(sys.argv[1], "su2haar") + os.sep
-        reached = set()
+        called = set()
 
         def profile(frame, event, arg):
             code = frame.f_code
             if event == "call" and code.co_filename.startswith(root):
-                reached.add(os.path.basename(code.co_filename)[:-3] + ":" + code.co_qualname)
+                called.add((os.path.basename(code.co_filename)[:-3], code.co_firstlineno, code.co_name))
 
         sys.setprofile(profile)
         from su2haar.cli import main
@@ -1276,20 +1279,27 @@ class TestReachability:
                 codes.append(main(argv))
         sys.setprofile(None)
 
-        defined = set()
+        qualnames = {}      # (module, first line, name) -> qualified name
 
-        def walk(code, module):
+        def walk(code, module, prefix):
             for const in code.co_consts:
                 if isinstance(const, types.CodeType):
+                    qualname = prefix + const.co_name
+                    assert getattr(const, "co_qualname", qualname) == qualname, (const.co_qualname, qualname)
+                    key = (module, const.co_firstlineno, const.co_name)
                     if not const.co_name.startswith("<"):       # no lambdas, comprehensions or modules
-                        defined.add(module + ":" + const.co_qualname)
-                    walk(const, module)
+                        assert key not in qualnames, key
+                        qualnames[key] = qualname
+                    # a class body's names are attributes; a function's are its locals
+                    walk(const, module, qualname + (".<locals>." if const.co_flags & inspect.CO_NEWLOCALS else "."))
 
         for name in sorted(os.listdir(root)):
             if name.endswith(".py"):
                 with open(os.path.join(root, name), encoding="utf-8") as fh:
-                    walk(compile(fh.read(), os.path.join(root, name), "exec"), name[:-3])
-        print(json.dumps({"codes": codes, "defined": sorted(defined), "reached": sorted(reached & defined)}))
+                    walk(compile(fh.read(), os.path.join(root, name), "exec"), name[:-3], "")
+        label = lambda key: key[0] + ":" + qualnames[key]
+        print(json.dumps({"codes": codes, "defined": sorted(map(label, qualnames)),
+                          "reached": sorted(map(label, called & qualnames.keys()))}))
     """)
 
     def test_every_library_function_is_reached_or_listed(self, tmp_path):

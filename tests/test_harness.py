@@ -1,14 +1,17 @@
 import json
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import all_indices, composition_power_scan, ff
+from conftest import all_indices, composition_power_scan, ff, idx
 from su2haar.harness import (
     DEFAULT_COEFF_POOL,
     FuzzConfig,
     FuzzSummary,
     InstanceReport,
+    _random_rank2_indices,
     check_proven_direction,
     classify_instance,
     fuzz,
@@ -16,9 +19,11 @@ from su2haar.harness import (
     run_verification_suite,
     trial_rng,
 )
-from su2haar.hull import SupportHull, origin_in_hull
+from su2haar.hull import SupportHull, origin_in_hull, rank_classification
+from su2haar.numeric import EulerAngles, eval_matrix_element
 from su2haar.powers import power_scan
 from su2haar.scalars import RadicalScalar
+from su2haar.wigner import MatrixElementIndex
 
 H = Fraction(1, 2)
 
@@ -143,6 +148,17 @@ class TestFuzz:
             f = generate_instance(trial_rng(cfg.seed, trial), cfg)
             assert classify_instance(f) == "three-term-rank-2"
 
+    @pytest.mark.parametrize("l_max2", range(1, 9))
+    def test_rank2_indices_hold_by_construction(self, l_max2):
+        """Without re-checking them, the drawn indices are distinct, within the spin bound and of rank 2."""
+        for seed in range(200):
+            indices = _random_rank2_indices(random.Random(seed), l_max2)
+            if indices is None:
+                continue
+            assert len(set(indices)) == 3
+            assert all(index.l2 <= l_max2 for index in indices)
+            assert rank_classification(*((index.m2, index.n2) for index in indices)) == 2
+
     def test_trial_rng_stability(self):
         a = trial_rng(9, 3).random()
         b = trial_rng(9, 3).random()
@@ -243,7 +259,9 @@ class TestVerificationSuite:
 
 
 # Origin inside the hull, yet every power integral vanishes: the converse of the
-# proven direction, stated on the raw (m, n) support, is false.
+# proven direction, stated on the raw (m, n) support, is false.  Each is a one-sided
+# translate of a function with the origin outside its hull (TRANSLATES below); the
+# Haar measure is bi-invariant, so both vanish by the proven direction on that translate.
 INSIDE_BUT_VANISHING = [
     # -t[1,-1,-1] + t[1/2,-1/2,1/2] - t[1/2,1/2,1/2] + t[1,1,-1]
     pytest.param((((1, -1, -1), -1), ((H, -H, H), 1), ((H, H, H), -1), ((1, 1, -1), 1)), id="A"),
@@ -262,3 +280,36 @@ def test_inside_instance_with_all_powers_zero(terms):
     report = check_proven_direction(f, 40)
     assert report.verdict == "inconclusive-candidate"
     assert report.origin_inside and report.first_nonzero_p is None
+
+
+def _translate(f, g, side):
+    """Coefficients of x -> f(g x) (side "left") or f(x g) ("right") by T(g x) = T(g) T(x), as floats."""
+    out = {}
+    for index, (re, im) in f.terms:
+        for k2 in range(-index.l2, index.l2 + 1, 2):
+            if side == "left":      # t[l,m,n](g x) = sum_k t[l,m,k](g) t[l,k,n](x)
+                at, factor = MatrixElementIndex(index.l2, k2, index.n2), MatrixElementIndex(index.l2, index.m2, k2)
+            else:                   # t[l,m,n](x g) = sum_k t[l,m,k](x) t[l,k,n](g)
+                at, factor = MatrixElementIndex(index.l2, index.m2, k2), MatrixElementIndex(index.l2, k2, index.n2)
+            out[at] = out.get(at, 0) + complex(re, im) * eval_matrix_element(factor, g)
+    return out
+
+
+B_ROW = (2 * math.sqrt(6) / 9, -2j * math.sqrt(3) / 9, 1 / 3, -2j * math.sqrt(3) / 9, 2 * math.sqrt(6) / 9)
+TRANSLATES = [
+    # A's left translate by g = k(-pi/2) a(pi/2)
+    pytest.param(INSIDE_BUT_VANISHING[0].values[0], "left", EulerAngles(-math.pi / 2, math.pi / 2, 0.0),
+                 {idx(1, 0, -1): -math.sqrt(2), idx(H, -H, H): 1 - 1j}, id="A"),
+    # B's right translate by g = a(theta) k(-pi), cos(theta/2) = sqrt(6)/3
+    pytest.param(INSIDE_BUT_VANISHING[1].values[0], "right",
+                 EulerAngles(0.0, 2 * math.acos(math.sqrt(6) / 3), -math.pi),
+                 {idx(1, 0, 1): 1.5, **{idx(2, -2, n): b for n, b in zip(range(-2, 3), B_ROW)}}, id="B"),
+]
+
+
+@pytest.mark.parametrize("terms, side, g, expected", TRANSLATES)
+def test_vanishing_inside_instances_are_translates_of_outside_ones(terms, side, g, expected):
+    """Both counterexamples to the raw-support converse translate to a function with the origin outside its hull."""
+    got = _translate(ff(*terms), g, side)
+    assert all(abs(got.get(index, 0) - expected.get(index, 0)) <= 1e-12 for index in set(got) | set(expected))
+    assert not origin_in_hull(SupportHull(tuple((index.m2, index.n2) for index in expected)))

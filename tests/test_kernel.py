@@ -1,9 +1,9 @@
-"""Integer kernels: composition search against brute force, packed products against the dense loop."""
+"""Integer kernels: the composition filter against brute force, the packed product against the dense loop."""
 
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import dense_convolve, dense_vec_pow
@@ -55,6 +55,9 @@ class TestBalancedCompositions:
 
 class TestConvolve:
     def test_basics(self):
+        assert _kernel.poly_product([]) == [1]
+        assert _kernel.poly_product([([1, 1], 2), ([1, -1], 1)]) == [1, 1, -1, -1]
+        assert _kernel.poly_product([([], 1), ([1], 0)]) == []
         assert _kernel.convolve([1, 1], [1, 1]) == [1, 2, 1]
         assert _kernel.convolve([2], [3]) == [6]
         assert _kernel.convolve([], [1]) == []
@@ -74,6 +77,16 @@ class TestConvolve:
     @settings(max_examples=300, deadline=None)
     def test_vec_pow_matches_dense_loop(self, v, p):
         assert _kernel.vec_pow(v, p) == dense_vec_pow(v, p)
+
+    @given(st.lists(st.tuples(signed_vectors, st.integers(0, 4)), max_size=4))
+    @example([([3], 1)])                    # a slot one bit short reads 3 as 1 * 4 - 1
+    @settings(max_examples=300, deadline=None)
+    def test_poly_product_matches_chained_dense_loop(self, factors):
+        """One slot width for the whole product unpacks it exactly: empty, zero and trailing-zero factors included."""
+        expected = [1]
+        for v, p in factors:
+            expected = dense_convolve(expected, dense_vec_pow(v, p))
+        assert _kernel.poly_product(factors) == expected
 
     @given(signed_vectors, signed_vectors)
     @settings(max_examples=100, deadline=None)
