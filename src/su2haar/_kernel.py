@@ -4,8 +4,8 @@
 signed slot of w bits per power of u (Kronecker substitution); `unpack`
 reads it back while every |c_j| < 2^(w-1).  `poly_product` multiplies
 factors v_i^p_i between the two: every factor is packed at one width,
-w = bits(prod_i ||v_i||_1^p_i) + 1, which bounds every coefficient of the
-product, raised to its power as one int, and the product is unpacked once.
+w = bits(max(prod_i ||v_i||_1^p_i, 1)) + 1 >= 2, which bounds every product
+coefficient, raised to its power as one int, and the product is unpacked once.
 `integrate_product` makes one such call per product; `convolve` and
 `vec_pow` are its two-factor and one-factor views, and `power_scan` packs
 its states with the same `pack`/`unpack` pair at its own width.
@@ -33,6 +33,8 @@ def pack(coeffs: Iterable[int], width: int) -> int:
 
 def unpack(packed: int, width: int, length: int = 0) -> List[int]:
     """Coefficients of a packed polynomial with slots |c| < 2^(width-1), zero-padded to length."""
+    if width < 2:                       # a 1-bit slot reads 1 as -1 and never reaches 0
+        raise ValueError("width must be >= 2")
     mask, half, coeffs = (1 << width) - 1, 1 << (width - 1), []
     while packed:
         c = packed & mask
@@ -52,7 +54,7 @@ def poly_product(factors: Iterable[Tuple[Sequence[int], int]]) -> List[int]:
     factors = [(v, p) for v, p in factors if p]
     if not all(v for v, _ in factors):
         return []
-    width = prod(sum(map(abs, v)) ** p for v, p in factors).bit_length() + 1
+    width = max(prod(sum(map(abs, v)) ** p for v, p in factors), 1).bit_length() + 1
     length = 1 + sum(p * (len(v) - 1) for v, p in factors)
     return unpack(prod(pack(v, width) ** p for v, p in factors), width, length)
 

@@ -215,27 +215,38 @@ _COMMANDS = {
 }
 
 
-def parse_argv(argv: list) -> SimpleNamespace:
-    """The command (`cmd`), its positionals and its flags by `_COMMANDS`; InputError on misuse."""
+def parse_argv(argv: list) -> SimpleNamespace | None:
+    """The command (`cmd`), its positionals and its flags by `_COMMANDS`, or None to print the usage.
+
+    None when -h or --help is the command or stands where a flag may (before `--`, not as a flag's value),
+    over any misuse in the same argv; otherwise misuse raises InputError naming the first fault met.
+    """
     if not argv:
         raise InputError("expected a command: " + ", ".join(_COMMANDS))
     cmd, rest = argv[0], iter(argv[1:])
-    if cmd not in _COMMANDS:
-        raise InputError(f"{cmd}: unknown command, expected one of {', '.join(_COMMANDS)}")
-    _, names, flags = _COMMANDS[cmd]
+    if cmd in ("-h", "--help"):
+        return None
+    # a fault is held until the walk ends, since a later -h still asks for the usage
+    fault = None if cmd in _COMMANDS else InputError(f"{cmd}: unknown command, expected one of {', '.join(_COMMANDS)}")
+    _, names, flags = _COMMANDS.get(cmd, (None, (), {}))
     given, positionals = {}, []
     for arg in rest:
         if arg == "--":                 # the rest are positionals, whatever they start with
             positionals += rest
+        elif arg in ("-h", "--help"):
+            return None
         elif not arg.startswith("--"):
             positionals.append(arg)
         else:
             flag, eq, value = arg.partition("=")
             if flag not in flags:
-                raise InputError(f"{flag}: not a flag of {cmd}")
+                fault = fault or InputError(f"{flag}: not a flag of {cmd}")
+                continue
             given[flag] = value if eq else next(rest, None)
             if given[flag] is None:
-                raise InputError(f"{flag}: expected a value")
+                fault = fault or InputError(f"{flag}: expected a value")
+    if fault:
+        raise fault
     if len(positionals) != len(names):
         raise InputError(f"{cmd}: takes {len(names)} positional argument(s), got {positionals}")
     ns = SimpleNamespace(cmd=cmd, **dict(zip(names, positionals)))
@@ -250,24 +261,10 @@ def parse_argv(argv: list) -> SimpleNamespace:
     return ns
 
 
-def _asks_help(argv: list) -> bool:
-    """True iff -h or --help is the command, or stands past it before `--` and is no flag's value."""
-    flags = _COMMANDS[argv[0]][2] if argv and argv[0] in _COMMANDS else {}
-    items = iter(argv[1:])
-    for arg in items:
-        if arg == "--":
-            break
-        if arg in flags:
-            next(items, None)           # the flag's value
-        elif arg in ("-h", "--help"):
-            return True
-    return argv[:1] in (["-h"], ["--help"])
-
-
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        ns = None if _asks_help(argv) else parse_argv(argv)
+        ns = parse_argv(argv)
         started = time.perf_counter()
         out, code = (__doc__, 0) if ns is None else _COMMANDS[ns.cmd][0](ns)
     except InputError as e:

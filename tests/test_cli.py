@@ -13,7 +13,7 @@ import warnings
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import su2haar
@@ -1014,6 +1014,26 @@ class TestArgv:
             assert out == ""
             assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1, (argv, err)
 
+    @given(cli_argv(), st.sampled_from(["-h", "--help"]), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_help_wins_where_a_flag_may_stand(self, argv, word, data):
+        """-h or --help as the command or where a flag may stand prints the usage, over any usage fault in the argv;
+        as a flag's value or after `--` it is data, and the argv is parsed or rejected as usual."""
+        from su2haar.cli import InputError, parse_argv
+
+        assume(not {"-h", "--help"} & set(argv))
+        at = data.draw(st.integers(0, len(argv)), label="at")
+        is_data = at > 0 and ("--" in argv[1:at] or argv[at - 1] in ARGV_FLAGS.get(argv[0], ()))
+        argv = argv[:at] + [word] + argv[at:]
+        if is_data:
+            with contextlib.suppress(InputError):       # a usage error is not the usage
+                assert parse_argv(argv) is not None, argv
+        else:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert (code, out.getvalue(), err.getvalue()) == (0, su2haar.cli.__doc__, ""), argv
+
 
 class TestVerifyCommand:
     def test_exit_zero_and_items(self, capsys):
@@ -1249,6 +1269,7 @@ class TestReachability:
         "_kernel:convolve": TRACER,
         "_kernel:vec_pow": TRACER,
         "powers:enumerate_balanced_compositions": TRACER,
+        "powers:power_integral": TRACER,
         "powers:power_integral_with_witness": TRACER,
         "wigner:matrix_element_trigpoly": TRACER,
         "numeric:eval_matrix_element": "library API shown in the README (Monte Carlo); the oracles build "

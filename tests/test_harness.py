@@ -11,6 +11,7 @@ from su2haar.harness import (
     FuzzConfig,
     FuzzSummary,
     InstanceReport,
+    _origin_combination_by_solve,
     _random_rank2_indices,
     check_proven_direction,
     classify_instance,
@@ -256,6 +257,16 @@ class TestVerificationSuite:
             "schur-orthogonality", "single-element-scans", "two-term-criterion",
             "three-term-rank-consistency", "threshold-soundness",
         ]
+
+    @pytest.mark.parametrize("pts, solvable", [
+        ([(0, 0)] * 3, True),
+        ([(2, 0)] * 3, False),
+        ([(0, 0), (2, 0), (4, 0)], None),
+        ([(2, 0), (-2, 2), (-2, -2)], True),
+    ], ids=["rank-1-origin", "rank-1-off-origin", "rank-2", "rank-3"])
+    def test_origin_combination_by_solve(self, pts, solvable):
+        """The rank-consistency item's exact solve at each rank; its seeded triples never reach rank 1."""
+        assert _origin_combination_by_solve(pts) is solvable
 
 
 # Origin inside the hull, yet every power integral vanishes: the converse of the

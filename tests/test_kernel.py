@@ -1,12 +1,18 @@
 """Integer kernels: the composition filter against brute force, the packed product against the dense loop."""
 
 import itertools
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import dense_convolve, dense_vec_pow
+import su2haar
 from su2haar import _kernel
 
 
@@ -58,6 +64,7 @@ class TestConvolve:
         assert _kernel.poly_product([]) == [1]
         assert _kernel.poly_product([([1, 1], 2), ([1, -1], 1)]) == [1, 1, -1, -1]
         assert _kernel.poly_product([([], 1), ([1], 0)]) == []
+        assert _kernel.poly_product([([0, 0], 2)]) == [0, 0, 0]         # an all-zero product unpacks at width 2
         assert _kernel.convolve([1, 1], [1, 1]) == [1, 2, 1]
         assert _kernel.convolve([2], [3]) == [6]
         assert _kernel.convolve([], [1]) == []
@@ -92,12 +99,30 @@ class TestConvolve:
     @settings(max_examples=100, deadline=None)
     def test_pack_round_trip(self, a, b):
         """Slots wide enough for the product also read every factor back, trailing zeros dropped."""
-        width = sum(map(abs, a)).bit_length() + sum(map(abs, b)).bit_length() + 1
+        # unpack takes no slot under 2 bits, the width poly_product gives a zero product
+        width = max(sum(map(abs, a)).bit_length() + sum(map(abs, b)).bit_length() + 1, 2)
         packed = _kernel.pack(a, width)
         stripped = list(a)
         while stripped and not stripped[-1]:
             stripped.pop()
         assert _kernel.unpack(packed, width) == stripped
+
+    def test_unpack_rejects_a_one_bit_slot(self):
+        """A 1-bit slot reads 1 as -1, so the loop never reaches 0; a child under a time and memory cap shows it."""
+        script = textwrap.dedent("""
+            import resource
+            resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+            from su2haar import _kernel
+            try:
+                _kernel.unpack(1, 1)
+            except ValueError as e:
+                print(e)
+        """)
+        src = str(pathlib.Path(su2haar.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=10,
+                              env=dict(os.environ, PYTHONPATH=path))
+        assert (proc.returncode, proc.stdout) == (0, "width must be >= 2\n"), proc.stderr
 
 
 class TestSelection:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import all_indices, brute_force_power_integral, ff, idx, pt
 from oracles import gaussian_mul, gaussian_pow
+from su2haar import _kernel
 from su2haar.hull import SupportHull, origin_in_hull
 from su2haar.integrals import ProductSpec, integrate_product
 from su2haar.numeric import mc_integral, mc_scan
@@ -309,8 +310,14 @@ class TestTwoTermPositivityMechanism:
     (lambda: power_scan(ff(((1, 0, 0), 1)), 0), ValueError, "pmax must be >= 1"),
     (lambda: mc_scan(ff(((1, 0, 0), 1)), 0), ValueError, "pmax must be >= 1"),
     (lambda: mc_integral(ProductSpec(((idx(1, 0, 0), 2),)), samples=0), ValueError, "samples must be >= 1"),
+    (lambda: power_integral(ff(((1, 0, 0), 1)), 0), ValueError, "power must be >= 1"),
+    (lambda: power_integral_with_witness(ff(((1, 0, 0), 1)), 0, idx(1, 0, 0)), ValueError, "power must be >= 1"),
+    (lambda: enumerate_balanced_compositions(ff(((1, 0, 0), 1)), 0), ValueError, "power must be >= 1"),
+    (lambda: _kernel.balanced_compositions([0, 2], [0], 1, 0, 0), ValueError,
+     "coordinate lists must have equal length"),
 ], ids=["empty-hull", "complex-coeff", "non-index-term", "non-index-factor", "float-index", "power-scan-pmax-0",
-        "mc-scan-pmax-0", "mc-integral-no-samples"])
+        "mc-scan-pmax-0", "mc-integral-no-samples", "power-integral-power-0", "witness-power-0",
+        "compositions-power-0", "compositions-unequal-coordinates"])
 def test_library_input_checks(call, error, message):
     """Each library constructor and entry point rejects what the CLI never passes it."""
     with pytest.raises(error) as info:
