@@ -27,6 +27,14 @@ terms are summed as they are: expanding c^2 = 1 - u into a polynomial in u
 loses digits to the cancelling binomials (up to 4e-3 absolute at spin 20,
 against 1e-11 here).  `eval_matrix_element` reads a one-sample block.
 
+Tolerance.  The (c, s) sum still cancels as the spin grows: its terms reach
+about 4^l times the element, whose modulus is at most 1.  `_resolve` bounds
+the rounding error of each element once, as (2l + 2) 2^-52 sqrt(r)
+sum_k |coeff_k| max|c^p_k s^q_k|, and refuses the element with ValueError
+when the bound passes `ELEMENT_TOLERANCE` (1e-6).  No element up to spin
+28.5 is refused; from spin 29 on, those with small |m| and |n| are (the bound
+is about 2e-9 at spin 20, 2e-3 at spin 40 and 3e4 for t[64,3,-7]).
+
 Targets.  `mc_integral` estimates one product: a `ProductSpec` gives one
 single-element factor per (index, power), each power one repeated squaring.
 `mc_scan` estimates every integral(f^P [h]) for P = 1..pmax from one pass:
@@ -51,6 +59,8 @@ from .wigner import MatrixElementIndex, theta_restriction
 _CHUNK = 1 << 16
 _BLOCK = 1 << 13
 _I_POWERS = (1, 1j, -1, -1j)
+# the largest rounding error bound at which an element, of modulus at most 1, is evaluated in floats
+ELEMENT_TOLERANCE = 1e-6
 
 
 class EulerAngles(NamedTuple):
@@ -76,38 +86,47 @@ class _Element(NamedTuple):
 
 
 def _resolve(idx: MatrixElementIndex, coeff: complex = 1.0) -> _Element:
-    """coeff * t[l,m,n] in float form, from the exact (c, s) expansion."""
+    """coeff * t[l,m,n] in float form, from the exact (c, s) expansion.
+
+    Raises ValueError when the element's rounding error bound passes `ELEMENT_TOLERANCE`.
+    """
     data = theta_restriction(idx)
-    scale = coeff * _I_POWERS[(idx.n2 - idx.m2) // 2 % 4] * math.sqrt(data.radicand)
+    root = math.sqrt(data.radicand)
     terms = tuple((p, q, float(c)) for p, q, c in data.terms)
+    # |c^p s^q| peaks at sqrt(p^p q^q / (2l)^(2l)), p + q = 2l; each term takes about 2l + 2
+    # float operations, each off by at most 2^-52 of its size
+    bound = (idx.l2 + 2) * 2.0 ** -52 * root * sum(
+        abs(c) * math.sqrt(p ** p * q ** q / idx.l2 ** idx.l2) for p, q, c in terms)
+    if bound > ELEMENT_TOLERANCE:
+        raise ValueError(f"{idx}: its float (c, s) sum may be off by {bound:.2g}, over the tolerance "
+                         f"{ELEMENT_TOLERANCE:g}")
+    scale = coeff * _I_POWERS[(idx.n2 - idx.m2) // 2 % 4] * root
     return _Element(idx.m2, idx.n2, scale, terms)
 
 
-class _Powers:
-    """base^k, each new power one multiplication from the last.
+class _Powers(dict):
+    """base^k keyed by the signed exponent k, each filled on first use.
 
-    For a base of modulus 1, base^-k is conj(base^k).
+    base^0 is ones, base^k is base^(k-1) * base, and base^-k is conj(base^k),
+    equal to base^-k for a base of modulus 1.
     """
 
-    __slots__ = ("_table", "_conj")
-
     def __init__(self, base):
-        self._table = [None, base]
-        self._conj = {}
+        super().__init__({1: base})
 
-    def __getitem__(self, k: int):
+    def __missing__(self, k: int):
         import numpy as np
         if k < 0:
-            out = self._conj.get(k)
-            if out is None:
-                out = self._conj[k] = np.conj(self[-k])
-            return out
-        table = self._table
-        if table[0] is None:
-            table[0] = np.ones_like(table[1])
-        while len(table) <= k:
-            table.append(table[-1] * table[1])
-        return table[k]
+            self[k] = np.conj(self[-k])
+        elif k == 0:
+            self[0] = np.ones_like(self[1])
+        else:
+            low = k - 1
+            while low not in self:
+                low -= 1
+            for j in range(low + 1, k + 1):
+                self[j] = self[j - 1] * self[1]
+        return self[k]
 
 
 def _half_turn(angle):
@@ -171,7 +190,7 @@ def _ipow(z, power: int):
 
 
 def eval_matrix_element(idx: MatrixElementIndex, g: EulerAngles) -> complex:
-    """exp(-i m phi) * t[l,m,n](a(theta)) * exp(-i n psi)."""
+    """exp(-i m phi) * t[l,m,n](a(theta)) * exp(-i n psi); ValueError past `ELEMENT_TOLERANCE`."""
     import numpy as np
     half = 0.5 * g.theta
     block = _Block(np.array([g.phi]), np.array([math.cos(half)]),
@@ -222,7 +241,7 @@ def mc_integral(target: ProductSpec, samples: int = 1_000_000, seed: int = 0) ->
     Deterministic for a given (seed, samples): draws happen in fixed-size
     chunks from one PCG64 stream.  Raises OverflowError, without numpy
     warnings, when the mean or its standard error is not finite in floating
-    point.
+    point, and ValueError for a factor past `ELEMENT_TOLERANCE`.
     """
     import numpy as np
     factors = [(_resolve(idx), power) for idx, power in target.factors]
@@ -246,7 +265,8 @@ def mc_scan(
     One pass over the draws of `mc_integral` at the same (samples, seed)
     serves every row, so the rows are correlated.  Raises OverflowError,
     without numpy warnings, when any row's mean or standard error is not
-    finite in floating point.
+    finite in floating point, and ValueError for an element past
+    `ELEMENT_TOLERANCE`.
     """
     if pmax < 1:
         raise ValueError("pmax must be >= 1")

@@ -82,50 +82,45 @@ class NoSolutionError(ValueError):
     """The two-point balance system has no nonzero solution in N^2."""
 
 
-def _as_gaussian(coeff) -> GaussianRational:
-    if isinstance(coeff, tuple):
-        re, im = coeff
-        return (Fraction(re), Fraction(im))
-    if isinstance(coeff, complex):
-        raise TypeError("use exact (re, im) pairs, not floats")
-    return (Fraction(coeff), Fraction(0))
-
-
 def _is_json_int_or_str(value) -> bool:
     return isinstance(value, (int, str)) and not isinstance(value, bool)
 
 
+def _is_exact(value) -> bool:
+    return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class FiniteFunction:
-    """f = sum_i A_i t[l_i, m_i, n_i] with nonzero exact complex-rational A_i."""
+    """f = sum_i A_i t[l_i, m_i, n_i], each A_i a nonzero (re, im) pair of ints or Fractions, kept as given."""
 
     terms: Tuple[Tuple[MatrixElementIndex, GaussianRational], ...]
 
     def __post_init__(self):
+        if not isinstance(self.terms, tuple):
+            raise TypeError(f"terms must be a tuple, got {type(self.terms).__name__}")
+        if not self.terms:
+            raise ValueError("a finite function needs at least one term")
         seen = set()
-        cleaned = []
         for idx, coeff in self.terms:
             if not isinstance(idx, MatrixElementIndex):
                 raise TypeError(f"term index must be MatrixElementIndex, got {idx!r}")
-            g = _as_gaussian(coeff)
-            if g == (0, 0):
+            if not (isinstance(coeff, tuple) and len(coeff) == 2 and all(map(_is_exact, coeff))):
+                raise TypeError(f"coefficient on {idx} must be an (re, im) pair of ints or Fractions, got {coeff!r}")
+            if coeff == (0, 0):
                 raise ValueError(f"zero coefficient on {idx}")
             if idx in seen:
                 raise ValueError(f"duplicate index {idx}")
             seen.add(idx)
-            cleaned.append((idx, g))
-        object.__setattr__(self, "terms", tuple(cleaned))
-        if not self.terms:
-            raise ValueError("a finite function needs at least one term")
 
     @staticmethod
     def from_terms(terms: Iterable[Tuple]) -> "FiniteFunction":
-        built = []
-        for idx, coeff in terms:
-            if not isinstance(idx, MatrixElementIndex):
-                idx = MatrixElementIndex.of(*idx)
-            built.append((idx, coeff))
-        return FiniteFunction(tuple(built))
+        """f from (index, coeff) pairs: an index may be an (l, m, n) tuple, a coeff one int or Fraction."""
+        return FiniteFunction(tuple(
+            (idx if isinstance(idx, MatrixElementIndex) else MatrixElementIndex.of(*idx),
+             (coeff, 0) if isinstance(coeff, (int, Fraction)) else coeff)
+            for idx, coeff in terms
+        ))
 
     def __len__(self) -> int:
         return len(self.terms)

@@ -16,6 +16,7 @@ no (0, 0) value) makes equality and the zero test exact map comparisons.
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Mapping, Tuple
 
@@ -75,6 +76,19 @@ def radical_normalize(coeff: Fraction, radicand: int) -> Tuple[Fraction, int]:
 
 
 _ZERO = Fraction(0)
+
+
+def _rational_str(q: Fraction) -> str:
+    """The text "p" or "p/q" of q at any size.
+
+    str() of an int past the interpreter's digit limit (4 300 by default) raises ValueError and
+    Decimal's has no limit; Decimal is the fallback only, since its first use costs about 0.7 MB.
+    """
+    try:
+        return str(q)
+    except ValueError:
+        num = str(Decimal(q.numerator))
+        return num if q.denominator == 1 else f"{num}/{Decimal(q.denominator)}"
 
 
 def _add_into(out: dict, r: int, p: Fraction, q: Fraction) -> None:
@@ -215,14 +229,18 @@ class RadicalScalar:
     def to_json(self) -> dict:
         items = sorted(self._terms.items())
         return {
-            "real": [{"radicand": r, "coeff": str(p)} for r, (p, _) in items if p],
-            "imag": [{"radicand": r, "coeff": str(q)} for r, (_, q) in items if q],
+            "real": [{"radicand": r, "coeff": _rational_str(p)} for r, (p, _) in items if p],
+            "imag": [{"radicand": r, "coeff": _rational_str(q)} for r, (_, q) in items if q],
         }
 
     @staticmethod
     def from_json(obj: Mapping) -> "RadicalScalar":
         def load(part):
-            return [(Fraction(t["coeff"]), int(t["radicand"])) for t in obj.get(part, [])]
+            terms = [(t["coeff"], int(t["radicand"])) for t in obj.get(part, [])]
+            if any(isinstance(c, str) and "e" in c.lower() for c, _ in terms):
+                # Fraction("1e200000000") would build the integer 10^200000000
+                raise ValueError(f"{part}: exponent notation is not accepted; write an integer, p/q or a decimal")
+            return [(Fraction(c), r) for c, r in terms]
 
         return RadicalScalar.from_terms(real=load("real"), imag=load("imag"))
 
@@ -234,9 +252,9 @@ class RadicalScalar:
             chunks = []
             for r, c in items:
                 if r == 1:
-                    chunks.append(f"{c}{unit}")
+                    chunks.append(f"{_rational_str(c)}{unit}")
                 else:
-                    chunks.append(f"{c}{unit}*sqrt({r})")
+                    chunks.append(f"{_rational_str(c)}{unit}*sqrt({r})")
             return chunks
 
         parts = side(self.real_terms(), "") + side(self.imag_terms(), "*i")

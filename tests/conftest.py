@@ -3,16 +3,35 @@
 from __future__ import annotations
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import su2haar
 from oracles import TrigPolynomial, gaussian_mul, gaussian_pow, group_matrix, monomial_theta_integral
 from su2haar.integrals import ProductSpec, frequency_of, integrate_product
 from su2haar.powers import FiniteFunction, enumerate_balanced_compositions
 from su2haar.scalars import RadicalScalar, parse_half
 from su2haar.wigner import MatrixElementIndex
+
+
+def run_capped(script: str) -> subprocess.CompletedProcess:
+    """Run `script` in a child Python under a 256 MB address-space cap and a 10 s timeout.
+
+    A call that would build a huge integer or loop for ever then fails the
+    test instead of stalling the suite.
+    """
+    cap = "import resource\nresource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))\n"
+    src = str(pathlib.Path(su2haar.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", cap + textwrap.dedent(script)], capture_output=True, text=True,
+                          timeout=10, env=dict(os.environ, PYTHONPATH=path))
 
 
 def idx(l, m, n) -> MatrixElementIndex:

@@ -10,6 +10,7 @@ import tempfile
 import textwrap
 import time
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -234,6 +235,42 @@ class TestPowerScan:
         assert (code, out) == (2, "")
         assert "--mc" in err
         assert "Traceback" not in err
+
+    def test_mc_refuses_an_element_floats_cannot_evaluate(self, capsys, tmp_path):
+        """The float (c, s) sum of a spin-64 element cancels (the integral below read 82.2 +- 2.0 against
+        1/129): --mc exits 2 naming the element, and the exact value still prints without --mc."""
+        product = tmp_path / "p.json"
+        factors = [{"l": "64", "m": "3", "n": "-7"}, {"l": "64", "m": "-3", "n": "7"}]
+        product.write_text(json.dumps({"factors": factors}))
+        function = tmp_path / "f.json"
+        function.write_text(json.dumps({"terms": [{"l": "64", "m": "3", "n": "-7", "coeff": {"re": "1"}}]}))
+        for argv, element in ((["integrate", str(product)], "t[64,-3,7]"),
+                              (["power-scan", str(function), "--pmax", "2"], "t[64,3,-7]")):
+            code, out, err = run_cli(capsys, *argv, "--mc", "20000", "--seed", "1")
+            assert (code, out) == (2, "")
+            refusal = "its float (c, s) sum may be off by 3.4e+04, over the tolerance 1e-06"
+            assert err == f"error: --mc: {element}: {refusal}\n"
+        code, out, _ = run_cli(capsys, "integrate", str(product))
+        assert (code, json.loads(out)["exact"]) == (0, {"real": [{"radicand": 1, "coeff": "1/129"}], "imag": []})
+
+    def test_prints_exact_values_past_the_digit_limit(self, capsys, tmp_path):
+        """str() of an int refuses past 4 300 digits; 1/3^9100 (4 342 digits) and the square of a 3 000-digit
+        coefficient print in full, read back here through Decimal."""
+        path = tmp_path / "f.json"
+        template = '{"terms": [{"l": "0", "m": "0", "n": "0", "coeff": {"re": "%s"}}]}'
+        path.write_text(template % "1/3")
+        code, out, err = run_cli(capsys, "power-scan", str(path), "--pmax", "9100")
+        assert (code, err) == (0, "")
+        last = json.loads(out)["scan"][-1]
+        (real,) = last["exact"]["real"]
+        num, den = real["coeff"].split("/")
+        assert (last["P"], real["radicand"], last["exact"]["imag"]) == (9100, 1, [])
+        assert (num, int(Decimal(den))) == ("1", 3 ** 9100)
+        path.write_text(template % ("7" * 3000))
+        code, out, err = run_cli(capsys, "power-scan", str(path), "--pmax", "2")
+        assert (code, err) == (0, "")
+        (real,) = json.loads(out)["scan"][1]["exact"]["real"]
+        assert int(Decimal(real["coeff"])) == int("7" * 3000) ** 2
 
     def test_json_number_coefficient_is_its_decimal(self, capsys, tmp_path):
         """{"re": 0.1} is 1/10 as "0.1" is, not the double nearest to it."""

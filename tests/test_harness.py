@@ -20,11 +20,11 @@ from su2haar.harness import (
     run_verification_suite,
     trial_rng,
 )
-from su2haar.hull import SupportHull, origin_in_hull, rank_classification
+from su2haar.hull import SupportHull, hull_certificate, origin_in_hull, rank_classification
 from su2haar.numeric import EulerAngles, eval_matrix_element
 from su2haar.powers import power_scan
 from su2haar.scalars import RadicalScalar
-from su2haar.wigner import MatrixElementIndex
+from su2haar.wigner import MatrixElementIndex, matrix_element_trigpoly
 
 H = Fraction(1, 2)
 
@@ -293,8 +293,11 @@ def test_inside_instance_with_all_powers_zero(terms):
     assert report.origin_inside and report.first_nonzero_p is None
 
 
-def _translate(f, g, side):
-    """Coefficients of x -> f(g x) (side "left") or f(x g) ("right") by T(g x) = T(g) T(x), as floats."""
+def _translate(f, side, element, scalar):
+    """Coefficients of x -> f(g x) (side "left") or f(x g) ("right") by T(g x) = T(g) T(x).
+
+    element(index) is t[index](g) and scalar(re, im) a coefficient of f, both floats or both exact.
+    """
     out = {}
     for index, (re, im) in f.terms:
         for k2 in range(-index.l2, index.l2 + 1, 2):
@@ -302,7 +305,8 @@ def _translate(f, g, side):
                 at, factor = MatrixElementIndex(index.l2, k2, index.n2), MatrixElementIndex(index.l2, index.m2, k2)
             else:                   # t[l,m,n](x g) = sum_k t[l,m,k](x) t[l,k,n](g)
                 at, factor = MatrixElementIndex(index.l2, index.m2, k2), MatrixElementIndex(index.l2, k2, index.n2)
-            out[at] = out.get(at, 0) + complex(re, im) * eval_matrix_element(factor, g)
+            term = scalar(re, im) * element(factor)
+            out[at] = out[at] + term if at in out else term
     return out
 
 
@@ -321,6 +325,58 @@ TRANSLATES = [
 @pytest.mark.parametrize("terms, side, g, expected", TRANSLATES)
 def test_vanishing_inside_instances_are_translates_of_outside_ones(terms, side, g, expected):
     """Both counterexamples to the raw-support converse translate to a function with the origin outside its hull."""
-    got = _translate(ff(*terms), g, side)
+    got = _translate(ff(*terms), side, lambda index: eval_matrix_element(index, g), complex)
     assert all(abs(got.get(index, 0) - expected.get(index, 0)) <= 1e-12 for index in set(got) | set(expected))
     assert not origin_in_hull(SupportHull(tuple((index.m2, index.n2) for index in expected)))
+
+
+def _exact_element(c, s, phi_half, psi_half):
+    """index -> t[index](g) exactly, at g = k(phi) a(theta) k(psi) given by RadicalScalars.
+
+    c = cos(theta/2), s = sin(theta/2), phi_half = e^(-i phi/2) and psi_half = e^(-i psi/2);
+    the last two have modulus 1, so a negative power is a power of the conjugate.
+    """
+    def power(z, k):
+        out = RadicalScalar.one()
+        for _ in range(abs(k)):
+            out = out * (z if k >= 0 else z.conjugate())
+        return out
+
+    def element(index):
+        trig = sum((coeff * power(c, p) * power(s, q) for (p, q), coeff in matrix_element_trigpoly(index).items()),
+                   RadicalScalar.zero())
+        return power(phi_half, index.m2) * trig * power(psi_half, index.n2)
+
+    return element
+
+
+def radical(coeff, radicand=1, imag=False) -> RadicalScalar:
+    """coeff * sqrt(radicand), times i when `imag`."""
+    return RadicalScalar.from_terms(**{"imag" if imag else "real": [(Fraction(coeff), radicand)]})
+
+
+EXACT_TRANSLATES = [
+    # c = s = sqrt(2)/2, e^(-i phi/2) = (1 + i)/sqrt(2), psi = 0
+    pytest.param(INSIDE_BUT_VANISHING[0].values[0], "left",
+                 (radical(H, 2), radical(H, 2), radical(H, 2) + radical(H, 2, imag=True), RadicalScalar.one()),
+                 {idx(1, 0, -1): radical(-1, 2), idx(H, -H, H): RadicalScalar.from_gaussian(1, -1)}, id="A"),
+    # c = sqrt(6)/3, s = sqrt(3)/3, phi = 0, e^(-i psi/2) = i
+    pytest.param(INSIDE_BUT_VANISHING[1].values[0], "right",
+                 (radical(Fraction(1, 3), 6), radical(Fraction(1, 3), 3), RadicalScalar.one(), radical(1, imag=True)),
+                 {idx(1, 0, 1): radical(Fraction(3, 2)),
+                  **{idx(2, -2, n): b for n, b in zip(range(-2, 3), (
+                      radical(Fraction(2, 9), 6), radical(Fraction(-2, 9), 3, imag=True), radical(Fraction(1, 3)),
+                      radical(Fraction(-2, 9), 3, imag=True), radical(Fraction(2, 9), 6)))}}, id="B"),
+]
+
+
+@pytest.mark.parametrize("terms, side, g, expected", EXACT_TRANSLATES)
+def test_translates_are_exact(terms, side, g, expected):
+    """The exact twin of the float test: every coefficient of the translate is pinned, the rest are exactly 0.
+
+    A coefficient of 1e-13 passes the float test as 0, yet it would put its point in the
+    support; here the support is exactly `expected`, and its hull has a separator.
+    """
+    got = _translate(ff(*terms), side, _exact_element(*g), RadicalScalar.from_gaussian)
+    assert {index: value for index, value in got.items() if value} == expected
+    assert hull_certificate(SupportHull(tuple((index.m2, index.n2) for index in expected))).separator is not None

@@ -1,18 +1,13 @@
 """Integer kernels: the composition filter against brute force, the packed product against the dense loop."""
 
 import itertools
-import os
-import pathlib
-import subprocess
-import sys
-import textwrap
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import run_capped
 from oracles import dense_convolve, dense_vec_pow
-import su2haar
 from su2haar import _kernel
 
 
@@ -109,19 +104,13 @@ class TestConvolve:
 
     def test_unpack_rejects_a_one_bit_slot(self):
         """A 1-bit slot reads 1 as -1, so the loop never reaches 0; a child under a time and memory cap shows it."""
-        script = textwrap.dedent("""
-            import resource
-            resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+        proc = run_capped("""
             from su2haar import _kernel
             try:
                 _kernel.unpack(1, 1)
             except ValueError as e:
                 print(e)
         """)
-        src = str(pathlib.Path(su2haar.__file__).resolve().parents[1])
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=10,
-                              env=dict(os.environ, PYTHONPATH=path))
         assert (proc.returncode, proc.stdout) == (0, "width must be >= 2\n"), proc.stderr
 
 

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -26,7 +27,7 @@ from su2haar.numeric import (
     mc_scan,
 )
 from su2haar.powers import FiniteFunction
-from su2haar.wigner import MatrixElementIndex
+from su2haar.wigner import MatrixElementIndex, theta_restriction
 
 H = Fraction(1, 2)
 
@@ -290,3 +291,36 @@ class TestHighSpin:
             values = block.element(_resolve(index))
             for g, value in zip(gs, values):
                 assert abs(value - eval_matrix_element(index, g)) <= 1e-12
+
+    def test_no_element_to_spin_28_5_is_refused(self):
+        for l2 in (40, 57):
+            for m2 in range(-l2, l2 + 1, 2):
+                for n2 in range(-l2, l2 + 1, 2):
+                    _resolve(MatrixElementIndex(l2, m2, n2))
+
+    @pytest.mark.parametrize("l2, m2, n2", [(40, 0, 0), (56, 2, -2), (57, 1, -1), (57, 13, 5)])
+    def test_accepted_elements_meet_the_tolerance(self, l2, m2, n2):
+        """Each value lies within ELEMENT_TOLERANCE of the exact (c, s) sum at the same c and s, summed in 60 digits."""
+        index = MatrixElementIndex(l2, m2, n2)
+        data = theta_restriction(index)
+        phase = 1j ** ((n2 - m2) // 2 % 4)
+        for theta in np.linspace(0.1, 3.1, 7):
+            c, s = Decimal(math.cos(theta / 2)), Decimal(math.sin(theta / 2))
+            with localcontext() as ctx:
+                ctx.prec = 60
+                exact = Decimal(data.radicand).sqrt() * sum(
+                    Decimal(coeff.numerator) / coeff.denominator * c ** p * s ** q for p, q, coeff in data.terms)
+            value = eval_matrix_element(index, EulerAngles(0.0, float(theta), 0.0))
+            assert abs(value - phase * float(exact)) <= numeric.ELEMENT_TOLERANCE
+
+    def test_refuses_what_floats_cannot_evaluate(self):
+        """At spin 64 the float (c, s) sum of t[64,3,-7] is off by up to 3e4; every entry point refuses it."""
+        refused = r"t\[64,3,-7\]: its float \(c, s\) sum may be off by 3.4e\+04, over the tolerance 1e-06"
+        with pytest.raises(ValueError, match=refused):
+            eval_matrix_element(idx(64, 3, -7), EulerAngles(0.1, 0.2, 0.3))
+        with pytest.raises(ValueError, match=refused):
+            mc_integral(product((idx(64, 3, -7), 2)), samples=10)
+        with pytest.raises(ValueError, match=refused):
+            mc_scan(FiniteFunction.from_terms([((64, 3, -7), 1)]), 2, samples=10)
+        with pytest.raises(ValueError, match=r"^t\[29,0,0\]: "):
+            eval_matrix_element(idx(29, 0, 0), EulerAngles(0.1, 0.2, 0.3))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import all_indices, brute_force_power_integral, ff, idx, pt
+from conftest import all_indices, brute_force_power_integral, ff, idx, pt, run_capped
 from oracles import gaussian_mul, gaussian_pow
 from su2haar import _kernel
 from su2haar.hull import SupportHull, origin_in_hull
@@ -28,6 +28,9 @@ from su2haar.wigner import MatrixElementIndex
 H = Fraction(1, 2)
 
 
+COEFF_FAULT = "coefficient on t[1,0,0] must be an (re, im) pair of ints or Fractions"
+
+
 class TestFiniteFunction:
     def test_rejects_zero_coefficient(self):
         with pytest.raises(ValueError):
@@ -36,6 +39,38 @@ class TestFiniteFunction:
     def test_rejects_duplicate_indices(self):
         with pytest.raises(ValueError):
             FiniteFunction.from_terms([((0, 0, 0), 1), ((0, 0, 0), 2)])
+
+    def test_rejects_inexact_coefficients_at_once(self):
+        """A float, bool, text or Decimal part is a TypeError before any conversion.
+
+        Fraction("1e200000000") would build 10^200000000, so the calls run in a capped child.
+        """
+        proc = run_capped("""
+            from decimal import Decimal
+            from su2haar import FiniteFunction, MatrixElementIndex
+            for coeff in [(0.1, 0), (True, 0), ("1/3", 0), ("1e200000000", 0), (1, Decimal("0.5")), 1, (1, 0, 0)]:
+                try:
+                    FiniteFunction(((MatrixElementIndex(2, 0, 0), coeff),))
+                    print("accepted")
+                except TypeError as e:
+                    print(e)
+        """)
+        got = ("(0.1, 0)", "(True, 0)", "('1/3', 0)", "('1e200000000', 0)", "(1, Decimal('0.5'))", "1", "(1, 0, 0)")
+        expected = "".join(f"{COEFF_FAULT}, got {c}\n" for c in got)
+        assert (proc.returncode, proc.stdout) == (0, expected), proc.stderr
+
+    def test_keeps_exact_pairs_as_given(self):
+        """The constructor stores its terms tuple; `from_terms` reads an index tuple and a bare rational c as (c, 0)."""
+        terms = ((idx(1, 0, 0), (Fraction(1, 3), -2)), (idx(0, 0, 0), (0, 1)))
+        assert FiniteFunction(terms).terms is terms
+        f = ff(((1, 0, 0), 3), ((1, 1, 0), Fraction(1, 2)), ((0, 0, 0), (0, Fraction(-1, 4))))
+        assert f.terms == ((idx(1, 0, 0), (3, 0)), (idx(1, 1, 0), (Fraction(1, 2), 0)),
+                           (idx(0, 0, 0), (0, Fraction(-1, 4))))
+        for bad in (0.5, True, 1j):
+            with pytest.raises(TypeError):
+                ff(((1, 0, 0), bad))
+        with pytest.raises(TypeError, match="terms must be a tuple, got list"):
+            FiniteFunction(list(terms))
 
     def test_json_round_trip(self):
         f = ff(((H, H, -H), (Fraction(1, 2), -1)), ((1, 0, 0), (2, 0)))
@@ -303,7 +338,7 @@ class TestTwoTermPositivityMechanism:
 
 @pytest.mark.parametrize("call, error, message", [
     (lambda: SupportHull(()), ValueError, "a support hull needs at least one point"),
-    (lambda: ff(((1, 0, 0), 1j)), TypeError, "use exact (re, im) pairs, not floats"),
+    (lambda: ff(((1, 0, 0), 1j)), TypeError, f"{COEFF_FAULT}, got 1j"),
     (lambda: FiniteFunction((((1, 0, 0), (1, 0)),)), TypeError, "term index must be MatrixElementIndex, got (1, 0, 0)"),
     (lambda: ProductSpec((((1, 0, 0), 1),)), TypeError, "factor index must be MatrixElementIndex, got (1, 0, 0)"),
     (lambda: MatrixElementIndex(2.0, 0, 0), TypeError, "index components must be twice-value ints"),

@@ -1,10 +1,12 @@
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import run_capped
 from su2haar.scalars import RadicalScalar, half_str, parse_half, radical_normalize
 
 
@@ -121,6 +123,31 @@ class TestRadicalScalar:
         assert RadicalScalar.from_json(x.to_json()) == x
         radicands = [t["radicand"] for t in x.to_json()["real"]]
         assert radicands == sorted(radicands)
+
+    def test_prints_values_past_the_digit_limit(self):
+        """str() of an int refuses past 4 300 digits; the JSON and text forms print every digit."""
+        big = 3 ** 9100                                      # 4 342 digits
+        x = RadicalScalar.from_terms(real=[(Fraction(-1, big), 2)], imag=[(Fraction(big), 1)])
+        (real,), (imag,) = x.to_json()["real"], x.to_json()["imag"]
+        num, den = real["coeff"].split("/")
+        assert (num, int(Decimal(den)), int(Decimal(imag["coeff"]))) == ("-1", big, big)
+        assert str(x) == f"{real['coeff']}*sqrt(2) + {imag['coeff']}*i"
+
+    def test_from_json_rejects_exponent_notation(self):
+        """Fraction("1e200000000") would build 10^200000000, so the calls run in a capped child."""
+        proc = run_capped("""
+            from su2haar.scalars import RadicalScalar
+            for part, coeff in (("real", "1e200000000"), ("imag", "2.5E-3")):
+                try:
+                    RadicalScalar.from_json({part: [{"radicand": 1, "coeff": coeff}]})
+                    print("accepted")
+                except ValueError as e:
+                    print(e)
+            print(RadicalScalar.from_json({"real": [{"radicand": 2, "coeff": "0.25"}, {"radicand": 3, "coeff": 7}]}))
+        """)
+        refused = "exponent notation is not accepted; write an integer, p/q or a decimal"
+        expected = f"real: {refused}\nimag: {refused}\n1/4*sqrt(2) + 7*sqrt(3)\n"
+        assert (proc.returncode, proc.stdout) == (0, expected), proc.stderr
 
     def test_rational_accessors(self):
         assert RadicalScalar.from_rational(Fraction(3, 4)).as_rational() == Fraction(3, 4)
