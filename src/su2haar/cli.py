@@ -80,8 +80,7 @@ def _check_mc(ns) -> None:
 
 
 def _numeric(estimates) -> list:
-    """The `numeric` block of each McEstimate that estimates() returns; a float overflow or an element
-    floats cannot evaluate exits 2."""
+    """The `numeric` block of each McEstimate that estimates() returns; a float overflow exits 2."""
     try:
         return [
             {"mean_re": est.mean.real, "mean_im": est.mean.imag, "std_error": est.std_error, "samples": est.samples}
@@ -89,8 +88,6 @@ def _numeric(estimates) -> list:
         ]
     except OverflowError:
         raise InputError("--mc: a coefficient is too large for floating point") from None
-    except ValueError as e:
-        raise InputError(f"--mc: {e}") from None
 
 
 def _cmd_integrate(ns):

@@ -39,7 +39,7 @@ from .powers import (
 )
 from .integrals import ProductSpec, integrate_product
 from .scalars import RadicalScalar, half_str
-from .wigner import MatrixElementIndex
+from .wigner import MAX_L2, MatrixElementIndex
 
 VERDICT_CONSISTENT = "consistent"
 VERDICT_INCONCLUSIVE = "inconclusive-candidate"
@@ -125,6 +125,8 @@ class FuzzConfig:
         # each message starts with the field it rejects; the CLI maps that name to its flag
         if self.l_max2 < 0:
             raise ValueError("l_max2 (twice the largest spin) must be >= 0")
+        if self.l_max2 > MAX_L2:      # the index cap: a fuzz trial would otherwise fail inside fuzz()
+            raise ValueError(f"l_max2 (twice the largest spin) must be <= {MAX_L2}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.k_max < 1:

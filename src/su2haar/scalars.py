@@ -16,6 +16,7 @@ no (0, 0) value) makes equality and the zero test exact map comparisons.
 from __future__ import annotations
 
 import math
+import re
 from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Mapping, Tuple
@@ -89,6 +90,21 @@ def _rational_str(q: Fraction) -> str:
     except ValueError:
         num = str(Decimal(q.numerator))
         return num if q.denominator == 1 else f"{num}/{Decimal(q.denominator)}"
+
+
+_RATIO = re.compile(r"\s*([-+]?\d+)(?:/(\d+))?\s*")
+
+
+def _parse_rational(value) -> Fraction:
+    """Fraction(value), reading "p" and "p/q" text through Decimal, whose parsing has no digit limit.
+
+    So every text `_rational_str` prints reads back; other text (decimals) keeps Fraction's grammar.
+    """
+    match = _RATIO.fullmatch(value) if isinstance(value, str) else None
+    if match is None:
+        return Fraction(value)
+    num, den = match.groups()
+    return Fraction(int(Decimal(num)), int(Decimal(den or 1)))
 
 
 def _add_into(out: dict, r: int, p: Fraction, q: Fraction) -> None:
@@ -240,7 +256,7 @@ class RadicalScalar:
             if any(isinstance(c, str) and "e" in c.lower() for c, _ in terms):
                 # Fraction("1e200000000") would build the integer 10^200000000
                 raise ValueError(f"{part}: exponent notation is not accepted; write an integer, p/q or a decimal")
-            return [(Fraction(c), r) for c, r in terms]
+            return [(_parse_rational(c), r) for c, r in terms]
 
         return RadicalScalar.from_terms(real=load("real"), imag=load("imag"))
 

@@ -41,8 +41,7 @@ with r squarefree and q an integer polynomial over one denominator.  The
 phase i**(n-m) and the parities eps, delta (bit 1 of 2m + 2n and of
 2m - 2n) are read off (m, n), not stored.  The integration engines
 (`integrate_product`, `power_scan`) compute with the u-form and need no
-phase, since a balanced product has phase 1; the Monte Carlo evaluator
-reads the (c, s) terms and the phase.  `matrix_element_trigpoly` is an
+phase, since a balanced product has phase 1.  `matrix_element_trigpoly` is an
 uncached view of the (c, s) terms as RadicalScalar coefficients; the tests
 build their independent (c, s) product route on it.
 """
@@ -58,12 +57,18 @@ from typing import Dict, NamedTuple, Tuple
 from .scalars import RadicalScalar, half_str, parse_half, radical_normalize
 
 
+# Twice the largest spin an index may carry, 500.  The exact record takes 0.7 s at spin 500, 8 s at spin
+# 1000 and 100 s at spin 2000, and a spin of 10^23 overflows `factorial`; to spin 511 every float Jacobi
+# prefactor and polynomial of `numeric` fits a double.
+MAX_L2 = 1000
+
+
 @dataclass(frozen=True, order=True)
 class MatrixElementIndex:
     """Label (l, m, n) of one matrix element, held as twice-values (2l, 2m, 2n).
 
-    m and n run over -l, -l+1, ..., l; equality, hashing and ordering all
-    compare the tuple (l2, m2, n2).
+    m and n run over -l, -l+1, ..., l, and l is at most 500 (`MAX_L2`);
+    equality, hashing and ordering all compare the tuple (l2, m2, n2).
     """
 
     l2: int
@@ -76,6 +81,8 @@ class MatrixElementIndex:
             raise TypeError("index components must be twice-value ints")
         if l2 < 0:
             raise ValueError(f"spin must be nonnegative, got l={half_str(l2)}")
+        if l2 > MAX_L2:
+            raise ValueError(f"spin must be at most {half_str(MAX_L2)}, got l={half_str(l2)}")
         if abs(m2) > l2 or abs(n2) > l2:
             raise ValueError("|m|,|n| must not exceed l: l={l}, m={m}, n={n}".format(**self.to_json()))
         if (l2 - m2) % 2 or (l2 - n2) % 2:

@@ -24,7 +24,7 @@ from su2haar.hull import SupportHull, hull_certificate, origin_in_hull, rank_cla
 from su2haar.numeric import EulerAngles, eval_matrix_element
 from su2haar.powers import power_scan
 from su2haar.scalars import RadicalScalar
-from su2haar.wigner import MatrixElementIndex, matrix_element_trigpoly
+from su2haar.wigner import MAX_L2, MatrixElementIndex, matrix_element_trigpoly
 
 H = Fraction(1, 2)
 
@@ -176,9 +176,10 @@ class TestFuzz:
                 assert coeff in DEFAULT_COEFF_POOL
 
     def test_config_validation(self):
-        """Each of the seven rules rejects its input; the message starts with the field it names."""
+        """Each of the eight rules rejects its input; the message starts with the field it names."""
         cases = [
             ({"l_max2": -1}, "l_max2"),
+            ({"l_max2": MAX_L2 + 1}, "l_max2"),             # the index cap, checked before any trial
             ({"trials": 0}, "trials"),
             ({"k_max": 0}, "k_max"),
             ({"p_max": 0}, "p_max"),

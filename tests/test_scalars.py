@@ -125,13 +125,15 @@ class TestRadicalScalar:
         assert radicands == sorted(radicands)
 
     def test_prints_values_past_the_digit_limit(self):
-        """str() of an int refuses past 4 300 digits; the JSON and text forms print every digit."""
+        """str() of an int refuses past 4 300 digits; the JSON and text forms print every digit, and the JSON
+        form reads back."""
         big = 3 ** 9100                                      # 4 342 digits
         x = RadicalScalar.from_terms(real=[(Fraction(-1, big), 2)], imag=[(Fraction(big), 1)])
         (real,), (imag,) = x.to_json()["real"], x.to_json()["imag"]
         num, den = real["coeff"].split("/")
         assert (num, int(Decimal(den)), int(Decimal(imag["coeff"]))) == ("-1", big, big)
         assert str(x) == f"{real['coeff']}*sqrt(2) + {imag['coeff']}*i"
+        assert RadicalScalar.from_json(x.to_json()) == x
 
     def test_from_json_rejects_exponent_notation(self):
         """Fraction("1e200000000") would build 10^200000000, so the calls run in a capped child."""

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from conftest import all_indices, idx, spin_half_rep, sym_power_rep
 from oracles import TrigPolynomial, conjugate_index, legendre_poly, representation_matrix, sample_haar
 from su2haar.numeric import eval_matrix_element
-from su2haar.scalars import RadicalScalar, parse_half
-from su2haar.wigner import THETA_CACHE_SIZE, MatrixElementIndex, matrix_element_trigpoly, theta_restriction
+from su2haar.scalars import RadicalScalar, half_str, parse_half
+from su2haar.wigner import MAX_L2, THETA_CACHE_SIZE, MatrixElementIndex, matrix_element_trigpoly, theta_restriction
 
 H = Fraction(1, 2)
 
@@ -35,6 +35,14 @@ class TestIndexValidation:
     def test_negative_spin(self):
         with pytest.raises(ValueError):
             idx(-1, 0, 0)
+
+    def test_spin_cap(self):
+        """Spin 500 is the largest an index may carry; past it the constructor refuses before any record."""
+        assert MAX_L2 == 1000
+        assert MatrixElementIndex(MAX_L2, 0, -MAX_L2).l2 == MAX_L2
+        for l2 in (MAX_L2 + 1, 2 * 10 ** 23):
+            with pytest.raises(ValueError, match=f"^spin must be at most 500, got l={half_str(l2)}$"):
+                MatrixElementIndex(l2, l2 % 2, l2 % 2)
 
 
 class TestDefiningRepresentation:
