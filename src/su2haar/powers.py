@@ -70,7 +70,7 @@ from . import _kernel
 from ._kernel import pack, unpack
 from .hull import _halfplanes, convex_hull_ccw, two_term_criterion
 from .integrals import u_integral
-from .scalars import RadicalScalar
+from .scalars import RadicalScalar, _parse_rational, _rational_str
 from .wigner import MatrixElementIndex, theta_restriction
 
 GaussianRational = Tuple[Fraction, Fraction]
@@ -133,7 +133,7 @@ class FiniteFunction:
         return {
             "schema": 1,
             "terms": [
-                {**idx.to_json(), "coeff": {"re": str(re), "im": str(im)}}
+                {**idx.to_json(), "coeff": {"re": _rational_str(re), "im": _rational_str(im)}}
                 for idx, (re, im) in self.terms
             ],
         }
@@ -167,7 +167,7 @@ class FiniteFunction:
             if any(isinstance(x, Decimal) and x and not -324 <= x.adjusted() <= 308 for x in parts):
                 raise ValueError(f"terms[{i}].coeff: a JSON number's exponent must lie in -324..308")
             try:
-                re, im = (Fraction(x) for x in parts)
+                re, im = (_parse_rational(x) for x in parts)
             except (ValueError, ZeroDivisionError, OverflowError):
                 raise ValueError(f"terms[{i}].coeff: invalid rational") from None
             terms.append((idx, (re, im)))

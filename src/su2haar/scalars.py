@@ -96,13 +96,16 @@ _RATIO = re.compile(r"\s*([-+]?\d+)(?:/(\d+))?\s*")
 
 
 def _parse_rational(value) -> Fraction:
-    """Fraction(value), reading "p" and "p/q" text through Decimal, whose parsing has no digit limit.
+    """Fraction(value), reading "p" and "p/q" text past the digit limit through Decimal, whose parsing has none.
 
-    So every text `_rational_str` prints reads back; other text (decimals) keeps Fraction's grammar.
+    So every text `_rational_str` prints reads back; Decimal is the fallback only, as there.
     """
-    match = _RATIO.fullmatch(value) if isinstance(value, str) else None
-    if match is None:
+    try:
         return Fraction(value)
+    except ValueError:
+        match = _RATIO.fullmatch(value) if isinstance(value, str) else None
+        if match is None:
+            raise
     num, den = match.groups()
     return Fraction(int(Decimal(num)), int(Decimal(den or 1)))
 

@@ -9,6 +9,8 @@ is an independent route to a value the package computes another way:
   c = cos(theta/2), s = sin(theta/2) with RadicalScalar coefficients, built
   on the (c, s) view `matrix_element_trigpoly`, and the closed-form theta
   integral of c^a s^b, for the (c, s) route to `integrate_product`;
+* `wigner_u_form`: the u-form of an element expanded from the same (c, s)
+  view, for the exact check of the record `theta_restriction`;
 * `conjugate_index`: the conjugation identity on indices, for the symmetry
   tests of `power_scan`;
 * `gaussian_mul` and `gaussian_pow`: exact products and powers of Gaussian
@@ -161,6 +163,31 @@ class TrigPolynomial:
                 else:
                     out[e] = acc
         return out
+
+
+def wigner_u_form(idx: MatrixElementIndex) -> Tuple[int, int, Tuple[int, ...]]:
+    """(radicand, denom, poly) of t[l,m,n](a(theta)) from its (c, s) view, in lowest terms.
+
+    Each coefficient loses the phase i^(n-m), and c^p s^q becomes
+    c^(p%2) s^(q%2) (1-u)^(p//2) u^(q//2), summed over one common denominator.
+    """
+    undo_phase = (idx.m2 - idx.n2) // 2
+    radicands, terms = set(), []
+    for (p, q), coeff in matrix_element_trigpoly(idx).items():
+        real = coeff.times_i_power(undo_phase)
+        assert not real.imag_terms()
+        ((radicand, rational),) = real.real_terms()
+        radicands.add(radicand)
+        terms.append((p // 2, q // 2, rational))
+    (radicand,) = radicands
+    denom = math.lcm(*(rational.denominator for _, _, rational in terms))
+    poly = [0] * (idx.l2 // 2 + 1)
+    for a, b, rational in terms:
+        scaled = rational.numerator * (denom // rational.denominator)
+        for j in range(a + 1):
+            poly[b + j] += -scaled * math.comb(a, j) if j % 2 else scaled * math.comb(a, j)
+    g = math.gcd(denom, *poly)
+    return radicand, denom // g, tuple(x // g for x in poly)
 
 
 def monomial_theta_integral(c_exp: int, s_exp: int) -> Fraction:

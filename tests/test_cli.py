@@ -279,6 +279,15 @@ class TestPowerScan:
         (real,) = json.loads(out)["scan"][1]["exact"]["real"]
         assert int(Decimal(real["coeff"])) == int("7" * 3000) ** 2
 
+    def test_reads_coefficients_past_the_digit_limit(self, capsys, tmp_path):
+        """A function file's coefficient reads as the value field prints: (10^5000+1)/3 is 5 000 digits over 3."""
+        big = Fraction(10 ** 5000 + 1, 3)
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"terms": [{"l": "0", "m": "0", "n": "0", "coeff": {"re": f"1{'0' * 4999}1/3"}}]}))
+        code, out, err = run_cli(capsys, "power-scan", str(path), "--pmax", "1")
+        assert (code, err) == (0, "")
+        assert RadicalScalar.from_json(json.loads(out)["scan"][0]["exact"]) == RadicalScalar.from_rational(big)
+
     def test_json_number_coefficient_is_its_decimal(self, capsys, tmp_path):
         """{"re": 0.1} is 1/10 as "0.1" is, not the double nearest to it."""
         envelopes = []
@@ -479,7 +488,9 @@ small_json_values = st.recursive(
     lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=4), children, max_size=3),
     max_leaves=6,
 )
-small_spin_like = st.sampled_from(["0", "1/2", "1", "-1/2", "-1", "3/2", "2", "1/0", "x", ""]) | small_json_values
+small_spin_like = st.sampled_from(
+    ["0", "1/2", "1", "-1/2", "-1", "3/2", "2", "1/0", "x", "", "501", "1001/2", 10 ** 23]
+) | small_json_values
 index_like = st.fixed_dictionaries({}, optional={"l": small_spin_like, "m": small_spin_like, "n": small_spin_like})
 valid_index = valid_term.map(lambda term: {key: term[key] for key in ("l", "m", "n")})
 valid_factor = st.builds(lambda index, power: dict(index, power=power), valid_index, st.integers(1, 4))
@@ -518,9 +529,9 @@ bounded_function_file_like = st.one_of(
 class TestArbitraryJsonInput:
     """Commands on any JSON value: exit 0, 2 or 3, no traceback, JSON-only stdout.
 
-    Spin and power caps are still open (a spin or power in the millions runs
-    unbounded), so the generators for integrate and power-scan draw spins and
-    powers from small ranges; every other field is arbitrary JSON.
+    A spin past 500 exits 2 before any record is built, so the spins include
+    above-cap spellings; the power cap is still open (a power in the millions
+    runs unbounded), so powers stay small.  Every other field is arbitrary JSON.
     """
 
     @staticmethod
@@ -596,6 +607,19 @@ class TestSpinCap:
         assert proc.returncode == 0, proc.stderr
         runs = [json.loads(line) for line in proc.stdout.splitlines()]
         assert runs == [[2, "", f"error: {line}\n", True] for line in calls.values()]
+
+    def test_exact_values_at_the_spin_cap(self, capsys, tmp_path):
+        """Spin 500, the largest an index may carry, gives the exact Schur values 1/(2l+1) = 1/1001."""
+        one_over_1001 = {"real": [{"radicand": 1, "coeff": "1/1001"}], "imag": []}
+        product_file = tmp_path / "p.json"
+        product_file.write_text(json.dumps({"factors": [{"l": "500", "m": "3", "n": "-7"},
+                                                        {"l": "500", "m": "-3", "n": "7"}]}))
+        code, out, err = run_cli(capsys, "integrate", str(product_file))
+        assert (code, err, json.loads(out)["exact"]) == (0, "", one_over_1001)
+        function_file = tmp_path / "f.json"
+        function_file.write_text(json.dumps({"terms": [{"l": "500", "m": "0", "n": "0", "coeff": {"re": "1"}}]}))
+        code, out, err = run_cli(capsys, "power-scan", str(function_file), "--pmax", "2")
+        assert (code, err, json.loads(out)["scan"][-1]) == (0, "", {"P": 2, "exact": one_over_1001})
 
 
 class TestHullAndThreshold:
@@ -1363,7 +1387,6 @@ class TestReachability:
             "__add__", "__sub__", "__neg__", "__mul__", "__bool__", "__hash__", "__repr__", "__str__",
             "__str__.<locals>.side", "conjugate", "times_i_power", "one", "real_terms", "imag_terms",
             "from_json", "from_json.<locals>.load", "to_complex")},
-        "scalars:_parse_rational": SCALAR + "; RadicalScalar.from_json reads its coefficients with it",
     }
 
     # Qualified names are derived in the walk, not read off co_qualname (Python 3.11+), so the test needs nothing

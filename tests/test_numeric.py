@@ -27,7 +27,7 @@ from su2haar.numeric import (
     mc_scan,
 )
 from su2haar.powers import FiniteFunction
-from su2haar.wigner import MatrixElementIndex, theta_restriction
+from su2haar.wigner import MatrixElementIndex, matrix_element_trigpoly
 
 H = Fraction(1, 2)
 
@@ -308,19 +308,20 @@ class TestHighSpin:
     @pytest.mark.parametrize("l2, m2, n2", [(40, 0, 0), (56, 2, -2), (57, 1, -1), (57, 13, 5), (128, 6, -14),
                                             (128, 0, 0), (200, 0, 0), (200, 26, -58)])
     def test_accepted_elements_meet_the_tolerance(self, l2, m2, n2):
-        """Each value lies within 1e-12 of the exact (c, s) sum of `theta_restriction` at the same c and s,
-        summed in 60 digits: a route the Jacobi form shares nothing with."""
+        """Each value lies within 1e-12 of the Wigner (c, s) sum `matrix_element_trigpoly` at the same c and s,
+        summed in 60 digits: a third formula, beside the float and the exact Jacobi forms."""
         index = MatrixElementIndex(l2, m2, n2)
-        data = theta_restriction(index)
-        phase = 1j ** ((n2 - m2) // 2 % 4)
+        terms = [(p, q, part, r, x) for (p, q), coeff in matrix_element_trigpoly(index).items()
+                 for part, items in enumerate((coeff.real_terms(), coeff.imag_terms())) for r, x in items]
         for theta in np.linspace(0.1, 3.1, 7):
             c, s = Decimal(math.cos(theta / 2)), Decimal(math.sin(theta / 2))
+            exact = [Decimal(0), Decimal(0)]
             with localcontext() as ctx:
                 ctx.prec = 60
-                exact = Decimal(data.radicand).sqrt() * sum(
-                    Decimal(coeff.numerator) / coeff.denominator * c ** p * s ** q for p, q, coeff in data.terms)
+                for p, q, part, r, x in terms:
+                    exact[part] += Decimal(r).sqrt() * Decimal(x.numerator) / x.denominator * c ** p * s ** q
             value = eval_matrix_element(index, EulerAngles(0.0, float(theta), 0.0))
-            assert abs(value - phase * float(exact)) <= 1e-12
+            assert abs(value - complex(float(exact[0]), float(exact[1]))) <= 1e-12
 
     def test_spin_64_product_agrees_with_the_exact_value(self):
         """The float (c, s) sum of t[64,3,-7] cancelled to a modulus above 20; the Jacobi form gives
@@ -333,9 +334,8 @@ class TestHighSpin:
 
 class TestIndependentOracle:
     def test_catches_a_wrong_record(self, monkeypatch):
-        """A consistently wrong record, its (c, s) terms and its u-form scaled alike, reaches every exact
-        route; the Monte Carlo oracle does not read the record, so it disagrees beyond five standard
-        errors."""
+        """A wrong record, its u-form doubled, reaches every exact route; the Monte Carlo oracle does not read
+        the record, so it disagrees beyond five standard errors."""
         from su2haar import integrals, powers, wigner
 
         index = idx(1, 0, 0)
@@ -345,8 +345,7 @@ class TestIndependentOracle:
             data = original(key)
             if key != index:
                 return data
-            return data._replace(terms=tuple((p, q, 2 * c) for p, q, c in data.terms),
-                                 poly=tuple(2 * c for c in data.poly))
+            return data._replace(poly=tuple(2 * c for c in data.poly))
 
         for module in (wigner, integrals, powers, numeric):
             if hasattr(module, "theta_restriction"):

@@ -92,6 +92,14 @@ class TestFiniteFunction:
         f = FiniteFunction(tuple(terms))
         assert FiniteFunction.from_json(json.loads(json.dumps(f.to_json()))) == f
 
+    def test_json_round_trip_past_the_digit_limit(self):
+        """str() of an int refuses past 4 300 digits; a 5 000-digit coefficient writes out in full and reads back."""
+        big = Fraction(10 ** 5000 + 1, 3)
+        f = ff(((0, 0, 0), big), ((1, 0, 0), (Fraction(1, 7), -big)))
+        obj = json.loads(json.dumps(f.to_json()))
+        assert obj["terms"][0]["coeff"] == {"re": f"1{'0' * 4999}1/3", "im": "0"}
+        assert FiniteFunction.from_json(obj) == f
+
     def test_json_rejects_bad_field(self):
         with pytest.raises(ValueError, match="terms"):
             FiniteFunction.from_json({"schema": 1})

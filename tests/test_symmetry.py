@@ -32,7 +32,7 @@ from conftest import ACCEPTANCE, RADICALS_5_2, all_indices, ff, idx
 from oracles import conjugate_index, gaussian_mul
 from su2haar.powers import FiniteFunction, power_scan
 from su2haar.scalars import RadicalScalar
-from su2haar.wigner import MatrixElementIndex, theta_restriction
+from su2haar.wigner import MatrixElementIndex, matrix_element_trigpoly
 
 H = Fraction(1, 2)
 
@@ -65,11 +65,15 @@ def weyl_factor(l2, m2):
 
     At theta = pi, c = 0 and s = 1, so only the (c, s) term with c-exponent 0
     is left; T(a(pi)) is unitary and antidiagonal, so it is a unit with radicand 1.
+    The term carries the phase i^(n-m) already.
     """
-    data = theta_restriction(MatrixElementIndex(l2, m2, -m2))
-    (coeff,) = [coeff for p, _, coeff in data.terms if p == 0]
-    assert data.radicand == 1 and abs(coeff) == 1
-    return gaussian_mul(I_POWERS[-m2 % 4], (coeff, Fraction(0)))        # the phase i^(n-m), n - m = -2m
+    terms = matrix_element_trigpoly(MatrixElementIndex(l2, m2, -m2))
+    (coeff,) = [coeff for (p, _), coeff in terms.items() if p == 0]
+    real, imag = dict(coeff.real_terms()), dict(coeff.imag_terms())
+    assert set(real) | set(imag) == {1}
+    value = (real.get(1, Fraction(0)), imag.get(1, Fraction(0)))
+    assert value in I_POWERS
+    return value
 
 
 # Each translation gives (factor, image) with t[index](translated g) = factor * t[image](g).

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import all_indices, idx, spin_half_rep, sym_power_rep
-from oracles import TrigPolynomial, conjugate_index, legendre_poly, representation_matrix, sample_haar
+from oracles import (TrigPolynomial, conjugate_index, legendre_poly, representation_matrix, sample_haar,
+                     wigner_u_form)
 from su2haar.numeric import eval_matrix_element
 from su2haar.scalars import RadicalScalar, half_str, parse_half
 from su2haar.wigner import MAX_L2, THETA_CACHE_SIZE, MatrixElementIndex, matrix_element_trigpoly, theta_restriction
@@ -79,7 +80,7 @@ class TestExpansionStructure:
         """
         for index in all_indices(4):
             parities = ((index.m2 + index.n2) >> 1 & 1, (index.m2 - index.n2) >> 1 & 1)
-            for c_exp, s_exp, _ in theta_restriction(index).terms:
+            for c_exp, s_exp in matrix_element_trigpoly(index):
                 assert (c_exp % 2, s_exp % 2) == parities, index
 
     @pytest.mark.parametrize("l", range(0, 7))
@@ -112,6 +113,24 @@ class TestExpansionStructure:
                 total = total + poly * poly.conjugate()
             reduced = total.eliminate_sin()
             assert reduced == {0: RadicalScalar.one()}
+
+
+class TestRecordAgainstWignerSum:
+    """The record, built from the Jacobi form, equals the u-expansion of the Wigner (c, s) sum in lowest terms."""
+
+    def test_every_index_to_spin_6(self):
+        for index in all_indices(6):
+            assert tuple(theta_restriction(index)) == wigner_u_form(index), index
+
+    @pytest.mark.parametrize("l2, n2s", [(128, range(-128, 129, 2)), (200, range(-200, 201, 2)),
+                                         (1000, (-1000, -500, -14, 0, 500, 1000))],
+                             ids=["spin-64", "spin-100", "spin-500"])
+    def test_high_spin_rows(self, l2, n2s):
+        """The row m = 3 at spin 64 and 100 in full; at spin 500, where one Wigner expansion takes up to
+        0.7 s, every 250th n and the n = -7 of the CLI's spin-500 product."""
+        for n2 in n2s:
+            index = MatrixElementIndex(l2, 6, n2)
+            assert tuple(theta_restriction(index)) == wigner_u_form(index), index
 
 
 class TestThetaCache:
