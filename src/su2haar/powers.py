@@ -56,12 +56,15 @@ multinomial sum over frequency-balanced compositions.
 `enumerate_balanced_compositions` lists those compositions with
 `_kernel.balanced_compositions`; of the kernel the pass itself uses only
 `pack` and `unpack`, at its own slot width.
+
+Function files.  `FiniteFunction.from_json` reads each coefficient part
+with `scalars.read_rational`, as `RadicalScalar.from_json` reads a value's,
+and `to_json` writes it as the value field prints it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -70,7 +73,7 @@ from . import _kernel
 from ._kernel import pack, unpack
 from .hull import _halfplanes, convex_hull_ccw, two_term_criterion
 from .integrals import u_integral
-from .scalars import RadicalScalar, _parse_rational, _rational_str
+from .scalars import RadicalScalar, _rational_str, read_rational
 from .wigner import MatrixElementIndex, theta_restriction
 
 GaussianRational = Tuple[Fraction, Fraction]
@@ -80,10 +83,6 @@ Composition = Tuple[int, ...]
 
 class NoSolutionError(ValueError):
     """The two-point balance system has no nonzero solution in N^2."""
-
-
-def _is_json_int_or_str(value) -> bool:
-    return isinstance(value, (int, str)) and not isinstance(value, bool)
 
 
 def _is_exact(value) -> bool:
@@ -153,23 +152,12 @@ class FiniteFunction:
             coeff = t.get("coeff", {})
             if not isinstance(coeff, dict):
                 raise ValueError(f"terms[{i}].coeff must be an object with fields re and im")
-            parts = (coeff.get("re", "0"), coeff.get("im", "0"))
-            if not all(_is_json_int_or_str(x) or isinstance(x, (float, Decimal)) for x in parts):
-                raise ValueError(f"terms[{i}].coeff: re and im must be rationals such as \"-3/4\"")
-            if any(isinstance(x, str) and "e" in x.lower() for x in parts):
-                # Fraction("1e200000000") would build the integer 10^200000000
-                raise ValueError(
-                    f"terms[{i}].coeff: exponent notation is not accepted; write an integer, p/q or a decimal"
-                )
-            # a JSON number keeps every digit (the CLI reads it as a Decimal; a float is the decimal it
-            # prints as, 0.1 is 1/10); a nonzero one past a double's exponent range would build 10^|exponent|
-            parts = [Decimal(repr(x)) if isinstance(x, float) else x for x in parts]
-            if any(isinstance(x, Decimal) and x and not -324 <= x.adjusted() <= 308 for x in parts):
-                raise ValueError(f"terms[{i}].coeff: a JSON number's exponent must lie in -324..308")
             try:
-                re, im = (_parse_rational(x) for x in parts)
-            except (ValueError, ZeroDivisionError, OverflowError):
-                raise ValueError(f"terms[{i}].coeff: invalid rational") from None
+                re, im = (read_rational(coeff.get(part, 0)) for part in ("re", "im"))
+            except TypeError:
+                raise ValueError(f"terms[{i}].coeff: re and im must be rationals such as \"-3/4\"") from None
+            except ValueError as e:
+                raise ValueError(f"terms[{i}].coeff: {e}") from None
             terms.append((idx, (re, im)))
         return FiniteFunction(tuple(terms))
 

@@ -11,6 +11,11 @@ with rational p_r, q_r and squarefree positive integer radicands r.  Because
 square roots of distinct squarefree integers are linearly independent over
 the rationals, keeping the map {r: (p_r, q_r)} canonical (squarefree keys,
 no (0, 0) value) makes equality and the zero test exact map comparisons.
+
+Rationals print as "p" or "p/q" at any size (`_rational_str`).  Function
+files and values read them from JSON by `read_rational` alone, which refuses
+text or a JSON number of more than MAX_DIGITS digits: a longer value prints
+but does not read back.
 """
 
 from __future__ import annotations
@@ -92,22 +97,56 @@ def _rational_str(q: Fraction) -> str:
         return num if q.denominator == 1 else f"{num}/{Decimal(q.denominator)}"
 
 
-_RATIO = re.compile(r"\s*([-+]?\d+)(?:/(\d+))?\s*")
+# Reading costs grow with the square of the length (44 s at 10^6 digits); at the cap a number reads in under
+# 10 ms.  3^9100, the denominator of the deepest scan row the tests read back, has 4 342 digits.
+MAX_DIGITS = 10_000
+_TOO_LONG = f"a rational may have at most {MAX_DIGITS} digits"
+_TEXT = re.compile(r"\s*([-+]?)(?=\.?\d)(\d*)(?:/(\d+)|\.(\d*))?\s*")
 
 
-def _parse_rational(value) -> Fraction:
-    """Fraction(value), reading "p" and "p/q" text past the digit limit through Decimal, whose parsing has none.
-
-    So every text `_rational_str` prints reads back; Decimal is the fallback only, as there.
-    """
+def _digits_int(digits: str) -> int:
+    """int(digits), through Decimal past the interpreter's digit limit, as in `_rational_str`."""
     try:
-        return Fraction(value)
+        return int(digits)
     except ValueError:
-        match = _RATIO.fullmatch(value) if isinstance(value, str) else None
+        return int(Decimal(digits))
+
+
+def read_rational(value) -> Fraction:
+    """The rational a JSON value spells: the one reader of coefficients, in function files and values alike.
+
+    An int is itself.  Text is "p", "p/q" or a plain decimal, signed or not, with whitespace around it; exponent
+    notation is refused, as "1e200000000" would build 10^200000000.  A JSON number, a float or the Decimal the CLI
+    loads, is the decimal it prints as (0.1 is 1/10), its exponent in a double's range.  Text and numbers have at
+    most MAX_DIGITS digits, read by one grammar at every length.  A bool or another type raises TypeError.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, str, float, Decimal)):
+        raise TypeError(f'a rational is an int, a text such as "-3/4" or a JSON number, not {type(value).__name__}')
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, str):
+        if "e" in value.lower():
+            raise ValueError("exponent notation is not accepted; write an integer, p/q or a decimal")
+        match = _TEXT.fullmatch(value)
         if match is None:
-            raise
-    num, den = match.groups()
-    return Fraction(int(Decimal(num)), int(Decimal(den or 1)))
+            raise ValueError("invalid rational")
+        sign, whole, den, frac = match.groups("")
+        if len(whole) + len(den) + len(frac) > MAX_DIGITS:
+            raise ValueError(_TOO_LONG)
+        num, den = _digits_int(whole + frac), _digits_int(den) if den else 10 ** len(frac)
+        if not den:
+            raise ValueError("invalid rational")
+        return Fraction(-num if sign == "-" else num, den)
+    if isinstance(value, float):
+        value = Decimal(repr(value))
+    if not value.is_finite():
+        raise ValueError("invalid rational")
+    # a nonzero number past a double's exponent range would build 10^|exponent|
+    if value and not -324 <= value.adjusted() <= 308:
+        raise ValueError("a JSON number's exponent must lie in -324..308")
+    if len(value.as_tuple().digits) > MAX_DIGITS:
+        raise ValueError(_TOO_LONG)
+    return Fraction(value)
 
 
 def _add_into(out: dict, r: int, p: Fraction, q: Fraction) -> None:
@@ -253,13 +292,25 @@ class RadicalScalar:
         }
 
     @staticmethod
-    def from_json(obj: Mapping) -> "RadicalScalar":
+    def from_json(obj) -> "RadicalScalar":
+        """Read what `to_json` writes, each coefficient by `read_rational`; each radicand must be a positive JSON int.
+
+        Every fault raises ValueError naming its part, "real" or "imag".
+        """
+        if not isinstance(obj, dict):
+            raise ValueError("a value must be an object with fields real and imag")
+
         def load(part):
-            terms = [(t["coeff"], int(t["radicand"])) for t in obj.get(part, [])]
-            if any(isinstance(c, str) and "e" in c.lower() for c, _ in terms):
-                # Fraction("1e200000000") would build the integer 10^200000000
-                raise ValueError(f"{part}: exponent notation is not accepted; write an integer, p/q or a decimal")
-            return [(_parse_rational(c), r) for c, r in terms]
+            terms = obj.get(part, [])
+            if not (isinstance(terms, list) and all(isinstance(t, dict) and {"radicand", "coeff"} <= t.keys()
+                                                    for t in terms)):
+                raise ValueError(f"{part}: expected a list of objects with fields radicand and coeff")
+            if not all(type(t["radicand"]) is int and t["radicand"] > 0 for t in terms):
+                raise ValueError(f"{part}: radicand must be a positive integer")
+            try:
+                return [(read_rational(t["coeff"]), t["radicand"]) for t in terms]
+            except (TypeError, ValueError) as e:
+                raise ValueError(f"{part}: {e}") from None
 
         return RadicalScalar.from_terms(real=load("real"), imag=load("imag"))
 

@@ -21,7 +21,7 @@ from conftest import run_capped
 
 import su2haar
 from su2haar.cli import main
-from su2haar.scalars import RadicalScalar
+from su2haar.scalars import MAX_DIGITS, RadicalScalar
 
 
 def run_cli(capsys, *argv):
@@ -327,6 +327,43 @@ class TestPowerScan:
             assert err == f"error: {path}: terms[0].coeff: a JSON number's exponent must lie in -324..308\n"
             assert time.perf_counter() - started < 1.0, number
 
+    def test_long_coefficients_exit_2_fast(self, tmp_path):
+        """A 10^6-digit coefficient, as p/q text, decimal text or a JSON number, exits 2 in under a second with one
+        error line; before the cap, reading the p/q text ran past 20 s.  A capped child runs the calls."""
+        digits = "7" * 10 ** 6
+        for name, coeff in (("ratio", f'"{digits}/3"'), ("decimal", f'"0.{digits}"'), ("number", f"0.{digits}")):
+            (tmp_path / f"{name}.json").write_text(
+                '{"terms": [{"l": "1", "m": "0", "n": "0", "coeff": {"re": %s}}]}' % coeff)
+        proc = run_capped("""
+            import contextlib, io, json, time
+            from su2haar.cli import main
+            rows = []
+            for name in ("ratio", "decimal", "number"):
+                out, err = io.StringIO(), io.StringIO()
+                started = time.perf_counter()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(["hull", "%s/" + name + ".json"])
+                rows.append([code, out.getvalue(), err.getvalue(), time.perf_counter() - started < 1.0])
+            print(json.dumps(rows))
+        """ % tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        message = f"terms[0].coeff: a rational may have at most {MAX_DIGITS} digits\n"
+        assert json.loads(proc.stdout) == [
+            [2, "", f"error: {tmp_path}/{name}.json: {message}", True] for name in ("ratio", "decimal", "number")]
+
+    def test_one_grammar_at_every_length(self, capsys, tmp_path):
+        """A 4 400-digit decimal text reads, as its "p/q" spelling does; before, past the 4 300-digit limit only
+        "p" and "p/q" text read."""
+        template = '{"terms": [{"l": "0", "m": "0", "n": "0", "coeff": {"re": "%s"}}]}'
+        values = []
+        for coeff in ("0." + "7" * 4400, "7" * 4400 + "/1" + "0" * 4400):
+            path = tmp_path / "f.json"
+            path.write_text(template % coeff)
+            code, out, err = run_cli(capsys, "power-scan", str(path), "--pmax", "1")
+            assert (code, err) == (0, "")
+            values.append(RadicalScalar.from_json(json.loads(out)["scan"][0]["exact"]))
+        assert values[0] == values[1] == RadicalScalar.from_rational(Fraction(int(Decimal("7" * 4400)), 10 ** 4400))
+
 
 class TestMalformedInput:
     """Every malformed file exits 2 with one error line and no traceback."""
@@ -455,7 +492,13 @@ json_values = st.recursive(
     max_leaves=12,
 )
 spin_like = st.sampled_from(["0", "1/2", "1", "-1/2", "-1", "3/2", "2", "1/0", "x", ""]) | st.integers(-3, 3) | json_values
-rational_like = st.sampled_from(["0", "1", "-3/4", "1/0", "nan", "1e5", "0.25"]) | st.integers() | json_values
+# `TestArbitraryJsonInput._check` writes LONG_NUMBER as a bare JSON number of MAX_DIGITS + 1 digits: the cap holds
+# for texts and JSON numbers alike, and a spelling at the cap still reads
+LONG_NUMBER = "\0long number"
+rational_like = st.sampled_from(
+    ["0", "1", "-3/4", "1/0", "nan", "1e5", "0.25", "7" * MAX_DIGITS, "7" * (MAX_DIGITS - 1) + "/3",
+     "7" * MAX_DIGITS + "/3", "0." + "7" * MAX_DIGITS, LONG_NUMBER]
+) | st.integers() | json_values
 term_like = st.fixed_dictionaries(
     {},
     optional={
@@ -530,8 +573,10 @@ class TestArbitraryJsonInput:
     """Commands on any JSON value: exit 0, 2 or 3, no traceback, JSON-only stdout.
 
     A spin past 500 exits 2 before any record is built, so the spins include
-    above-cap spellings; the power cap is still open (a power in the millions
-    runs unbounded), so powers stay small.  Every other field is arbitrary JSON.
+    above-cap spellings; so does a coefficient past `scalars.MAX_DIGITS`
+    digits, so the coefficients include texts and JSON numbers at and past that
+    cap.  The power cap is still open (a power in the millions runs unbounded),
+    so powers stay small.  Every other field is arbitrary JSON.
     """
 
     @staticmethod
@@ -539,7 +584,7 @@ class TestArbitraryJsonInput:
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "f.json")
             with open(path, "w", encoding="utf-8") as fh:
-                json.dump(obj, fh)
+                fh.write(json.dumps(obj).replace(json.dumps(LONG_NUMBER), "0." + "7" * MAX_DIGITS))
             for argv in commands:
                 argv = [arg.format(path) for arg in argv]
                 out, err = io.StringIO(), io.StringIO()

@@ -1,13 +1,16 @@
+import contextlib
 import math
+import random
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import run_capped
-from su2haar.scalars import RadicalScalar, half_str, parse_half, radical_normalize
+from su2haar.scalars import MAX_DIGITS, RadicalScalar, half_str, parse_half, radical_normalize, read_rational
 
 
 class TestHalfInt:
@@ -39,6 +42,101 @@ class TestHalfInt:
         if twice % 2 == 0:
             assert parse_half(twice // 2) == twice
             assert parse_half(f"{twice // 2}/1") == twice
+
+
+@contextlib.contextmanager
+def no_digit_limit():
+    """Lift the interpreter's 4 300-digit limit on int/str conversion, and restore it afterwards."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+# digit strings on both sides of the int/str digit limit and of the cap
+digit_strings = st.builds(
+    lambda n, seed: "".join(random.Random(seed).choices("0123456789", k=n)),
+    st.integers(1, 30) | st.integers(4295, 4305) | st.integers(MAX_DIGITS - 5, MAX_DIGITS + 5),
+    st.integers(0, 2 ** 32),
+)
+signs = st.sampled_from(["", "-", "+"])
+spellings = st.one_of(
+    st.tuples(st.just("int"), signs, digit_strings, st.just("")),
+    st.tuples(st.just("p"), signs, digit_strings, st.just("")),
+    st.tuples(st.just("p/q"), signs, digit_strings, digit_strings | st.just("0")),
+    st.tuples(st.just("decimal"), signs, digit_strings | st.just(""), digit_strings | st.just("")),
+    st.tuples(st.just("Decimal"), signs, digit_strings, st.integers(-420, 420)),
+)
+
+
+class TestReadRational:
+    """`read_rational` is the one reader of exact rationals out of JSON values."""
+
+    @given(spellings, st.sampled_from(["", " ", "\t\n "]))
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_fraction(self, spelling, pad):
+        """Fraction, with no digit limit, is the oracle up to the cap; past it text and numbers are refused."""
+        kind, sign, a, b = spelling
+        with no_digit_limit():
+            if kind == "int":
+                value = int(sign + a)                   # an int is itself at any size
+                digits = 0
+            elif kind == "Decimal":
+                # b moves the point from just after the last digit, so the exponent lands on both sides of the range
+                value = Decimal(f"{sign}{a}E{b - len(a)}")
+                digits = len(value.as_tuple().digits)
+            else:
+                assume(a or b)
+                value = pad + sign + a + {"p": "", "p/q": "/", "decimal": "."}[kind] + b + pad
+                digits = len(a) + len(b)
+            try:
+                expected = Fraction(value)
+            except (ValueError, ZeroDivisionError):
+                expected = None
+            if digits > MAX_DIGITS or (kind == "Decimal" and value and not -324 <= value.adjusted() <= 308):
+                expected = None
+        if expected is None:
+            with pytest.raises(ValueError):
+                read_rational(value)
+        else:
+            assert read_rational(value) == expected
+
+    @given(st.floats())
+    def test_float_is_the_decimal_it_prints_as(self, x):
+        if math.isfinite(x):
+            assert read_rational(x) == Fraction(repr(x))
+        else:
+            with pytest.raises(ValueError, match="^invalid rational$"):
+                read_rational(x)
+
+    def test_faults(self):
+        for bad in (True, False, None, [1], {"p": 1}, Fraction(1, 2), 1j):
+            with pytest.raises(TypeError):
+                read_rational(bad)
+        faults = {
+            "exponent notation is not accepted; write an integer, p/q or a decimal": ["1e5", "2.5E-3", "one"],
+            "a JSON number's exponent must lie in -324..308": [Decimal("1E+309"), Decimal("-1E-325")],
+            f"a rational may have at most {MAX_DIGITS} digits": [
+                "1" * (MAX_DIGITS + 1), "1/" + "1" * MAX_DIGITS,
+                "." + "0" * (MAX_DIGITS + 1), Decimal("0." + "7" * (MAX_DIGITS + 1))],
+            "invalid rational": ["", ".", "-", "1/", "/2", "1/0", "1.5/2", "1 / 2", "1_000", "--1", "nan", "inf",
+                                 Decimal("NaN"), Decimal("-Infinity"), Decimal("sNaN")],
+        }
+        for message, values in faults.items():
+            for bad in values:
+                with pytest.raises(ValueError) as raised:
+                    read_rational(bad)
+                assert str(raised.value) == message
+
+    def test_spellings(self):
+        assert [read_rational(v) for v in (" -3/4\n", "+.5", "7.", "0.25", 0.1, Decimal("-2.50"), Decimal("1E+3"))] == [
+            Fraction(-3, 4), Fraction(1, 2), 7, Fraction(1, 4), Fraction(1, 10), Fraction(-5, 2), 1000]
+        big = 3 ** 9100                                      # 4 342 digits
+        assert read_rational("-1/" + str(Decimal(big))) == Fraction(-1, big)
+        assert read_rational(big ** 3) == big ** 3            # an int is itself at any size
+        assert read_rational("0." + "7" * 5000) == Fraction(int(Decimal("7" * 5000)), 10 ** 5000)
 
 
 def sqrt_int(n: int, coeff=1) -> RadicalScalar:
@@ -76,6 +174,19 @@ radicands = st.sampled_from([1, 2, 3, 5, 6, 7, 8, 10, 12, 18, 45])
 term_lists = st.lists(st.tuples(coeffs, radicands), max_size=4)
 scalars = st.builds(
     lambda re, im: RadicalScalar.from_terms(real=re, imag=im), term_lists, term_lists
+)
+
+
+json_leaves = (st.none() | st.booleans() | st.integers(-10 ** 7, 10 ** 7) | st.floats() | st.decimals()
+               | st.text(max_size=6) | st.sampled_from(["-3/4", "0.25", "1/0", "1e5", "7" * (MAX_DIGITS + 1)]))
+json_like = st.recursive(
+    json_leaves,
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=8,
+)
+term_like = st.fixed_dictionaries({}, optional={"radicand": st.integers(1, 50) | json_leaves, "coeff": json_leaves})
+values_like = st.fixed_dictionaries(
+    {}, optional={"real": st.lists(term_like, max_size=3) | json_like, "imag": st.lists(term_like, max_size=3) | json_like}
 )
 
 
@@ -150,6 +261,59 @@ class TestRadicalScalar:
         refused = "exponent notation is not accepted; write an integer, p/q or a decimal"
         expected = f"real: {refused}\nimag: {refused}\n1/4*sqrt(2) + 7*sqrt(3)\n"
         assert (proc.returncode, proc.stdout) == (0, expected), proc.stderr
+
+    def test_from_json_reads_coefficients_as_function_files_do(self):
+        """The float 0.1 is 1/10, not the double nearest to it; a bool is no coefficient; a JSON number past a
+        double's exponent range is refused at once (10^400000000 would be built otherwise, so the calls run in a
+        capped child), and so is a 10^6-digit text."""
+        assert RadicalScalar.from_json({"real": [{"radicand": 1, "coeff": 0.1}]}) == RadicalScalar.from_rational(
+            Fraction(1, 10))
+        proc = run_capped("""
+            from decimal import Decimal
+            from su2haar.scalars import RadicalScalar
+            for coeff in (True, Decimal("1E+400000000"), "7" * 10**6 + "/3"):
+                try:
+                    RadicalScalar.from_json({"imag": [{"radicand": 2, "coeff": coeff}]})
+                    print("accepted")
+                except ValueError as e:
+                    print(e)
+        """)
+        expected = ('imag: a rational is an int, a text such as "-3/4" or a JSON number, not bool\n'
+                    "imag: a JSON number's exponent must lie in -324..308\n"
+                    f"imag: a rational may have at most {MAX_DIGITS} digits\n")
+        assert (proc.returncode, proc.stdout) == (0, expected), proc.stderr
+
+    @pytest.mark.parametrize("obj, message", [
+        (None, "a value must be an object with fields real and imag"),
+        ([], "a value must be an object with fields real and imag"),
+        ({"real": "x"}, "real: expected a list of objects with fields radicand and coeff"),
+        ({"imag": [{"coeff": "1"}]}, "imag: expected a list of objects with fields radicand and coeff"),
+        ({"real": [{"radicand": 1}]}, "real: expected a list of objects with fields radicand and coeff"),
+        ({"real": ["x"]}, "real: expected a list of objects with fields radicand and coeff"),
+        ({"real": [{"radicand": 1, "coeff": "x"}]}, "real: invalid rational"),
+        ({"real": [{"radicand": 1, "coeff": "1/0"}]}, "real: invalid rational"),
+        ({"imag": [{"radicand": 1, "coeff": None}]},
+         'imag: a rational is an int, a text such as "-3/4" or a JSON number, not NoneType'),
+        ({"real": [{"radicand": 1.5, "coeff": "1"}]}, "real: radicand must be a positive integer"),
+        ({"real": [{"radicand": "8", "coeff": "1"}]}, "real: radicand must be a positive integer"),
+        ({"real": [{"radicand": True, "coeff": "1"}]}, "real: radicand must be a positive integer"),
+        ({"imag": [{"radicand": 0, "coeff": "1"}]}, "imag: radicand must be a positive integer"),
+        ({"imag": [{"radicand": -(10 ** 5000), "coeff": "1"}]}, "imag: radicand must be a positive integer"),
+    ], ids=["null", "list", "real-text", "no-radicand", "no-coeff", "text-term", "coeff-text", "coeff-1/0",
+            "coeff-null", "radicand-1.5", "radicand-text", "radicand-true", "radicand-0", "radicand-long"])
+    def test_from_json_faults_name_their_part(self, obj, message):
+        """Before `read_rational`, these raised KeyError, TypeError or ZeroDivisionError, or read 1.5 as 1 and
+        "8" as 2*sqrt(2)."""
+        with pytest.raises(ValueError) as raised:
+            RadicalScalar.from_json(obj)
+        assert str(raised.value) == message
+
+    @given(json_like | values_like)
+    @settings(max_examples=300, deadline=None)
+    def test_from_json_raises_only_value_error(self, obj):
+        """Radicands stay under 10^7: factoring a hostile radicand is plain trial division, still unbounded."""
+        with contextlib.suppress(ValueError):
+            RadicalScalar.from_json(obj)
 
     def test_rational_accessors(self):
         assert RadicalScalar.from_rational(Fraction(3, 4)).as_rational() == Fraction(3, 4)
