@@ -358,11 +358,12 @@ def _min_spin_index(point: Tuple[int, int]) -> MatrixElementIndex:
 
 def _suite_two_term() -> str:
     pts = _lattice_points(3)
+    indices = [_min_spin_index(p) for p in pts]
     checked = 0
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             p1, p2 = pts[i], pts[j]
-            i1, i2 = _min_spin_index(p1), _min_spin_index(p2)
+            i1, i2 = indices[i], indices[j]
             f = FiniteFunction(
                 ((i1, (Fraction(1), Fraction(0))), (i2, (Fraction(1), Fraction(0))))
             )

@@ -23,16 +23,19 @@ from the same form, and `power_scan` applies no phase.
 
 States.  After step P a state is the part of f^P times the start with
 total frequency (M, N) and radicand r, keyed by (2M, 2N, r).  The start is
-h, or t[0,0,0] = 1 without a witness; a state's parities are read off
-(2M, 2N), and so is its phase i^(N - M), which no state carries: only the
-state at (0, 0), of phase 1, is read out.  Every coefficient is scaled by
-one common integer E per factor of f, so the state's polynomial has
-Gaussian-integer coefficients.  Each polynomial is Kronecker-packed
+h, or the constant 1 = t[0,0,0] without a witness; a state's parities are
+read off (2M, 2N), and so is its phase i^(N - M), which no state carries:
+only the state at (0, 0), of phase 1, is read out.  Every coefficient is
+scaled by one common integer E per factor of f, so the state's polynomial
+has Gaussian-integer coefficients.  Each polynomial is Kronecker-packed
 (`_kernel.pack`) into two Python ints, its real and imaginary parts, with
 one signed slot of w bits per power of u.
 A step is a few big-integer multiplies per (state, element):
 c^2 folds in as 1 - u, s^2 as u, and sqrt(a) * sqrt(b) as
-g * sqrt(ab / g^2), g = gcd(a, b).
+g * sqrt(ab / g^2), g = gcd(a, b).  What an element becomes depends on the
+state only through its class, its c and s parity bits and its radicand, so
+each class gets one row of (dm, dn, new radicand, folded element) on first
+use, and every state of that class loops over its row.
 
 Slot bound.  Writing ||.|| for the sum of |re| + |im| over all coefficients,
 one step multiplies the summed norm of all states by at most
@@ -44,9 +47,12 @@ slot unpacks exactly.
 
 Pruning.  A state at step p can still reach the target (M, N) = 0 within at
 most rem = pmax - p further steps only if -(M, N) lies in
-rem * conv(support + {0}); other states are dropped, tested on the
-half-planes of that hull.  With the origin outside the hull of the support
-every state dies at step 1.
+rem * conv(support + {0}).  A position's step count, the least such rem,
+is one ceiling division per half-plane of that hull (none when a half-plane
+with c = 0 excludes it), computed once per position per scan; a state is
+dropped when its position's step count exceeds rem.  With the origin
+outside the hull of the support every state dies at step 1, and the scan
+stops at the first step with no state left: the remaining values are 0.
 
 Read-out.  integral(f^P [h]) is the zero-frequency state after step P, read
 per radicand as sum_j c_j / (j + 1) / (E_h E^P) by `integrals.u_integral`.
@@ -203,13 +209,21 @@ def _norm(poly: List[Tuple[int, int]]) -> int:
     return sum(abs(re) + abs(im) for re, im in poly)
 
 
-def _reachable(pos: Tuple[int, int], rem: int, hull) -> bool:
-    """True iff -pos lies in rem * C for C = {x : u*x1 + v*x2 <= c for (u, v, c) in hull}."""
+def _steps(pos: Tuple[int, int], hull) -> Optional[int]:
+    """The least rem >= 0 with -pos in rem * C, C = {x : u*x1 + v*x2 <= c for (u, v, c) in hull}; None if none.
+
+    C holds the origin, so every c >= 0: a half-plane with u*x + v*y < 0 needs rem >= ceil(-(u*x + v*y) / c),
+    and bars every rem when c = 0.
+    """
     x, y = pos
+    steps = 0
     for u, v, c in hull:
-        if u * x + v * y + rem * c < 0:
-            return False
-    return True
+        a = u * x + v * y
+        if a < 0:
+            if not c:
+                return None
+            steps = max(steps, -(a // c))
+    return steps
 
 
 def power_scan(
@@ -219,8 +233,8 @@ def power_scan(
     if pmax < 1:
         raise ValueError("pmax must be >= 1")
     scale_f, elements = _scaled_u_polys(f.terms)
-    # the start is h, or t[0,0,0] = 1 without a witness
-    scale_h, start = _scaled_u_polys(((witness or MatrixElementIndex(0, 0, 0), (1, 0)),))
+    # the start is h, or the constant 1 = t[0,0,0] without a witness
+    scale_h, start = (1, {(0, 0, 1): [(1, 0)]}) if witness is None else _scaled_u_polys(((witness, (1, 0)),))
     growth = sum(2 * key[2] * _norm(poly) for key, poly in elements.items())
     width = (sum(_norm(poly) for poly in start.values()) * growth ** pmax).bit_length() + 1
 
@@ -231,36 +245,36 @@ def power_scan(
     states = {key: pack_parts(poly) for key, poly in start.items()}
     hull = _halfplanes(convex_hull_ccw([k[:2] for k in elements] + [(0, 0)]))
     one_minus_u = 1 - (1 << width)
-    folded: dict = {}            # (state c and s bits, r, element) -> new radicand and folded element
+    rows: dict = {}              # (state c and s bits, r) -> (dm, dn, new radicand, re, im) per element
+    last: dict = {}              # position -> the last step whose states there can still reach (0, 0)
 
-    def fold(c, s, r, i):
+    def class_row(c, s, r):
         # the c (s) parity of a position (2m, 2n) is bit 1 of 2m + 2n (2m - 2n)
-        (dm, dn, e_r), re, im = packed[i]
-        g = gcd(r, e_r)
-        factor = g * (one_minus_u if c & (dm + dn) else 1) << (width if s & (dm - dn) else 0)
-        return (r // g) * (e_r // g), re * factor, im * factor
+        row = []
+        for (dm, dn, e_r), re, im in packed:
+            g = gcd(r, e_r)
+            factor = g * (one_minus_u if c & (dm + dn) else 1) << (width if s & (dm - dn) else 0)
+            row.append((dm, dn, (r // g) * (e_r // g), re * factor, im * factor))
+        return row
 
     values: List[Tuple[int, RadicalScalar]] = []
     denom = scale_h
     for p in range(1, pmax + 1):
-        rem = pmax - p
         denom *= scale_f
-        reachable: dict = {}
         nxt: dict = {}
         for (m2, n2, r), (sr, si) in states.items():
-            c, s = (m2 + n2) & 2, (m2 - n2) & 2
-            for i, ((dm, dn, _), _, _) in enumerate(packed):
+            cls = ((m2 + n2) & 2, (m2 - n2) & 2, r)
+            row = rows.get(cls)
+            if row is None:
+                row = rows[cls] = class_row(*cls)
+            for dm, dn, new_r, er, ei in row:
                 pos = (m2 + dm, n2 + dn)
-                ok = reachable.get(pos)
-                if ok is None:
-                    ok = reachable[pos] = _reachable(pos, rem, hull)
-                if not ok:
+                end = last.get(pos)
+                if end is None:
+                    steps = _steps(pos, hull)
+                    end = last[pos] = 0 if steps is None else pmax - steps
+                if p > end:
                     continue
-                fkey = (c, s, r, i)
-                entry = folded.get(fkey)
-                if entry is None:
-                    entry = folded[fkey] = fold(c, s, r, i)
-                new_r, er, ei = entry
                 if not ei:
                     re, im = sr * er, si * er
                 else:
@@ -270,6 +284,9 @@ def power_scan(
                 acc = nxt.get(key)
                 nxt[key] = (re, im) if acc is None else (acc[0] + re, acc[1] + im)
         states = {key: v for key, v in nxt.items() if v[0] or v[1]}
+        if not states:
+            values.extend((q, RadicalScalar.zero()) for q in range(p, pmax + 1))
+            break
         terms = {}
         for (m2, n2, r), (sr, si) in states.items():
             if m2 or n2:

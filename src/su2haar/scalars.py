@@ -101,7 +101,8 @@ def _rational_str(q: Fraction) -> str:
 # 10 ms.  3^9100, the denominator of the deepest scan row the tests read back, has 4 342 digits.
 MAX_DIGITS = 10_000
 _TOO_LONG = f"a rational may have at most {MAX_DIGITS} digits"
-_TEXT = re.compile(r"\s*([-+]?)(?=\.?\d)(\d*)(?:/(\d+)|\.(\d*))?\s*")
+# an exponent matches only after a decimal: "2.5E-3" is told that exponents are refused, "one" is an invalid rational
+_TEXT = re.compile(r"\s*([-+]?)(?=\.?\d)(\d*)(?:/(\d+)|(?:\.(\d*))?([eE][-+]?\d+)?)\s*")
 
 
 def _digits_int(digits: str) -> int:
@@ -125,12 +126,12 @@ def read_rational(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        if "e" in value.lower():
-            raise ValueError("exponent notation is not accepted; write an integer, p/q or a decimal")
         match = _TEXT.fullmatch(value)
         if match is None:
             raise ValueError("invalid rational")
-        sign, whole, den, frac = match.groups("")
+        sign, whole, den, frac, exponent = match.groups("")
+        if exponent:
+            raise ValueError("exponent notation is not accepted; write an integer, p/q or a decimal")
         if len(whole) + len(den) + len(frac) > MAX_DIGITS:
             raise ValueError(_TOO_LONG)
         num, den = _digits_int(whole + frac), _digits_int(den) if den else 10 ** len(frac)

@@ -385,6 +385,7 @@ class TestMalformedInput:
             ({"terms": [dict(TERM, coeff={"re": float("nan")})]}, "terms[0].coeff: invalid rational"),
             ({"terms": [dict(TERM, coeff={"re": float("inf")})]}, "terms[0].coeff: invalid rational"),
             ({"terms": [dict(TERM, coeff={"re": 1, "im": -float("inf")})]}, "terms[0].coeff: invalid rational"),
+            ({"terms": [dict(TERM, coeff={"re": "none"})]}, "terms[0].coeff: invalid rational"),   # has an e, no exponent
             ({"terms": [dict(TERM, coeff={"re": -0.0})]}, "zero coefficient on t[1,0,0]"),
             ({}, "missing field 'terms'"),
             ({"terms": [dict(TERM, coeff={"re": [1]})]}, RATIONALS),
@@ -393,7 +394,7 @@ class TestMalformedInput:
             ({"terms": [dict(TERM, coeff={"im": None})]}, RATIONALS),
         ],
         ids=["float-spin", "string-coeff", "string-terms", "string-term", "top-level-list", "schema-true",
-             "schema-float", "coeff-nan", "coeff-infinity", "coeff-minus-infinity", "coeff-minus-zero", "no-terms",
+             "schema-float", "coeff-nan", "coeff-infinity", "coeff-minus-infinity", "coeff-word", "coeff-minus-zero", "no-terms",
              "coeff-re-list", "coeff-im-object", "coeff-re-boolean", "coeff-im-null"],
     )
     def test_function_file(self, capsys, tmp_path, obj, message):

@@ -25,7 +25,8 @@ from conftest import (
 )
 from oracles import weyl_power_integrals
 from su2haar.cli import main
-from su2haar.powers import FiniteFunction, power_scan
+from su2haar.hull import _halfplanes, convex_hull_ccw
+from su2haar.powers import FiniteFunction, _steps, power_scan
 from su2haar.scalars import RadicalScalar
 from su2haar.wigner import MatrixElementIndex, theta_restriction
 
@@ -146,6 +147,36 @@ def pool_functions(draw):
 def test_plain_scan_is_the_scan_with_witness_t000(f, pmax):
     """Without a witness the scan starts from t[0,0,0] = 1, so naming that witness changes nothing."""
     assert power_scan(f, pmax, MatrixElementIndex(0, 0, 0)) == power_scan(f, pmax)
+
+
+def reachable(pos, rem, hull) -> bool:
+    """The half-plane pruning rule that `_steps` replaced: -pos lies in rem * C, C the hull of the support and 0."""
+    x, y = pos
+    return all(u * x + v * y + rem * c >= 0 for u, v, c in hull)
+
+
+@st.composite
+def supports(draw):
+    """1 to 5 points with |2m|, |2n| <= 8, half of the draws on one line through the origin, then the origin.
+
+    One-point and collinear supports give a point or segment hull, whose half-planes through the origin have c = 0.
+    """
+    if draw(st.booleans()):
+        points = draw(st.lists(st.tuples(st.integers(-8, 8), st.integers(-8, 8)), min_size=1, max_size=5))
+    else:
+        dm, dn = draw(st.tuples(st.integers(-4, 4), st.integers(-4, 4)))
+        k = 8 // max(abs(dm), abs(dn), 1)
+        points = [(j * dm, j * dn) for j in draw(st.lists(st.integers(-k, k), min_size=1, max_size=5))]
+    return points + [(0, 0)]
+
+
+@settings(max_examples=500, deadline=None)
+@given(supports(), st.tuples(st.integers(-40, 40), st.integers(-40, 40)), st.integers(0, 20))
+def test_step_count_prunes_as_the_half_planes_do(support, pos, rem):
+    """A state at pos is kept with rem steps left iff its step count is <= rem."""
+    hull = _halfplanes(convex_hull_ccw(support))
+    steps = _steps(pos, hull)
+    assert (steps is not None and steps <= rem) == reachable(pos, rem, hull)
 
 
 def class_function(chars) -> FiniteFunction:

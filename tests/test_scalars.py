@@ -116,12 +116,14 @@ class TestReadRational:
             with pytest.raises(TypeError):
                 read_rational(bad)
         faults = {
-            "exponent notation is not accepted; write an integer, p/q or a decimal": ["1e5", "2.5E-3", "one"],
+            "exponent notation is not accepted; write an integer, p/q or a decimal": [
+                "1e5", "2.5E-3", ".5e2", " -7.E+12 ", "1" * (MAX_DIGITS + 1) + "e5"],
             "a JSON number's exponent must lie in -324..308": [Decimal("1E+309"), Decimal("-1E-325")],
             f"a rational may have at most {MAX_DIGITS} digits": [
                 "1" * (MAX_DIGITS + 1), "1/" + "1" * MAX_DIGITS,
                 "." + "0" * (MAX_DIGITS + 1), Decimal("0." + "7" * (MAX_DIGITS + 1))],
             "invalid rational": ["", ".", "-", "1/", "/2", "1/0", "1.5/2", "1 / 2", "1_000", "--1", "nan", "inf",
+                                 "none", "one", "yes", "e", "1e", "E5", ".e5", "1e5.", "1/2e5", "1e+-5", "1e 5",
                                  Decimal("NaN"), Decimal("-Infinity"), Decimal("sNaN")],
         }
         for message, values in faults.items():
