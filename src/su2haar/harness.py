@@ -17,6 +17,7 @@ its evidence and reads its verdict off it; a summary tallies its reports.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
 from collections import Counter
@@ -81,7 +82,8 @@ class InstanceReport:
     scan: Tuple[Tuple[int, RadicalScalar], ...]
     trial: Optional[int] = None
 
-    @property
+    # written once into the instance __dict__, which a frozen dataclass without __slots__ keeps
+    @functools.cached_property
     def first_nonzero_p(self) -> Optional[int]:
         return next((p for p, v in self.scan if not v.is_zero()), None)
 

@@ -36,9 +36,11 @@ test oracles (`tests/oracles.py`).  No pi ever appears in a stored value.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Optional, Sequence, Tuple
 
 from . import _kernel
@@ -94,10 +96,22 @@ def frequency_of(spec: ProductSpec) -> Tuple[int, int]:
     return (m2, n2)
 
 
+# fuzz-verify's rounds on its eight fuzz seeds read out at 34 lengths, none above 41.  An entry at length n holds
+# n ints of about 1.44 n bits, so a full cache at lengths up to 128 stays under 1 MB.
+READ_OUT_CACHE_SIZE = 128
+
+
+@functools.lru_cache(maxsize=READ_OUT_CACHE_SIZE)
+def _read_out_weights(n: int) -> Tuple[int, Tuple[int, ...]]:
+    """(L, (L // 1, ..., L // n)) with L = lcm(1, ..., n): sum_j c_j / (j + 1) over one denominator."""
+    denom = lcm(*range(1, n + 1))
+    return denom, tuple(denom // (j + 1) for j in range(n))
+
+
 def u_integral(coeffs: Sequence[int], scale: int = 1) -> Fraction:
     """integral_0^1 sum_j coeffs[j] u^j du / scale, that is sum_j coeffs[j] / (j + 1) / scale."""
-    denom = lcm(*range(1, len(coeffs) + 1))
-    return Fraction(sum(c * (denom // (j + 1)) for j, c in enumerate(coeffs)), denom * scale)
+    denom, weights = _read_out_weights(len(coeffs))
+    return Fraction(sum(map(mul, coeffs, weights)), denom * scale)
 
 
 def integrate_product(spec: ProductSpec) -> RadicalScalar:

@@ -50,12 +50,19 @@ most rem = pmax - p further steps only if -(M, N) lies in
 rem * conv(support + {0}).  A position's step count, the least such rem,
 is one ceiling division per half-plane of that hull (none when a half-plane
 with c = 0 excludes it), computed once per position per scan; a state is
-dropped when its position's step count exceeds rem.  With the origin
-outside the hull of the support every state dies at step 1, and the scan
-stops at the first step with no state left: the remaining values are 0.
+dropped when its position's step count exceeds rem.  The hull and the
+step counts come first: if no first-step position (the start plus a
+support point) can be kept at step 1, which is always so with neither a
+witness nor the origin inside the hull of the support, every value is 0,
+and the scan returns them before it reads any element record or packs
+anything.  Otherwise it stops at the first step with no state left: the
+remaining values are 0.
 
-Read-out.  integral(f^P [h]) is the zero-frequency state after step P, read
-per radicand as sum_j c_j / (j + 1) / (E_h E^P) by `integrals.u_integral`.
+Read-out.  integral(f^P [h]) is the zero-frequency state after step P.
+The scan looks up (0, 0, r) for each radicand r its class rows give, and
+reads each such state as sum_j c_j / (j + 1) / (E_h E^P) by
+`integrals.u_integral`, whose weights lcm(1..n) / (j + 1) are cached per
+length n.
 
 The test suite's oracle for this pass (`tests/conftest.py`) is the
 multinomial sum over frequency-balanced compositions.
@@ -232,6 +239,19 @@ def power_scan(
     """Values of integral(f^P), or integral(f^P * witness), for P = 1..pmax in one pass."""
     if pmax < 1:
         raise ValueError("pmax must be >= 1")
+    support = f.support_points()
+    hull = _halfplanes(convex_hull_ccw(list(support) + [(0, 0)]))
+    last: dict = {}              # position -> the last step whose states there can still reach (0, 0)
+
+    def end_of(pos):
+        steps = _steps(pos, hull)
+        end = last[pos] = 0 if steps is None else pmax - steps
+        return end
+
+    # the start sits at (0, 0), or at the witness's (2a, 2b); if no first step can be kept, every value is 0
+    m0, n0 = (0, 0) if witness is None else (witness.m2, witness.n2)
+    if all(end_of((m0 + dm, n0 + dn)) < 1 for dm, dn in support):
+        return [(p, RadicalScalar.zero()) for p in range(1, pmax + 1)]
     scale_f, elements = _scaled_u_polys(f.terms)
     # the start is h, or the constant 1 = t[0,0,0] without a witness
     scale_h, start = (1, {(0, 0, 1): [(1, 0)]}) if witness is None else _scaled_u_polys(((witness, (1, 0)),))
@@ -243,10 +263,9 @@ def power_scan(
 
     packed = [(key, *pack_parts(poly)) for key, poly in elements.items()]
     states = {key: pack_parts(poly) for key, poly in start.items()}
-    hull = _halfplanes(convex_hull_ccw([k[:2] for k in elements] + [(0, 0)]))
     one_minus_u = 1 - (1 << width)
     rows: dict = {}              # (state c and s bits, r) -> (dm, dn, new radicand, re, im) per element
-    last: dict = {}              # position -> the last step whose states there can still reach (0, 0)
+    radicands = set()            # every radicand a row gives, so every radicand a state can have
 
     def class_row(c, s, r):
         # the c (s) parity of a position (2m, 2n) is bit 1 of 2m + 2n (2m - 2n)
@@ -255,6 +274,7 @@ def power_scan(
             g = gcd(r, e_r)
             factor = g * (one_minus_u if c & (dm + dn) else 1) << (width if s & (dm - dn) else 0)
             row.append((dm, dn, (r // g) * (e_r // g), re * factor, im * factor))
+        radicands.update(new_r for _, _, new_r, _, _ in row)
         return row
 
     values: List[Tuple[int, RadicalScalar]] = []
@@ -271,8 +291,7 @@ def power_scan(
                 pos = (m2 + dm, n2 + dn)
                 end = last.get(pos)
                 if end is None:
-                    steps = _steps(pos, hull)
-                    end = last[pos] = 0 if steps is None else pmax - steps
+                    end = end_of(pos)
                 if p > end:
                     continue
                 if not ei:
@@ -288,12 +307,12 @@ def power_scan(
             values.extend((q, RadicalScalar.zero()) for q in range(p, pmax + 1))
             break
         terms = {}
-        for (m2, n2, r), (sr, si) in states.items():
-            if m2 or n2:
-                continue
-            re, im = u_integral(unpack(sr, width), denom), u_integral(unpack(si, width), denom)
-            if re or im:
-                terms[r] = (re, im)
+        for r in radicands:
+            state = states.get((0, 0, r))
+            if state is not None:
+                re, im = (u_integral(unpack(part, width), denom) for part in state)
+                if re or im:
+                    terms[r] = (re, im)
         # each radicand is squarefree and keys one state: the map is canonical
         values.append((p, RadicalScalar(terms)))
     return values

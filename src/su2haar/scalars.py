@@ -296,8 +296,13 @@ class RadicalScalar:
     def from_json(obj) -> "RadicalScalar":
         """Read what `to_json` writes, each coefficient by `read_rational`; each radicand must be a positive JSON int.
 
+        Every radicand the package prints has its prime factors at most MAX_L2 (1 000), as records take the
+        squarefree part of binomials of arguments <= 2l, so a radicand with a larger prime factor is refused
+        after dividing out 2..MAX_L2, before `radical_normalize` trial-divides up to its square root.
         Every fault raises ValueError naming its part, "real" or "imag".
         """
+        from .wigner import MAX_L2         # wigner imports this module
+
         if not isinstance(obj, dict):
             raise ValueError("a value must be an object with fields real and imag")
 
@@ -308,6 +313,15 @@ class RadicalScalar:
                 raise ValueError(f"{part}: expected a list of objects with fields radicand and coeff")
             if not all(type(t["radicand"]) is int and t["radicand"] > 0 for t in terms):
                 raise ValueError(f"{part}: radicand must be a positive integer")
+            for t in terms:
+                n, d = t["radicand"], 2
+                # a composite d finds its prime factors divided out already; past sqrt(n), n is 1 or a prime
+                while d <= MAX_L2 and d * d <= n:
+                    while n % d == 0:
+                        n //= d
+                    d += 1
+                if n > MAX_L2:
+                    raise ValueError(f"{part}: a radicand may have no prime factor above {MAX_L2}")
             try:
                 return [(read_rational(t["coeff"]), t["radicand"]) for t in terms]
             except (TypeError, ValueError) as e:

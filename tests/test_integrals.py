@@ -1,11 +1,19 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import all_indices, idx, integrate_via_trigpoly, product
 from oracles import TrigPolynomial, monomial_theta_integral
-from su2haar.integrals import ProductSpec, frequency_of, integrate_product
+from su2haar.integrals import (
+    READ_OUT_CACHE_SIZE,
+    ProductSpec,
+    _read_out_weights,
+    frequency_of,
+    integrate_product,
+    u_integral,
+)
 from su2haar.scalars import RadicalScalar, parse_half
 from su2haar.wigner import MatrixElementIndex
 
@@ -98,6 +106,17 @@ class TestThetaIntegral:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             monomial_theta_integral(-2, 0)
+
+    def test_u_integral_through_a_bounded_cache(self):
+        """sum_j c_j / (j + 1) / scale at every length, past the cache's size; the weights are cached per length."""
+        rnd = random.Random(7)
+        for n in range(READ_OUT_CACHE_SIZE + 20):
+            coeffs = [rnd.randint(-10 ** 30, 10 ** 30) for _ in range(n)]
+            scale = rnd.randint(1, 10 ** 6)
+            expected = sum((Fraction(c, j + 1) for j, c in enumerate(coeffs)), Fraction(0)) / scale
+            assert u_integral(coeffs, scale) == expected
+        info = _read_out_weights.cache_info()
+        assert (info.maxsize, info.currsize) == (READ_OUT_CACHE_SIZE, READ_OUT_CACHE_SIZE)
 
 
 class TestIntegrateProduct:

@@ -24,6 +24,7 @@ from conftest import (
     idx,
 )
 from oracles import weyl_power_integrals
+from su2haar import powers
 from su2haar.cli import main
 from su2haar.hull import _halfplanes, convex_hull_ccw
 from su2haar.powers import FiniteFunction, _steps, power_scan
@@ -135,11 +136,44 @@ class TestAgainstOracles:
         assert_scan_matches_oracle(g, 8, h)
 
 
+SPIN_3_2 = all_indices(Fraction(3, 2))
+
+
 @st.composite
-def pool_functions(draw):
-    """1 to 4 distinct elements of spin <= 3/2 with coefficients from COMPLEX_POOL."""
-    indices = draw(st.lists(st.sampled_from(all_indices(Fraction(3, 2))), min_size=1, max_size=4, unique=True))
-    return FiniteFunction(tuple((i, draw(st.sampled_from(COMPLEX_POOL))) for i in indices))
+def pool_functions(draw, indices=SPIN_3_2):
+    """1 to 4 distinct elements of `indices` (every index of spin <= 3/2 by default), coefficients from COMPLEX_POOL."""
+    chosen = draw(st.lists(st.sampled_from(indices), min_size=1, max_size=4, unique=True))
+    return FiniteFunction(tuple((i, draw(st.sampled_from(COMPLEX_POOL))) for i in chosen))
+
+
+# supports with 2m > 0, so the origin lies outside their hull
+RIGHT_OF_ORIGIN = [i for i in SPIN_3_2 if i.m2 > 0]
+
+
+@settings(max_examples=120, deadline=None)
+@given(pool_functions() | pool_functions(RIGHT_OF_ORIGIN), st.none() | st.sampled_from(SPIN_3_2), st.integers(1, 6))
+def test_scan_matches_the_composition_oracle(f, witness, pmax):
+    """Dead first steps included: the scan returns its zeros early exactly when the oracle finds only zeros."""
+    assert power_scan(f, pmax, witness) == composition_power_scan(f, pmax, witness)
+
+
+@pytest.mark.parametrize("terms, witness, pmax", [
+    ((((1, 1, 0), 1),), None, 5),                                          # one point off the origin
+    ((((H, H, H), 1), ((1, 1, 0), (0, 2)), ((2, 2, -1), (1, 1))), None, 8),  # all on 2m > 0
+    ((((H, H, H), 1), ((1, 1, 0), (0, 2))), (1, 1, 1), 6),                 # the witness on the same side
+    ((((H, H, H), 1), ((1, 1, 0), (0, 2))), (2, -2, 0), 1),                # one step short of the origin
+], ids=["one-point", "half-plane", "witness-same-side", "witness-too-far"])
+def test_dead_scan_builds_no_element(monkeypatch, terms, witness, pmax):
+    """With no first-step position that can reach the origin in time, no element record is read."""
+    def unread(index):
+        raise AssertionError(f"record of {index} read by a dead scan")
+
+    f = ff(*terms)
+    h = None if witness is None else idx(*witness)
+    monkeypatch.setattr(powers, "theta_restriction", unread)
+    assert power_scan(f, pmax, h) == [(p, RadicalScalar.zero()) for p in range(1, pmax + 1)]
+    monkeypatch.undo()
+    assert power_scan(f, pmax, h) == composition_power_scan(f, pmax, h)
 
 
 @settings(max_examples=60, deadline=None)

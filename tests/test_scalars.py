@@ -186,7 +186,8 @@ json_like = st.recursive(
     lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=6), children, max_size=3),
     max_leaves=8,
 )
-term_like = st.fixed_dictionaries({}, optional={"radicand": st.integers(1, 50) | json_leaves, "coeff": json_leaves})
+term_like = st.fixed_dictionaries({}, optional={"radicand": st.integers(1, 50) | st.integers(1, 10 ** 30) | json_leaves,
+                                                    "coeff": json_leaves})
 values_like = st.fixed_dictionaries(
     {}, optional={"real": st.lists(term_like, max_size=3) | json_like, "imag": st.lists(term_like, max_size=3) | json_like}
 )
@@ -310,10 +311,35 @@ class TestRadicalScalar:
             RadicalScalar.from_json(obj)
         assert str(raised.value) == message
 
+    def test_from_json_refuses_a_prime_factor_above_max_l2(self):
+        """10^18 + 9 is a prime that trial division up to its square root never finished factoring; it and
+        2^61 - 1 are refused at once, so the calls run in a capped child."""
+        proc = run_capped("""
+            from su2haar.scalars import RadicalScalar
+            for part, radicand in (("real", 10 ** 18 + 9), ("imag", 2 ** 61 - 1), ("real", 6 * 1009 ** 2)):
+                terms = [{"radicand": 2, "coeff": "1"}, {"radicand": radicand, "coeff": "1"}]
+                try:
+                    RadicalScalar.from_json({part: terms})
+                    print("accepted")
+                except ValueError as e:
+                    print(e)
+        """)
+        refused = "a radicand may have no prime factor above 1000"
+        expected = f"real: {refused}\nimag: {refused}\nreal: {refused}\n"
+        assert (proc.returncode, proc.stdout) == (0, expected), proc.stderr
+
+    def test_json_round_trip_at_primes_near_max_l2(self):
+        """991 and 997 are the largest primes below MAX_L2; a square of 997 folds into the coefficient."""
+        x = RadicalScalar.from_terms(real=[(Fraction(-5, 7), 991 * 997)],
+                                     imag=[(Fraction(1, 3), 997), (Fraction(2), 2)])
+        assert RadicalScalar.from_json(x.to_json()) == x
+        doubled = {"imag": [{"radicand": 2 * 997 ** 2, "coeff": "1/997"}]}
+        assert RadicalScalar.from_json(doubled) == RadicalScalar.from_terms(imag=[(Fraction(1), 2)])
+
     @given(json_like | values_like)
     @settings(max_examples=300, deadline=None)
     def test_from_json_raises_only_value_error(self, obj):
-        """Radicands stay under 10^7: factoring a hostile radicand is plain trial division, still unbounded."""
+        """Radicands reach 10^30: one with a prime factor above MAX_L2 is refused before it is factored."""
         with contextlib.suppress(ValueError):
             RadicalScalar.from_json(obj)
 
