@@ -27,15 +27,26 @@ h, or the constant 1 = t[0,0,0] without a witness; a state's parities are
 read off (2M, 2N), and so is its phase i^(N - M), which no state carries:
 only the state at (0, 0), of phase 1, is read out.  Every coefficient is
 scaled by one common integer E per factor of f, so the state's polynomial
-has Gaussian-integer coefficients.  Each polynomial is Kronecker-packed
-(`_kernel.pack`) into two Python ints, its real and imaginary parts, with
-one signed slot of w bits per power of u.
-A step is a few big-integer multiplies per (state, element):
-c^2 folds in as 1 - u, s^2 as u, and sqrt(a) * sqrt(b) as
-g * sqrt(ab / g^2), g = gcd(a, b).  What an element becomes depends on the
-state only through its class, its c and s parity bits and its radicand, so
-each class gets one row of (dm, dn, new radicand, folded element) on first
-use, and every state of that class loops over its row.
+has Gaussian-integer coefficients.  Each frequency component of a product
+carries s^|M - N| c^|M + N| (the triangle inequality on the Jacobi form of
+d, Edmonds (4.1.23)), so with x = 2M - 2N the polynomial at (2M, 2N) is
+divisible by u^a(x), a(x) = |x| // 4, the u-part of s^|M - N|.  Every
+state, every element and the start is kept as its quotient by u^a:
+`_scaled_u_polys` drops the a known zero coefficients once.  Each quotient
+is Kronecker-packed (`_kernel.pack`) into two Python ints, its real and
+imaginary parts, with one signed slot of w bits per power of u.
+A step is a few big-integer multiplies per (state, element): c^2 folds in
+as 1 - u, and sqrt(a) * sqrt(b) as g * sqrt(ab / g^2), g = gcd(a, b).  The
+product of the quotients at x and at an element's e = dm - dn is the
+quotient at x + e times u^sh, sh = (|x| + |e| - |x + e|) / 4, which is
+min(|x|, |e|) // 2 when x * e < 0 and 0 otherwise, so the step shifts that
+product up by sh slots; the shift also holds the s^2 = u of two odd s
+parities.  What an element becomes otherwise depends on the state only
+through its class, its c parity bit and its radicand, so each class gets
+one row of (dm, dn, e, new radicand, folded element) on first use, and
+every state of that class loops over its row.  All states at one key share
+their a, so they add without alignment, and the read-out state at (0, 0)
+has a = 0.
 
 Slot bound.  Writing ||.|| for the sum of |re| + |im| over all coefficients,
 one step multiplies the summed norm of all states by at most
@@ -43,7 +54,9 @@ sum_i 2 r_i ||Q_i|| (Q_i the scaled polynomial of element i, r_i its
 radicand), so every coefficient any state can hold is bounded by
 ||H|| * (sum_i 2 r_i ||Q_i||)^pmax, with H the scaled polynomial of the
 start (1 without a witness).  w is fixed from that bound up front, so every
-slot unpacks exactly.
+slot unpacks exactly.  A quotient has the same coefficients as the
+polynomial it divides, only moved down a slots, so the norms, the bound
+and w are those of the unstripped polynomials.
 
 Pruning.  A state at step p can still reach the target (M, N) = 0 within at
 most rem = pmax - p further steps only if -(M, N) lies in
@@ -196,8 +209,11 @@ def _scaled_u_polys(terms) -> Tuple[int, Dict[_StateKey, List[Tuple[int, int]]]]
     """(E, polys): sum_i A_i t_i as Gaussian-integer u-polynomials over one denominator E.
 
     Keys are (2m, 2n, r).  Elements sharing (m, n) share their parities, so
-    terms that also share the radicand add into one polynomial.  No phase
-    i^(n - m) is applied: the read-out state at (0, 0) has phase 1.
+    terms that also share the radicand add into one polynomial.  Each
+    polynomial is kept as its quotient by u^a, a = |2m - 2n| // 4: the
+    factor s^|m - n| of the element's u-form holds u^a, so its first a
+    coefficients are 0 and are dropped.  No phase i^(n - m) is applied: the
+    read-out state at (0, 0) has phase 1.
     """
     forms = [(idx, coeff, theta_restriction(idx)) for idx, coeff in terms]
     scale = lcm(*(form.denom * lcm(re.denominator, im.denominator) for _, (re, im), form in forms))
@@ -205,9 +221,10 @@ def _scaled_u_polys(terms) -> Tuple[int, Dict[_StateKey, List[Tuple[int, int]]]]
     for idx, (re, im), form in forms:
         unit = scale // form.denom
         re, im = re.numerator * (unit // re.denominator), im.numerator * (unit // im.denominator)
+        quotient = form.poly[abs(idx.m2 - idx.n2) // 4:]
         acc = polys.setdefault((idx.m2, idx.n2, form.radicand), [])
-        acc.extend([(0, 0)] * (len(form.poly) - len(acc)))
-        for j, q in enumerate(form.poly):
+        acc.extend([(0, 0)] * (len(quotient) - len(acc)))
+        for j, q in enumerate(quotient):
             acc[j] = (acc[j][0] + re * q, acc[j][1] + im * q)
     return scale, polys
 
@@ -264,17 +281,17 @@ def power_scan(
     packed = [(key, *pack_parts(poly)) for key, poly in elements.items()]
     states = {key: pack_parts(poly) for key, poly in start.items()}
     one_minus_u = 1 - (1 << width)
-    rows: dict = {}              # (state c and s bits, r) -> (dm, dn, new radicand, re, im) per element
+    rows: dict = {}              # (state c bit, r) -> (dm, dn, dm - dn, new radicand, re, im) per element
     radicands = set()            # every radicand a row gives, so every radicand a state can have
 
-    def class_row(c, s, r):
-        # the c (s) parity of a position (2m, 2n) is bit 1 of 2m + 2n (2m - 2n)
+    def class_row(c, r):
+        # the c parity of a position (2m, 2n) is bit 1 of 2m + 2n
         row = []
         for (dm, dn, e_r), re, im in packed:
             g = gcd(r, e_r)
-            factor = g * (one_minus_u if c & (dm + dn) else 1) << (width if s & (dm - dn) else 0)
-            row.append((dm, dn, (r // g) * (e_r // g), re * factor, im * factor))
-        radicands.update(new_r for _, _, new_r, _, _ in row)
+            factor = g * (one_minus_u if c & (dm + dn) else 1)
+            row.append((dm, dn, dm - dn, (r // g) * (e_r // g), re * factor, im * factor))
+        radicands.update(new_r for _, _, _, new_r, _, _ in row)
         return row
 
     values: List[Tuple[int, RadicalScalar]] = []
@@ -283,11 +300,12 @@ def power_scan(
         denom *= scale_f
         nxt: dict = {}
         for (m2, n2, r), (sr, si) in states.items():
-            cls = ((m2 + n2) & 2, (m2 - n2) & 2, r)
+            cls = ((m2 + n2) & 2, r)
             row = rows.get(cls)
             if row is None:
                 row = rows[cls] = class_row(*cls)
-            for dm, dn, new_r, er, ei in row:
+            x = m2 - n2
+            for dm, dn, ex, new_r, er, ei in row:
                 pos = (m2 + dm, n2 + dn)
                 end = last.get(pos)
                 if end is None:
@@ -299,6 +317,11 @@ def power_scan(
                 else:
                     k1 = er * (sr + si)
                     re, im = k1 - si * (er + ei), k1 + sr * (ei - er)
+                if x * ex < 0:
+                    # u^a(x) u^a(e), times s^2 = u when both s bits are set, is u^a(x + e) u^k,
+                    # k = min(|x|, |e|) // 2; with x * e >= 0, k is 0
+                    sh = min(abs(x), abs(ex)) // 2 * width
+                    re, im = re << sh, im << sh
                 key = (pos[0], pos[1], new_r)
                 acc = nxt.get(key)
                 nxt[key] = (re, im) if acc is None else (acc[0] + re, acc[1] + im)

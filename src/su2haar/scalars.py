@@ -54,12 +54,34 @@ def half_str(twice: int) -> str:
     return str(twice // 2) if twice % 2 == 0 else f"{twice}/2"
 
 
+def _divide_out(n: int, d: int) -> Tuple[int, int]:
+    """(n / d^e, e) with d^e the highest power of d dividing n > 0, d > 1.
+
+    It divides by d, d^2, d^4, ... while they divide, then by the same
+    powers from the top down where they still do: O(log e) divisions, not
+    e, so a smooth radicand such as 2^40000 costs milliseconds.
+    """
+    powers = []
+    q = d
+    while n % q == 0:
+        n //= q
+        powers.append(q)
+        q *= q
+    e = (1 << len(powers)) - 1
+    for k in range(len(powers) - 1, -1, -1):
+        if n % powers[k] == 0:
+            n //= powers[k]
+            e += 1 << k
+    return n, e
+
+
 def radical_normalize(coeff: Fraction, radicand: int) -> Tuple[Fraction, int]:
     """Rewrite coeff*sqrt(radicand) as (coeff*k)*sqrt(r) with r squarefree.
 
-    Factorization is plain trial division; the radicands produced by the
-    factorial normalizations in this package have only small prime factors,
-    so nothing smarter is warranted.
+    Factorization is trial division, each prime divided out by
+    `_divide_out`; the radicands produced by the factorial normalizations in
+    this package have only small prime factors, so nothing smarter is
+    warranted.
     """
     if not isinstance(radicand, int) or radicand < 1:
         raise ValueError(f"radicand must be a positive integer, got {radicand!r}")
@@ -69,10 +91,7 @@ def radical_normalize(coeff: Fraction, radicand: int) -> Tuple[Fraction, int]:
     d = 2
     while d * d <= n:
         if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
+            n, e = _divide_out(n, d)
             square_part *= d ** (e // 2)
             if e % 2:
                 free_part *= d
@@ -317,8 +336,8 @@ class RadicalScalar:
                 n, d = t["radicand"], 2
                 # a composite d finds its prime factors divided out already; past sqrt(n), n is 1 or a prime
                 while d <= MAX_L2 and d * d <= n:
-                    while n % d == 0:
-                        n //= d
+                    if n % d == 0:
+                        n = _divide_out(n, d)[0]
                     d += 1
                 if n > MAX_L2:
                     raise ValueError(f"{part}: a radicand may have no prime factor above {MAX_L2}")

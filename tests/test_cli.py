@@ -944,6 +944,12 @@ GOLDEN_CALLS = {
                                (0, "cab18c190e684ea2", E)),
     "scan-radicals-with-h": (["power-scan", "radicals.json", "--pmax", "12", "--with-h", "3/2,-1/2,1/2"],
                              (0, "6f21cdb94ef707ec", E)),
+    "scan-acceptance-deep": (["power-scan", "acceptance.json", "--pmax", "64"], (0, "638f4a5c37641057", E)),
+    "scan-acceptance-deep-with-h": (["power-scan", "acceptance.json", "--pmax", "64", "--with-h", "2,-1,1"],
+                                    (0, "0e8dcfd661015581", E)),
+    # 2-D support: states and elements lie off both axes, so steps shift by u^sh
+    "scan-radicals-deep-with-h": (["power-scan", "radicals.json", "--pmax", "24", "--with-h", "3/2,-1/2,1/2"],
+                                  (0, "1b7ca8e91571a7d2", E)),
     "integrate-shift": (["integrate", "shifted.json"], (0, "9a2e852e2841543d", E)),
     "integrate-shift-mc": (["integrate", "shifted.json", "--mc", "2000", "--seed", "3"], (0, "e1c5ff80fad7dd9e", E)),
     "scan-acceptance-mc": (["power-scan", "acceptance.json", "--pmax", "4", "--mc", "2000", "--seed", "3"],

@@ -170,6 +170,31 @@ class TestRadicalNormalize:
         for d in range(2, 70):
             assert free % (d * d) != 0
 
+    @given(st.lists(st.tuples(st.sampled_from([2, 3, 5, 7, 997]), st.integers(0, 300)), max_size=4))
+    def test_smooth_radicands_match_one_factor_at_a_time(self, factors):
+        """Dividing out each prime by repeated squaring finds the exponents that one division per factor does."""
+        radicand = math.prod(p ** e for p, e in factors)
+        square, free = 1, 1
+        for p in sorted({p for p, _ in factors}):
+            e = sum(k for q, k in factors if q == p)
+            square, free = square * p ** (e // 2), free * p ** (e % 2)
+        assert radical_normalize(Fraction(-2, 3), radicand) == (Fraction(-2, 3) * square, free)
+
+    def test_smooth_radicands_are_fast(self):
+        """One division per factor costs time quadratic in a prime's exponent; 2^40000 and 3^20000 must not."""
+        proc = run_capped("""
+            import time
+            from fractions import Fraction
+            from su2haar.scalars import RadicalScalar, radical_normalize
+            start = time.process_time()
+            value = RadicalScalar.from_json({"real": [{"radicand": 2 ** 40000, "coeff": "1"}]})
+            coeff, radicand = radical_normalize(Fraction(1), 3 ** 20000)
+            elapsed = time.process_time() - start
+            print(value == RadicalScalar.from_rational(Fraction(2 ** 20000)), (coeff, radicand) == (3 ** 10000, 1))
+            print(elapsed < 0.15 or elapsed)
+        """)
+        assert (proc.returncode, proc.stdout) == (0, "True True\nTrue\n"), proc.stderr
+
 
 coeffs = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12))
 radicands = st.sampled_from([1, 2, 3, 5, 6, 7, 8, 10, 12, 18, 45])
@@ -327,6 +352,14 @@ class TestRadicalScalar:
         refused = "a radicand may have no prime factor above 1000"
         expected = f"real: {refused}\nimag: {refused}\nreal: {refused}\n"
         assert (proc.returncode, proc.stdout) == (0, expected), proc.stderr
+
+    @pytest.mark.parametrize("square, free", [(2 ** 20000, 1), (3 ** 10000, 3), (2 ** 700 * 997 ** 3, 2 * 997)],
+                             ids=["2^40000", "3^20001", "2^1401*997^7"])
+    def test_json_round_trip_at_smooth_radicands(self, square, free):
+        """A value read at radicand square^2 * free is the value at free with the square folded in."""
+        read = RadicalScalar.from_json({"imag": [{"radicand": square ** 2 * free, "coeff": "-3/5"}]})
+        assert read == RadicalScalar.from_terms(imag=[(Fraction(-3, 5) * square, free)])
+        assert RadicalScalar.from_json(read.to_json()) == read
 
     def test_json_round_trip_at_primes_near_max_l2(self):
         """991 and 997 are the largest primes below MAX_L2; a square of 997 folds into the coefficient."""

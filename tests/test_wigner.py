@@ -133,6 +133,30 @@ class TestRecordAgainstWignerSum:
             assert tuple(theta_restriction(index)) == wigner_u_form(index), index
 
 
+class TestRecordLowZeros:
+    """s^|m - n| = s^delta u^a: a record's poly starts with exactly a = |2m - 2n| // 4 zeros.
+
+    `power_scan` stores every element and state as its quotient by this u^a.
+    """
+
+    @staticmethod
+    def assert_low_zeros(index):
+        a = abs(index.m2 - index.n2) // 4
+        poly = theta_restriction(index).poly
+        assert not any(poly[:a]) and poly[a], index
+
+    def test_every_index_to_spin_5(self):
+        for index in all_indices(5):
+            self.assert_low_zeros(index)
+
+    @pytest.mark.parametrize("l2, n2s", [(128, range(-128, 129, 2)), (1000, (-1000, -500, -14, 0, 500, 1000))],
+                             ids=["spin-64", "spin-500"])
+    def test_high_spin_rows(self, l2, n2s):
+        """The row m = 3 at spin 64 in full; at spin 500 the n of `TestRecordAgainstWignerSum`."""
+        for n2 in n2s:
+            self.assert_low_zeros(MatrixElementIndex(l2, 6, n2))
+
+
 class TestThetaCache:
     def test_evicted_record_recomputes_equal(self):
         """Past its bound the cache drops the least recent record; reading it again rebuilds an equal one."""
