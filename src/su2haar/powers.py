@@ -43,20 +43,34 @@ min(|x|, |e|) // 2 when x * e < 0 and 0 otherwise, so the step shifts that
 product up by sh slots; the shift also holds the s^2 = u of two odd s
 parities.  What an element becomes otherwise depends on the state only
 through its class, its c parity bit and its radicand, so each class gets
-one row of (dm, dn, e, new radicand, folded element) on first use, and
-every state of that class loops over its row.  All states at one key share
-their a, so they add without alignment, and the read-out state at (0, 0)
-has a = 0.
+one row of (dm, dn, e, new radicand, folded element) on first use; a folded
+element is kept with its Karatsuba sums, (re, im, re + im, im - re).  All
+states at one key share their a, so they add without alignment, and the
+read-out state at (0, 0) has a = 0.
+
+The move table.  Everything else a step does for a (state, element) pair
+depends only on the state's key, so each key gets a small int id when it is
+first seen, and each id, the first time a state sits there, its list of
+moves: (last step of the target position, target id, shift in bits, folded
+element), one per element of its class row, sharing the row's element
+tuple.  A move whose last step is below 1 is dropped, and the list runs
+latest first, so a step stops at the first move that has expired.  The step
+loop only multiplies, shifts and adds, into a dict keyed by id.  Once every
+move of an id has expired, its list is dropped.
 
 Slot bound.  Writing ||.|| for the sum of |re| + |im| over all coefficients,
 one step multiplies the summed norm of all states by at most
-sum_i 2 r_i ||Q_i|| (Q_i the scaled polynomial of element i, r_i its
-radicand), so every coefficient any state can hold is bounded by
-||H|| * (sum_i 2 r_i ||Q_i||)^pmax, with H the scaled polynomial of the
-start (1 without a witness).  w is fixed from that bound up front, so every
-slot unpacks exactly.  A quotient has the same coefficients as the
-polynomial it divides, only moved down a slots, so the norms, the bound
-and w are those of the unstripped polynomials.
+sum_i k_i r_i ||Q_i|| (Q_i the scaled polynomial of element i, r_i its
+radicand, k_i 2 when element i's c parity bit, bit 1 of 2m + 2n, is set and
+1 otherwise), so every coefficient any state can hold is bounded by
+||H|| * (sum_i k_i r_i ||Q_i||)^pmax, with H the scaled polynomial of the
+start (1 without a witness).  A product with element i is g * S * Q_i,
+times (1 - u) only when both the state's and the element's c bits are set;
+g = gcd(r, r_i) <= r_i and ||1 - u|| = 2, so no other element can double
+a norm.  w is fixed from that bound up front, so every slot unpacks
+exactly.  A quotient has the same coefficients as the polynomial it
+divides, only moved down a slots, so the norms, the bound and w are those
+of the unstripped polynomials.
 
 Pruning.  A state at step p can still reach the target (M, N) = 0 within at
 most rem = pmax - p further steps only if -(M, N) lies in
@@ -72,8 +86,8 @@ anything.  Otherwise it stops at the first step with no state left: the
 remaining values are 0.
 
 Read-out.  integral(f^P [h]) is the zero-frequency state after step P.
-The scan looks up (0, 0, r) for each radicand r its class rows give, and
-reads each such state as sum_j c_j / (j + 1) / (E_h E^P) by
+The scan looks up the id of (0, 0, r) for each radicand r its class rows
+give, and reads each such state as sum_j c_j / (j + 1) / (E_h E^P) by
 `integrals.u_integral`, whose weights lcm(1..n) / (j + 1) are cached per
 length n.
 
@@ -261,8 +275,10 @@ def power_scan(
     last: dict = {}              # position -> the last step whose states there can still reach (0, 0)
 
     def end_of(pos):
-        steps = _steps(pos, hull)
-        end = last[pos] = 0 if steps is None else pmax - steps
+        end = last.get(pos)
+        if end is None:
+            steps = _steps(pos, hull)
+            end = last[pos] = 0 if steps is None else pmax - steps
         return end
 
     # the start sits at (0, 0), or at the witness's (2a, 2b); if no first step can be kept, every value is 0
@@ -272,66 +288,100 @@ def power_scan(
     scale_f, elements = _scaled_u_polys(f.terms)
     # the start is h, or the constant 1 = t[0,0,0] without a witness
     scale_h, start = (1, {(0, 0, 1): [(1, 0)]}) if witness is None else _scaled_u_polys(((witness, (1, 0)),))
-    growth = sum(2 * key[2] * _norm(poly) for key, poly in elements.items())
+    # the c^2 = 1 - u fold, of norm 2, can only meet an element whose c parity bit, bit 1 of 2m + 2n, is set
+    growth = sum((2 if (m2 + n2) & 2 else 1) * r * _norm(poly) for (m2, n2, r), poly in elements.items())
     width = (sum(_norm(poly) for poly in start.values()) * growth ** pmax).bit_length() + 1
 
     def pack_parts(poly):
         return pack((re for re, _ in poly), width), pack((im for _, im in poly), width)
 
     packed = [(key, *pack_parts(poly)) for key, poly in elements.items()]
-    states = {key: pack_parts(poly) for key, poly in start.items()}
     one_minus_u = 1 - (1 << width)
-    rows: dict = {}              # (state c bit, r) -> (dm, dn, dm - dn, new radicand, re, im) per element
+    rows: dict = {}              # (state c bit, r) -> (dm, dn, dm - dn, new radicand, folded element) per element
     radicands = set()            # every radicand a row gives, so every radicand a state can have
 
     def class_row(c, r):
-        # the c parity of a position (2m, 2n) is bit 1 of 2m + 2n
+        # the c parity of a position (2m, 2n) is bit 1 of 2m + 2n; a folded element is (re, im, re + im, im - re)
         row = []
         for (dm, dn, e_r), re, im in packed:
             g = gcd(r, e_r)
             factor = g * (one_minus_u if c & (dm + dn) else 1)
-            row.append((dm, dn, dm - dn, (r // g) * (e_r // g), re * factor, im * factor))
-        radicands.update(new_r for _, _, _, new_r, _, _ in row)
+            re, im = re * factor, im * factor
+            row.append((dm, dn, dm - dn, (r // g) * (e_r // g), (re, im, re + im, im - re)))
+        radicands.update(new_r for _, _, _, new_r, _ in row)
         return row
 
+    index: dict = {}             # state key (2M, 2N, r) -> its id
+    keys: list = []              # id -> state key
+    ends: list = []              # id -> the last step of its position
+    moves: list = []             # id -> its moves (last step, target id, shift, folded element); None before first use
+
+    def new_id(key):
+        sid = index[key] = len(keys)
+        keys.append(key)
+        ends.append(end_of(key[:2]))
+        moves.append(None)
+        return sid
+
+    def moves_of(sid):
+        m2, n2, r = keys[sid]
+        cls = ((m2 + n2) & 2, r)
+        row = rows.get(cls)
+        if row is None:
+            row = rows[cls] = class_row(*cls)
+        x = m2 - n2
+        kept = []
+        for dm, dn, ex, new_r, element in row:
+            key = (m2 + dm, n2 + dn, new_r)
+            tid = index.get(key)
+            if tid is None:
+                tid = new_id(key)
+            end = ends[tid]
+            if end < 1:
+                continue
+            # u^a(x) u^a(e), times s^2 = u when both s bits are set, is u^a(x + e) u^k,
+            # k = min(|x|, |e|) // 2 when x * e < 0, and 0 otherwise
+            sh = min(abs(x), abs(ex)) // 2 * width if x * ex < 0 else 0
+            kept.append((end, tid, sh, element))
+        # latest first, so a step stops at its first expired move
+        kept.sort(reverse=True)
+        return kept
+
+    states = {new_id(key): pack_parts(poly) for key, poly in start.items()}
+    expiry: dict = {}            # step -> the ids whose moves all expire after it
     values: List[Tuple[int, RadicalScalar]] = []
     denom = scale_h
     for p in range(1, pmax + 1):
         denom *= scale_f
         nxt: dict = {}
-        for (m2, n2, r), (sr, si) in states.items():
-            cls = ((m2 + n2) & 2, r)
-            row = rows.get(cls)
-            if row is None:
-                row = rows[cls] = class_row(*cls)
-            x = m2 - n2
-            for dm, dn, ex, new_r, er, ei in row:
-                pos = (m2 + dm, n2 + dn)
-                end = last.get(pos)
-                if end is None:
-                    end = end_of(pos)
+        for sid, (sr, si) in states.items():
+            state_moves = moves[sid]
+            if state_moves is None:
+                state_moves = moves[sid] = moves_of(sid)
+                if state_moves:
+                    expiry.setdefault(state_moves[0][0], []).append(sid)
+            ss = sr + si
+            for end, tid, sh, (er, ei, es, ed) in state_moves:
                 if p > end:
-                    continue
+                    break
                 if not ei:
                     re, im = sr * er, si * er
                 else:
-                    k1 = er * (sr + si)
-                    re, im = k1 - si * (er + ei), k1 + sr * (ei - er)
-                if x * ex < 0:
-                    # u^a(x) u^a(e), times s^2 = u when both s bits are set, is u^a(x + e) u^k,
-                    # k = min(|x|, |e|) // 2; with x * e >= 0, k is 0
-                    sh = min(abs(x), abs(ex)) // 2 * width
+                    k1 = er * ss
+                    re, im = k1 - si * es, k1 + sr * ed
+                if sh:
                     re, im = re << sh, im << sh
-                key = (pos[0], pos[1], new_r)
-                acc = nxt.get(key)
-                nxt[key] = (re, im) if acc is None else (acc[0] + re, acc[1] + im)
-        states = {key: v for key, v in nxt.items() if v[0] or v[1]}
+                acc = nxt.get(tid)
+                nxt[tid] = (re, im) if acc is None else (acc[0] + re, acc[1] + im)
+        for sid in expiry.pop(p, ()):
+            moves[sid] = ()      # no move of sid can run after step p
+        states = {sid: v for sid, v in nxt.items() if v[0] or v[1]}
         if not states:
             values.extend((q, RadicalScalar.zero()) for q in range(p, pmax + 1))
             break
         terms = {}
         for r in radicands:
-            state = states.get((0, 0, r))
+            state = states.get(index.get((0, 0, r)))
             if state is not None:
                 re, im = (u_integral(unpack(part, width), denom) for part in state)
                 if re or im:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     ACCEPTANCE,
+    RADICALS_5_2,
     all_indices,
     brute_force_power_integral,
     composition_power_integral,
@@ -116,6 +117,17 @@ class TestAgainstOracles:
         assert_scan_matches_oracle(f, 6, idx(1, 0, 0))
         assert not power_scan(f, 8)[-1][1].is_zero()
 
+    @pytest.mark.parametrize("witness", [None, (H, H, H)], ids=["plain", "witness"])
+    def test_every_element_folds(self, witness):
+        """Both elements have an odd c parity, so each step can fold in c^2 = 1 - u, of norm 2.
+
+        f is not a class function.  A slot bound that charges the factor 2 of
+        that fold to too few elements lets the slots carry into each other.
+        """
+        f = ff(((H, H, H), 1), ((H, -H, -H), (0, 1)))
+        h = None if witness is None else idx(*witness)
+        assert power_scan(f, 16, h) == composition_power_scan(f, 16, h)
+
     def test_acceptance_instance_pmax_16(self):
         f = ff(*ACCEPTANCE)
         assert_scan_matches_oracle(f, 16)
@@ -174,6 +186,29 @@ def test_dead_scan_builds_no_element(monkeypatch, terms, witness, pmax):
     assert power_scan(f, pmax, h) == [(p, RadicalScalar.zero()) for p in range(1, pmax + 1)]
     monkeypatch.undo()
     assert power_scan(f, pmax, h) == composition_power_scan(f, pmax, h)
+
+
+@pytest.mark.parametrize("terms, witness, pmax", [
+    (ACCEPTANCE, None, 18),
+    (ACCEPTANCE, (2, -1, 1), 18),
+    (RADICALS_5_2, None, 12),
+    ((((1, 0, 0), 1), ((2, 0, 0), 1), ((2, 1, 1), 1)), (2, 1, 1), 4),    # two elements at one position
+], ids=["acceptance", "acceptance-with-h", "radicals", "shared-position"])
+def test_each_step_count_is_computed_once(monkeypatch, terms, witness, pmax):
+    """A scan computes a position's step count at most once, however many states and elements reach it."""
+    counted = []
+
+    def counting(pos, hull):
+        counted.append(pos)
+        return _steps(pos, hull)
+
+    f = ff(*terms)
+    h = None if witness is None else idx(*witness)
+    monkeypatch.setattr(powers, "_steps", counting)
+    values = power_scan(f, pmax, h)
+    monkeypatch.undo()
+    assert counted and len(counted) == len(set(counted))
+    assert values == power_scan(f, pmax, h)
 
 
 @settings(max_examples=60, deadline=None)
