@@ -98,8 +98,8 @@ multinomial sum over frequency-balanced compositions.
 `pack` and `unpack`, at its own slot width.
 
 Function files.  `FiniteFunction.from_json` reads each coefficient part
-with `scalars.read_rational`, as `RadicalScalar.from_json` reads a value's,
-and `to_json` writes it as the value field prints it.
+with `scalars.read_rational`, and `to_json` writes it as the value field
+prints it.
 """
 
 from __future__ import annotations

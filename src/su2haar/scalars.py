@@ -13,9 +13,8 @@ the rationals, keeping the map {r: (p_r, q_r)} canonical (squarefree keys,
 no (0, 0) value) makes equality and the zero test exact map comparisons.
 
 Rationals print as "p" or "p/q" at any size (`_rational_str`).  Function
-files and values read them from JSON by `read_rational` alone, which refuses
-text or a JSON number of more than MAX_DIGITS digits: a longer value prints
-but does not read back.
+files read them from JSON by `read_rational` alone, which refuses text or a
+JSON number of more than MAX_DIGITS digits.  No command reads a value back.
 """
 
 from __future__ import annotations
@@ -27,18 +26,20 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Tuple
 
 
+# "k" or "p/q", each integer signed or not, spelled as int() reads it but with no "_", and whitespace around the
+# text; next to "/" only what int() skips, which is all of str.strip()'s whitespace but "\x1c" to "\x1f"
+_HALF = re.compile(r"\s*([-+]?\d+)(?:[^\S\x1c-\x1f]*/[^\S\x1c-\x1f]*([-+]?\d+))?\s*")
+
+
 def parse_half(value) -> int:
     """Twice the half-integer given as an int, a Fraction or the text "k", "k/2" (or "p/1")."""
     if isinstance(value, str):
-        s = value.strip()
-        if "/" not in s:
-            return 2 * int(s)
-        num, _, den = s.partition("/")
-        d = int(den)
-        if d == 1:
-            return 2 * int(num)
-        if d == 2:
-            return int(num)
+        match = _HALF.fullmatch(value)
+        if match is not None:
+            num, den = match.groups("1")
+            d = int(den)
+            if d in (1, 2):
+                return 2 // d * int(num)
         raise ValueError(f"not a half-integer: {value!r}")
     if isinstance(value, int):
         return 2 * value
@@ -116,8 +117,7 @@ def _rational_str(q: Fraction) -> str:
         return num if q.denominator == 1 else f"{num}/{Decimal(q.denominator)}"
 
 
-# Reading costs grow with the square of the length (44 s at 10^6 digits); at the cap a number reads in under
-# 10 ms.  3^9100, the denominator of the deepest scan row the tests read back, has 4 342 digits.
+# Reading costs grow with the square of the length (44 s at 10^6 digits); at the cap a number reads in under 10 ms.
 MAX_DIGITS = 10_000
 _TOO_LONG = f"a rational may have at most {MAX_DIGITS} digits"
 # an exponent matches only after a decimal: "2.5E-3" is told that exponents are refused, "one" is an invalid rational
@@ -133,7 +133,7 @@ def _digits_int(digits: str) -> int:
 
 
 def read_rational(value) -> Fraction:
-    """The rational a JSON value spells: the one reader of coefficients, in function files and values alike.
+    """The rational a JSON value spells: the one reader of a function file's coefficients.
 
     An int is itself.  Text is "p", "p/q" or a plain decimal, signed or not, with whitespace around it; exponent
     notation is refused, as "1e200000000" would build 10^200000000.  A JSON number, a float or the Decimal the CLI
@@ -310,43 +310,6 @@ class RadicalScalar:
             "real": [{"radicand": r, "coeff": _rational_str(p)} for r, (p, _) in items if p],
             "imag": [{"radicand": r, "coeff": _rational_str(q)} for r, (_, q) in items if q],
         }
-
-    @staticmethod
-    def from_json(obj) -> "RadicalScalar":
-        """Read what `to_json` writes, each coefficient by `read_rational`; each radicand must be a positive JSON int.
-
-        Every radicand the package prints has its prime factors at most MAX_L2 (1 000), as records take the
-        squarefree part of binomials of arguments <= 2l, so a radicand with a larger prime factor is refused
-        after dividing out 2..MAX_L2, before `radical_normalize` trial-divides up to its square root.
-        Every fault raises ValueError naming its part, "real" or "imag".
-        """
-        from .wigner import MAX_L2         # wigner imports this module
-
-        if not isinstance(obj, dict):
-            raise ValueError("a value must be an object with fields real and imag")
-
-        def load(part):
-            terms = obj.get(part, [])
-            if not (isinstance(terms, list) and all(isinstance(t, dict) and {"radicand", "coeff"} <= t.keys()
-                                                    for t in terms)):
-                raise ValueError(f"{part}: expected a list of objects with fields radicand and coeff")
-            if not all(type(t["radicand"]) is int and t["radicand"] > 0 for t in terms):
-                raise ValueError(f"{part}: radicand must be a positive integer")
-            for t in terms:
-                n, d = t["radicand"], 2
-                # a composite d finds its prime factors divided out already; past sqrt(n), n is 1 or a prime
-                while d <= MAX_L2 and d * d <= n:
-                    if n % d == 0:
-                        n = _divide_out(n, d)[0]
-                    d += 1
-                if n > MAX_L2:
-                    raise ValueError(f"{part}: a radicand may have no prime factor above {MAX_L2}")
-            try:
-                return [(read_rational(t["coeff"]), t["radicand"]) for t in terms]
-            except (TypeError, ValueError) as e:
-                raise ValueError(f"{part}: {e}") from None
-
-        return RadicalScalar.from_terms(real=load("real"), imag=load("imag"))
 
     def __str__(self) -> str:
         if self.is_zero():

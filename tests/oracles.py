@@ -21,6 +21,8 @@ is an independent route to a value the package computes another way:
 * `weyl_power_integrals`: integral(f^P) of a class function by the Weyl
   integration formula, a power of a one-variable Laurent polynomial, for
   deep scans of `power_scan`;
+* `parse_value`: a printed exact value read back without the package, for
+  the CLI tests that compare output with a value written out by hand;
 * numeric group matrices: Haar sampling, the 2x2 matrix of Euler angles and
   back, spin-l representation matrices built on `eval_matrix_element`, and
   the homomorphism check T(g1) T(g2) = T(g1 g2).
@@ -30,7 +32,9 @@ from __future__ import annotations
 
 import functools
 import math
+from decimal import Decimal
 from fractions import Fraction
+from re import fullmatch
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
@@ -271,6 +275,23 @@ def weyl_power_integrals(chars: Sequence[Tuple[int, GaussianRational]], pmax: in
         values.append(RadicalScalar.from_terms(real=[(Fraction(ct[0], 2 * den ** p), 1)],
                                                imag=[(Fraction(ct[1], 2 * den ** p), 1)]))
     return values
+
+
+def parse_value(obj: Mapping) -> Dict[int, Tuple[Fraction, Fraction]]:
+    """The map radicand -> (re, im) of a value as `to_json` prints it, each "p" or "p/q" read through Decimal,
+    which has no 4 300-digit limit.  Each part's radicands must ascend strictly and no coefficient may be zero."""
+    out: Dict[int, Tuple[Fraction, Fraction]] = {}
+    for part in ("real", "imag"):
+        radicands = [term["radicand"] for term in obj[part]]
+        assert radicands == sorted(set(radicands)), (part, radicands)
+        for term in obj[part]:
+            assert fullmatch(r"-?[0-9]+(/[0-9]+)?", term["coeff"]), (part, term)
+            num, _, den = term["coeff"].partition("/")
+            coeff = Fraction(int(Decimal(num)), int(Decimal(den or "1")))
+            assert coeff, (part, term)
+            real, imag = out.get(term["radicand"], (Fraction(0), Fraction(0)))
+            out[term["radicand"]] = (coeff, imag) if part == "real" else (real, coeff)
+    return out
 
 
 def sample_haar(rng: np.random.Generator) -> EulerAngles:

@@ -18,10 +18,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import run_capped
+from oracles import parse_value
 
 import su2haar
 from su2haar.cli import main
-from su2haar.scalars import MAX_DIGITS, RadicalScalar
+from su2haar.scalars import MAX_DIGITS
 
 
 def run_cli(capsys, *argv):
@@ -261,7 +262,7 @@ class TestPowerScan:
 
     def test_prints_exact_values_past_the_digit_limit(self, capsys, tmp_path):
         """str() of an int refuses past 4 300 digits; 1/3^9100 (4 342 digits) and the square of a 3 000-digit
-        coefficient print in full, read back here through Decimal and `RadicalScalar.from_json`."""
+        coefficient print in full, read back here through Decimal."""
         path = tmp_path / "f.json"
         template = '{"terms": [{"l": "0", "m": "0", "n": "0", "coeff": {"re": "%s"}}]}'
         path.write_text(template % "1/3")
@@ -272,7 +273,7 @@ class TestPowerScan:
         num, den = real["coeff"].split("/")
         assert (last["P"], real["radicand"], last["exact"]["imag"]) == (9100, 1, [])
         assert (num, int(Decimal(den))) == ("1", 3 ** 9100)
-        assert RadicalScalar.from_json(last["exact"]) == RadicalScalar.from_rational(Fraction(1, 3 ** 9100))
+        assert parse_value(last["exact"]) == {1: (Fraction(1, 3 ** 9100), 0)}
         path.write_text(template % ("7" * 3000))
         code, out, err = run_cli(capsys, "power-scan", str(path), "--pmax", "2")
         assert (code, err) == (0, "")
@@ -286,7 +287,7 @@ class TestPowerScan:
         path.write_text(json.dumps({"terms": [{"l": "0", "m": "0", "n": "0", "coeff": {"re": f"1{'0' * 4999}1/3"}}]}))
         code, out, err = run_cli(capsys, "power-scan", str(path), "--pmax", "1")
         assert (code, err) == (0, "")
-        assert RadicalScalar.from_json(json.loads(out)["scan"][0]["exact"]) == RadicalScalar.from_rational(big)
+        assert parse_value(json.loads(out)["scan"][0]["exact"]) == {1: (big, 0)}
 
     def test_json_number_coefficient_is_its_decimal(self, capsys, tmp_path):
         """{"re": 0.1} is 1/10 as "0.1" is, not the double nearest to it."""
@@ -361,8 +362,8 @@ class TestPowerScan:
             path.write_text(template % coeff)
             code, out, err = run_cli(capsys, "power-scan", str(path), "--pmax", "1")
             assert (code, err) == (0, "")
-            values.append(RadicalScalar.from_json(json.loads(out)["scan"][0]["exact"]))
-        assert values[0] == values[1] == RadicalScalar.from_rational(Fraction(int(Decimal("7" * 4400)), 10 ** 4400))
+            values.append(parse_value(json.loads(out)["scan"][0]["exact"]))
+        assert values[0] == values[1] == {1: (Fraction(int(Decimal("7" * 4400)), 10 ** 4400), 0)}
 
 
 class TestMalformedInput:
@@ -1090,6 +1091,24 @@ class TestArgv:
         argv = [arg.replace("{f}", single_element) for arg in argv]
         assert run_cli(capsys, *argv) == (2, "", f"error: {line}\n")
 
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["power-scan", "{f}", "--pmax", "2", "--with-h", "1_0,0,0"], "--with-h: not a half-integer: '1_0'"),
+            (["power-scan", "{f}", "--pmax", "2", "--with-h", "1.5,0,0"], "--with-h: not a half-integer: '1.5'"),
+            (["fuzz", "--seed", "1", "--trials", "1", "--lmax", ""], "--lmax: not a half-integer: ''"),
+            (["hull", "{g}"], "{g}: terms[0]: not a half-integer: '1_0'"),
+        ],
+        ids=["with-h-underscore", "with-h-decimal", "lmax-empty", "file-underscore"],
+    )
+    def test_malformed_half_integer_exits_2(self, capsys, tmp_path, single_element, argv, line):
+        """Indices and --lmax take no "_" between digits, as coefficients do, and every other text that is no
+        half-integer is named as such; before, "1_0" read as 10 and int()'s own message leaked."""
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"terms": [{"l": "1_0", "m": "0", "n": "0", "coeff": {"re": "1"}}]}))
+        argv = [arg.format(f=single_element, g=path) for arg in argv]
+        assert run_cli(capsys, *argv) == (2, "", f"error: {line.format(g=path)}\n")
+
     def test_empty_out_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "fuzz", "--seed", "1", "--trials", "1", "--out=")
         assert (code, out) == (2, "")
@@ -1438,7 +1457,7 @@ class TestReachability:
         **{f"scalars:RadicalScalar.{name}": SCALAR for name in (
             "__add__", "__sub__", "__neg__", "__mul__", "__bool__", "__hash__", "__repr__", "__str__",
             "__str__.<locals>.side", "conjugate", "times_i_power", "one", "real_terms", "imag_terms",
-            "from_json", "from_json.<locals>.load", "to_complex")},
+            "to_complex")},
     }
 
     # Qualified names are derived in the walk, not read off co_qualname (Python 3.11+), so the test needs nothing
