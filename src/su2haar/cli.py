@@ -19,7 +19,6 @@ cannot be written, 3 threshold precondition violated (origin inside hull),
 stderr; stdout carries JSON only (JSON-lines for fuzz streams).
 """
 
-import dataclasses
 import json
 import os
 import sys
@@ -196,7 +195,7 @@ def _cmd_verify(ns):
 
 _REQUIRED = object()                    # the default of a flag that must be given
 # the fuzz flags default to the FuzzConfig fields, so the two cannot disagree
-_FUZZ_DEFAULT = {f.name: f.default for f in dataclasses.fields(FuzzConfig)}
+_FUZZ_DEFAULT = FuzzConfig._field_defaults
 _MC_FLAGS = {"--mc": (int, 0), "--seed": (int, 0)}
 # command -> (handler, positional names, {flag: (type, default)}); a flag's attribute is
 # its name without the dashes, "-" read as "_".  A handler returns (out, exit code):
@@ -254,6 +253,8 @@ def parse_argv(argv: list) -> SimpleNamespace | None:
         if flag not in given and default is _REQUIRED:
             raise InputError(f"{flag}: required by {cmd}")
         try:
+            if kind is not str and "_" in given.get(flag, ""):   # int() and float() read "1_0" as 10
+                raise ValueError
             value = kind(given[flag]) if flag in given else default
         except ValueError:
             raise InputError(f"{flag}: invalid {kind.__name__} value: {given[flag]!r}") from None

@@ -20,8 +20,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import random
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -73,16 +72,13 @@ def classify_instance(f: FiniteFunction) -> str:
     return "general-k"
 
 
-@dataclass(frozen=True)
-class InstanceReport:
-    """One instance, its hull verdict and its scan; the verdict is read off them."""
+class InstanceReport(namedtuple("InstanceReport", "function origin_inside scan trial", defaults=(None,))):
+    """One instance, its hull verdict and its scan; the verdict is read off them.
 
-    function: FiniteFunction
-    origin_inside: bool
-    scan: Tuple[Tuple[int, RadicalScalar], ...]
-    trial: Optional[int] = None
+    `scan` is the tuple of (P, value) pairs of `power_scan`, `trial` the fuzz trial number or None.
+    """
 
-    # written once into the instance __dict__, which a frozen dataclass without __slots__ keeps
+    # no __slots__: the instance __dict__ holds what first_nonzero_p computes, once
     @functools.cached_property
     def first_nonzero_p(self) -> Optional[int]:
         return next((p for p, v in self.scan if not v.is_zero()), None)
@@ -114,16 +110,13 @@ def check_proven_direction(f: FiniteFunction, pmax: int, trial: Optional[int] = 
     return InstanceReport(f, inside, tuple(power_scan(f, pmax)), trial)
 
 
-@dataclass(frozen=True)
-class FuzzConfig:
-    seed: int
-    trials: int
-    l_max2: int = 4             # twice the largest spin
-    k_max: int = 4
-    p_max: int = 12
-    rank2_bias: float = 0.0
+class FuzzConfig(namedtuple("FuzzConfig", "seed trials l_max2 k_max p_max rank2_bias", defaults=(4, 4, 12, 0.0))):
+    """A fuzz run's settings; `l_max2` is twice the largest spin, `k_max` and `p_max` the largest term count and power."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         # each message starts with the field it rejects; the CLI maps that name to its flag
         if self.l_max2 < 0:
             raise ValueError("l_max2 (twice the largest spin) must be >= 0")
@@ -145,12 +138,13 @@ class FuzzConfig:
             raise ValueError(
                 f"k_max must be <= {count}, the number of distinct indices with l <= {half_str(self.l_max2)}"
             )
+        return self
 
 
-@dataclass(frozen=True)
-class FuzzSummary:
-    seed: int
-    reports: Tuple[InstanceReport, ...]
+class FuzzSummary(namedtuple("FuzzSummary", "seed reports")):
+    """A fuzz run's seed and its tuple of InstanceReports; the tallies are read off them."""
+
+    __slots__ = ()
 
     @property
     def trials_run(self) -> int:
@@ -268,16 +262,13 @@ def fuzz(cfg: FuzzConfig) -> Tuple[List[InstanceReport], FuzzSummary]:
     return reports, FuzzSummary(cfg.seed, tuple(reports))
 
 
-@dataclass(frozen=True)
-class SuiteItem:
-    name: str
-    passed: bool
-    detail: str
+SuiteItem = namedtuple("SuiteItem", "name passed detail")
 
 
-@dataclass(frozen=True)
-class SuiteReport:
-    items: Tuple[SuiteItem, ...]
+class SuiteReport(namedtuple("SuiteReport", "items")):
+    """The verification suite's tuple of SuiteItems."""
+
+    __slots__ = ()
 
     @property
     def all_passed(self) -> bool:

@@ -16,9 +16,9 @@ boundary points count as contained.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 Point = Tuple[int, int]
 HalfPlane = Tuple[int, int, int]    # {(x, y) : u*x + v*y <= c}
@@ -28,32 +28,32 @@ class OriginInHullError(ValueError):
     """vanishing_threshold called with the origin inside the hull."""
 
 
-@dataclass(frozen=True)
-class SupportHull:
-    """Twice-int support points (2m_i, 2n_i), one per support entry, repeats kept."""
+class SupportHull(namedtuple("SupportHull", "points")):
+    """Twice-int support points (2m_i, 2n_i), one per support entry, repeats kept, as a tuple `points`."""
 
-    points: Tuple[Point, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.points:
+    def __new__(cls, points):
+        if not points:
             raise ValueError("a support hull needs at least one point")
+        return super().__new__(cls, points)
 
 
-@dataclass(frozen=True)
-class HullCertificate:
+class HullCertificate(namedtuple("HullCertificate", "weights separator", defaults=(None, None))):
     """Rational witness for an origin-membership verdict; the verdict is read off it.
 
-    Inside: convex weights, one per entry of ``SupportHull.points`` and
-    summing to 1, that hit the origin; at most three are nonzero (the hull
-    vertices of the point, segment or fan triangle that holds the origin),
-    and a repeated point carries its weight at its first entry only.
-    Outside: a direction (u, v) and a bound with u*m + v*n >= bound > 0 on
-    every support point, the bound being the minimum; (u, v) is the negated
-    normal of a hull half-plane that excludes the origin.
+    Inside: `weights`, a tuple of Fraction convex weights, one per entry of
+    ``SupportHull.points`` and summing to 1, that hit the origin; at most
+    three are nonzero (the hull vertices of the point, segment or fan
+    triangle that holds the origin), and a repeated point carries its
+    weight at its first entry only.
+    Outside: `separator`, a Fraction triple (u, v, bound) with
+    u*m + v*n >= bound > 0 on every support point, the bound being the
+    minimum; (u, v) is the negated normal of a hull half-plane that
+    excludes the origin.  The field not given is None.
     """
 
-    weights: Optional[Tuple[Fraction, ...]] = None
-    separator: Optional[Tuple[Fraction, Fraction, Fraction]] = None
+    __slots__ = ()
 
     @property
     def inside(self) -> bool:

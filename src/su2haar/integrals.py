@@ -37,7 +37,7 @@ test oracles (`tests/oracles.py`).  No pi ever appears in a stored value.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 from operator import mul
@@ -48,22 +48,21 @@ from .scalars import RadicalScalar
 from .wigner import MatrixElementIndex, theta_restriction
 
 
-@dataclass(frozen=True)
-class ProductSpec:
-    """Multiset of (matrix element, power) factors, canonically merged and sorted."""
+class ProductSpec(namedtuple("ProductSpec", "factors")):
+    """Multiset of (matrix element, power) factors, canonically merged and sorted into the tuple `factors`."""
 
-    factors: Tuple[Tuple[MatrixElementIndex, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, factors):
         merged: dict = {}
-        for idx, power in self.factors:
+        for idx, power in factors:
             if not isinstance(idx, MatrixElementIndex):
                 raise TypeError(f"factor index must be MatrixElementIndex, got {idx!r}")
             if power < 0:
                 raise ValueError(f"factor power must be nonnegative, got {power}")
             if power:
                 merged[idx] = merged.get(idx, 0) + power
-        object.__setattr__(self, "factors", tuple(sorted(merged.items())))
+        return super().__new__(cls, tuple(sorted(merged.items())))
 
     def with_extra(self, extra: Optional[MatrixElementIndex]) -> "ProductSpec":
         if extra is None:

@@ -104,7 +104,7 @@ prints it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -129,19 +129,21 @@ def _is_exact(value) -> bool:
     return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True)
-class FiniteFunction:
-    """f = sum_i A_i t[l_i, m_i, n_i], each A_i a nonzero (re, im) pair of ints or Fractions, kept as given."""
+class FiniteFunction(namedtuple("FiniteFunction", "terms")):
+    """f = sum_i A_i t[l_i, m_i, n_i], each A_i a nonzero (re, im) pair of ints or Fractions, kept as given.
 
-    terms: Tuple[Tuple[MatrixElementIndex, GaussianRational], ...]
+    The one field `terms` is the tuple of (index, A_i) pairs; `len(f)` counts the terms.
+    """
 
-    def __post_init__(self):
-        if not isinstance(self.terms, tuple):
-            raise TypeError(f"terms must be a tuple, got {type(self.terms).__name__}")
-        if not self.terms:
+    __slots__ = ()
+
+    def __new__(cls, terms):
+        if not isinstance(terms, tuple):
+            raise TypeError(f"terms must be a tuple, got {type(terms).__name__}")
+        if not terms:
             raise ValueError("a finite function needs at least one term")
         seen = set()
-        for idx, coeff in self.terms:
+        for idx, coeff in terms:
             if not isinstance(idx, MatrixElementIndex):
                 raise TypeError(f"term index must be MatrixElementIndex, got {idx!r}")
             if not (isinstance(coeff, tuple) and len(coeff) == 2 and all(map(_is_exact, coeff))):
@@ -151,6 +153,7 @@ class FiniteFunction:
             if idx in seen:
                 raise ValueError(f"duplicate index {idx}")
             seen.add(idx)
+        return super().__new__(cls, terms)
 
     @staticmethod
     def from_terms(terms: Iterable[Tuple]) -> "FiniteFunction":

@@ -37,9 +37,11 @@ def parse_half(value) -> int:
         match = _HALF.fullmatch(value)
         if match is not None:
             num, den = match.groups("1")
-            d = int(den)
+            if len(num.lstrip("+-")) + len(den.lstrip("+-")) > MAX_DIGITS:
+                raise ValueError(f"a half-integer may have at most {MAX_DIGITS} digits")
+            d = _digits_int(den)
             if d in (1, 2):
-                return 2 // d * int(num)
+                return 2 // d * _digits_int(num)
         raise ValueError(f"not a half-integer: {value!r}")
     if isinstance(value, int):
         return 2 * value
@@ -51,8 +53,8 @@ def parse_half(value) -> int:
 
 
 def half_str(twice: int) -> str:
-    """The text "k" or "k/2" of the half-integer twice/2."""
-    return str(twice // 2) if twice % 2 == 0 else f"{twice}/2"
+    """The text "k" or "k/2" of the half-integer twice/2, at any size."""
+    return _rational_str(twice // 2) if twice % 2 == 0 else f"{_rational_str(twice)}/2"
 
 
 def _divide_out(n: int, d: int) -> Tuple[int, int]:

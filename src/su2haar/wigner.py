@@ -50,7 +50,7 @@ route on it and check the record against its u-expansion.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import comb, factorial, gcd, prod
 from typing import Dict, NamedTuple, Tuple
@@ -64,20 +64,17 @@ from .scalars import RadicalScalar, half_str, parse_half, radical_normalize
 MAX_L2 = 1000
 
 
-@dataclass(frozen=True, order=True)
-class MatrixElementIndex:
+class MatrixElementIndex(namedtuple("MatrixElementIndex", "l2 m2 n2")):
     """Label (l, m, n) of one matrix element, held as twice-values (2l, 2m, 2n).
 
-    m and n run over -l, -l+1, ..., l, and l is at most 500 (`MAX_L2`);
-    equality, hashing and ordering all compare the tuple (l2, m2, n2).
+    m and n run over -l, -l+1, ..., l, and l is at most 500 (`MAX_L2`).  A
+    tuple record of the three ints: equality, hashing and ordering all
+    compare the tuple (l2, m2, n2).
     """
 
-    l2: int
-    m2: int
-    n2: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        l2, m2, n2 = self.l2, self.m2, self.n2
+    def __new__(cls, l2, m2, n2):
         if not all(type(x) is int for x in (l2, m2, n2)):
             raise TypeError("index components must be twice-value ints")
         if l2 < 0:
@@ -85,9 +82,12 @@ class MatrixElementIndex:
         if l2 > MAX_L2:
             raise ValueError(f"spin must be at most {half_str(MAX_L2)}, got l={half_str(l2)}")
         if abs(m2) > l2 or abs(n2) > l2:
-            raise ValueError("|m|,|n| must not exceed l: l={l}, m={m}, n={n}".format(**self.to_json()))
-        if (l2 - m2) % 2 or (l2 - n2) % 2:
-            raise ValueError("l-m and l-n must be integers: l={l}, m={m}, n={n}".format(**self.to_json()))
+            rule = "|m|,|n| must not exceed l"
+        elif (l2 - m2) % 2 or (l2 - n2) % 2:
+            rule = "l-m and l-n must be integers"
+        else:
+            return super().__new__(cls, l2, m2, n2)
+        raise ValueError(f"{rule}: l={half_str(l2)}, m={half_str(m2)}, n={half_str(n2)}")
 
     @staticmethod
     def of(l, m, n) -> "MatrixElementIndex":

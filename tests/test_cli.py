@@ -619,11 +619,15 @@ class TestSpinCap:
     def test_every_entry_point_exits_2_at_once(self, tmp_path):
         """A spin past 500 in a term, a product factor, --with-h or --lmax exits 2 without a traceback, before
         any exact record is built: at spin 10^23 `factorial` overflowed (exit 1), and t[100000,0,0] and
-        --with-h 3000,0,0 ran past 10 s."""
+        --with-h 3000,0,0 ran past 10 s.  A spin of 5 000 or 20 000 digits is named as such, not by int()'s
+        digit-limit message."""
         big = str(10 ** 23)
+        spin_5k, spin_20k = "1" + "0" * 4999, "1" + "0" * 19999
+        too_long = f"a half-integer may have at most {MAX_DIGITS} digits"
         term = lambda l: {"l": l, "m": "0", "n": "0", "coeff": {"re": "1"}}
         files = {"big.json": {"terms": [term(big)]}, "wide.json": {"terms": [term("100000")]},
-                 "one.json": {"terms": [term("1")]},
+                 "one.json": {"terms": [term("1")]}, "long.json": {"terms": [term(spin_5k)]},
+                 "longer.json": {"terms": [term(spin_20k)]},
                  "product.json": {"factors": [{"l": "1", "m": "0", "n": "0"}, {"l": big, "m": "0", "n": "0"}]}}
         for name, obj in files.items():
             (tmp_path / name).write_text(json.dumps(obj))
@@ -639,6 +643,14 @@ class TestSpinCap:
                 "--lmax: l_max2 (twice the largest spin) must be <= 1000",
             ("fuzz", "--seed", "1", "--trials", "3", "--lmax", "1000"):
                 "--lmax: l_max2 (twice the largest spin) must be <= 1000",
+            ("hull", "long.json"): "long.json: terms[0]: spin must be at most 500, got l=" + spin_5k,
+            ("hull", "longer.json"): "longer.json: terms[0]: " + too_long,
+            ("power-scan", "one.json", "--pmax", "1", "--with-h", spin_5k + ",0,0"):
+                "--with-h: spin must be at most 500, got l=" + spin_5k,
+            ("power-scan", "one.json", "--pmax", "1", "--with-h", spin_20k + ",0,0"): "--with-h: " + too_long,
+            ("fuzz", "--seed", "1", "--trials", "1", "--lmax", spin_5k):
+                "--lmax: l_max2 (twice the largest spin) must be <= 1000",
+            ("fuzz", "--seed", "1", "--trials", "1", "--lmax", spin_20k): "--lmax: " + too_long,
         }
         proc = run_capped(f"""
             import contextlib, io, json, os, time
@@ -1134,9 +1146,13 @@ class TestArgv:
             (["threshold", "f.json"], "--h: required by threshold"),
             (["fuzz", "--seed", "1", "--trials", "abc"], "--trials: invalid int value: 'abc'"),
             (["fuzz", "--seed", "1", "--trials", "1", "--rank2-bias=x"], "--rank2-bias: invalid float value: 'x'"),
+            (["fuzz", "--seed", "1", "--trials", "1", "--kmax", "1_0", "--lmax", "1"],
+             "--kmax: invalid int value: '1_0'"),
+            (["fuzz", "--seed", "1", "--trials", "1", "--rank2-bias", "0_5"], "--rank2-bias: invalid float value: '0_5'"),
+            (["integrate", "f.json", "--mc", "1_000"], "--mc: invalid int value: '1_000'"),
         ],
         ids=["empty", "unknown-command", "abbreviation", "single-dash", "no-file", "no-value", "no-required", "not-an-int",
-             "not-a-float"],
+             "not-a-float", "int-underscore", "float-underscore", "mc-underscore"],
     )
     def test_usage_error_is_one_line(self, capsys, argv, line):
         assert run_cli(capsys, *argv) == (2, "", f"error: {line}\n")
@@ -1162,8 +1178,8 @@ class TestArgv:
             (["fuzz", "--seed", "3", "--trials", "5", "--lmax", "5/2", "--kmax", "3", "--pmax", "20",
               "--rank2-bias", "0.5", "--out", "r.jsonl", "--trials=6"],
              dict(seed=3, trials=6, lmax="5/2", kmax=3, pmax=20, rank2_bias=0.5, out="r.jsonl")),
-            (["fuzz", "--seed", " 4 ", "--trials", "+2", "--rank2-bias", "1e-1", "--kmax", "1_0"],
-             dict(seed=4, trials=2, lmax="2", kmax=10, pmax=12, rank2_bias=0.1, out=None)),
+            (["fuzz", "--seed", " 4 ", "--trials", "+2", "--rank2-bias", "1e-1"],
+             dict(seed=4, trials=2, lmax="2", kmax=4, pmax=12, rank2_bias=0.1, out=None)),
             (["power-scan", "--pmax", "2", "--", "-f.json"], dict(file="-f.json", pmax=2, with_h=None, mc=0, seed=0)),
         ],
         ids=["integrate-defaults", "power-scan-defaults", "hull", "threshold", "fuzz-defaults", "verify",
@@ -1390,15 +1406,16 @@ class TestBackendContract:
 
 class TestColdStart:
     def test_numpy_loads_on_the_first_numeric_call(self, tmp_path):
-        """Commands without --mc run without numpy, and every command without argparse, gettext or locale;
-        eval_matrix_element and --mc import numpy and give the pinned values."""
+        """Commands without --mc run without numpy, and every command without argparse, gettext, locale,
+        dataclasses or inspect; eval_matrix_element and --mc import numpy and give the pinned values."""
         for name, obj in GOLDEN_FILES.items():
             (tmp_path / name).write_text(json.dumps(obj))
         src = str(pathlib.Path(su2haar.__file__).resolve().parents[1])
         path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         script = textwrap.dedent("""
             import contextlib, io, sys
-            unloaded = lambda: [name for name in ('numpy', 'argparse', 'gettext', 'locale') if name in sys.modules]
+            unloaded = lambda: [name for name in ('numpy', 'argparse', 'gettext', 'locale', 'dataclasses', 'inspect')
+                                if name in sys.modules]
             import su2haar
             assert unloaded() == [], 'import su2haar'
             import su2haar.cli

@@ -11,6 +11,8 @@ from su2haar.harness import (
     FuzzConfig,
     FuzzSummary,
     InstanceReport,
+    SuiteItem,
+    SuiteReport,
     _origin_combination_by_solve,
     _random_rank2_indices,
     check_proven_direction,
@@ -20,7 +22,8 @@ from su2haar.harness import (
     run_verification_suite,
     trial_rng,
 )
-from su2haar.hull import SupportHull, hull_certificate, origin_in_hull, rank_classification
+from su2haar.hull import HullCertificate, SupportHull, hull_certificate, origin_in_hull, rank_classification
+from su2haar.integrals import ProductSpec
 from su2haar.numeric import EulerAngles, eval_matrix_element
 from su2haar.powers import power_scan
 from su2haar.scalars import RadicalScalar
@@ -123,6 +126,38 @@ class TestVerdictRule:
             "counts_by_case": {"single": 1, "three-term-rank-3": 2},
             "violations": [2],
         }
+
+
+class TestRecords:
+    """Every value record is immutable and compares and hashes as the tuple of its fields."""
+
+    ZERO = RadicalScalar.zero()
+
+    @pytest.mark.parametrize(
+        "make, fields",
+        [
+            (lambda: MatrixElementIndex(2, 0, -2), ("l2", "m2", "n2")),
+            (lambda: ff(((1, 0, 0), 1), ((H, H, -H), (0, 1))), ("terms",)),
+            (lambda: ProductSpec(((idx(1, 0, 0), 2), (idx(H, H, H), 1))), ("factors",)),
+            (lambda: SupportHull(((2, 0), (-2, 0))), ("points",)),
+            (lambda: HullCertificate(weights=(H, H)), ("weights", "separator")),
+            (lambda: InstanceReport(ff(((1, 0, 0), 1)), True, ((1, TestRecords.ZERO),), 3),
+             ("function", "origin_inside", "scan", "trial")),
+            (lambda: FuzzConfig(seed=1, trials=2), ("seed", "trials", "l_max2", "k_max", "p_max", "rank2_bias")),
+            (lambda: FuzzSummary(1, ()), ("seed", "reports")),
+            (lambda: SuiteItem("item", True, "ok"), ("name", "passed", "detail")),
+            (lambda: SuiteReport((SuiteItem("item", True, "ok"),)), ("items",)),
+        ],
+        ids=["MatrixElementIndex", "FiniteFunction", "ProductSpec", "SupportHull", "HullCertificate",
+             "InstanceReport", "FuzzConfig", "FuzzSummary", "SuiteItem", "SuiteReport"],
+    )
+    def test_frozen_equal_and_hashed_by_fields(self, make, fields):
+        a, b = make(), make()
+        assert a is not b and a == b
+        assert hash(a) == hash(b) == hash(tuple(getattr(a, name) for name in fields))
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(a, name, getattr(b, name))
 
 
 class TestFuzz:

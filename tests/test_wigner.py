@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -44,6 +45,13 @@ class TestIndexValidation:
         for l2 in (MAX_L2 + 1, 2 * 10 ** 23):
             with pytest.raises(ValueError, match=f"^spin must be at most 500, got l={half_str(l2)}$"):
                 MatrixElementIndex(l2, l2 % 2, l2 % 2)
+
+
+    def test_indices_sort_as_their_twice_values(self):
+        """ProductSpec's canonical factor order and the goldens rely on this order."""
+        indices = all_indices(2)
+        random.Random(7).shuffle(indices)
+        assert [(i.l2, i.m2, i.n2) for i in sorted(indices)] == sorted((i.l2, i.m2, i.n2) for i in indices)
 
 
 class TestDefiningRepresentation:
