@@ -61,7 +61,7 @@ DEFAULT_COEFF_POOL: Tuple[GaussianRational, ...] = (
 
 def classify_instance(f: FiniteFunction) -> str:
     """Case tag: single | two-term | three-term-rank-r | general-k."""
-    k = len(f)
+    k = len(f.terms)
     if k == 1:
         return "single"
     if k == 2:

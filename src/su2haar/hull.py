@@ -5,20 +5,21 @@ and out: ``SupportHull.points``, the ``vanishing_threshold`` witness and the
 arguments of ``two_term_criterion`` and ``rank_classification``.  A support
 keeps a point repeated at another spin; only ``convex_hull_ccw`` drops it.  No floating
 point: the certificates divide integers through ``Fraction(num, den)`` and
-are stated in the half-integer units of (m, n); the vanishing threshold
-needs only integer floor and ceiling division.
+are stated in the half-integer units of (m, n); ``_reach`` needs only
+integer floor and ceiling division.
 One route serves them all: the monotone chain ``convex_hull_ccw`` gives the
-hull, ``_halfplanes`` its tight half-planes, and membership, both
-certificates, the vanishing threshold and the pruning in ``power_scan`` are
-read off those.  The convex hull of finitely many points is closed, so
-boundary points count as contained.
+hull, ``_halfplanes`` its tight half-planes, and membership and both
+certificates are read off those.  ``_reach`` gives the integers j with a
+point in j times the hull; the vanishing threshold and the pruning in
+``power_scan`` both read it.  The convex hull of finitely many points is
+closed, so boundary points count as contained.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 Point = Tuple[int, int]
 HalfPlane = Tuple[int, int, int]    # {(x, y) : u*x + v*y <= c}
@@ -166,24 +167,39 @@ def rank_classification(p1: Point, p2: Point, p3: Point) -> int:
     return 1 if p1 == p2 == p3 else 2
 
 
+def _reach(cons: List[HalfPlane], point: Point) -> Optional[Tuple[int, Optional[int]]]:
+    """The integers j >= 0 with `point` in j*H, H the intersection of `cons`, as (lo, hi); None if none.
+
+    `point` lies in j*H iff a <= c*j with a = u*x + v*y for every half-plane
+    (u, v, c): a c > 0 raises lo to ceil(a/c), a c < 0 lowers hi to
+    floor(a/c), and a c = 0 with a > 0 excludes every j.  hi is None when
+    no c < 0 bounds it, that is when the origin is in H.
+    """
+    x, y = point
+    lo, hi = 0, None
+    for u, v, c in cons:
+        a = u * x + v * y
+        if c > 0:
+            lo = max(lo, -(-a // c))
+        elif c < 0:
+            hi = a // c if hi is None else min(hi, a // c)
+        elif a > 0:
+            return None
+    return None if hi is not None and hi < lo else (lo, hi)
+
+
 def vanishing_threshold(h: SupportHull, witness: Point) -> int:
     """Least P0 >= 1 with (-a/P, -b/P) outside the hull for every integer P >= P0.
 
     `witness` is the twice-int point (2a, 2b) of the extra element t[l, a, b].
 
     Requires the origin outside the hull.  In twice-coordinates the point
-    is -witness/P, and it lies in the half-plane u*x + v*y <= c iff k <= c*P
-    with k = -(u*2a + v*2b): a c > 0 bounds P below by ceil(k/c), a c < 0
-    bounds it above by floor(k/c), and a c = 0 with k > 0 excludes every P.
-    The P that hit the hull are the integers of [lo, hi]; P0 is hi + 1, or 1
-    when that interval is empty.
+    is -witness/P, so the P that hit the hull are those with -witness in
+    P times the hull: the interval [lo, hi] of ``_reach``, bounded since
+    some c < 0.  P0 is hi + 1, or 1 when no P hits it.
     """
     cons = _halfplanes(convex_hull_ccw(h.points))
     if all(c >= 0 for _, _, c in cons):
         raise OriginInHullError("origin inside hull: no finite threshold guaranteed")
-    ks = [(-(u * witness[0] + v * witness[1]), c) for u, v, c in cons]
-    if any(c == 0 < k for k, c in ks):
-        return 1
-    lo = max([1] + [-(-k // c) for k, c in ks if c > 0])
-    hi = min(k // c for k, c in ks if c < 0)        # some c < 0: the origin is outside
-    return hi + 1 if hi >= lo else 1
+    reach = _reach(cons, (-witness[0], -witness[1]))
+    return 1 if reach is None else reach[1] + 1

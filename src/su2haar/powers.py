@@ -72,18 +72,16 @@ exactly.  A quotient has the same coefficients as the polynomial it
 divides, only moved down a slots, so the norms, the bound and w are those
 of the unstripped polynomials.
 
-Pruning.  A state at step p can still reach the target (M, N) = 0 within at
-most rem = pmax - p further steps only if -(M, N) lies in
-rem * conv(support + {0}).  A position's step count, the least such rem,
-is one ceiling division per half-plane of that hull (none when a half-plane
-with c = 0 excludes it), computed once per position per scan; a state is
-dropped when its position's step count exceeds rem.  The hull and the
-step counts come first: if no first-step position (the start plus a
-support point) can be kept at step 1, which is always so with neither a
-witness nor the origin inside the hull of the support, every value is 0,
-and the scan returns them before it reads any element record or packs
-anything.  Otherwise it stops at the first step with no state left: the
-remaining values are 0.
+Pruning.  A state at (M, N) reaches the target (M, N) = 0 in j more steps
+only if -(M, N) lies in j * conv(support).  `hull._reach` gives the least
+such j, the position's step count, or none; it is computed once per
+position per scan, and a state at step p is dropped when its position has
+no step count or one above pmax - p.  The hull and the step counts come
+first: if no first-step position (the start plus a support point) can be
+kept at step 1, which is always so with neither a witness nor the origin
+inside the hull of the support, every value is 0, and the scan returns
+them before it reads any element record or packs anything.  Otherwise it
+stops at the first step with no state left: the remaining values are 0.
 
 Read-out.  integral(f^P [h]) is the zero-frequency state after step P.
 The scan looks up the id of (0, 0, r) for each radicand r its class rows
@@ -111,7 +109,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import _kernel
 from ._kernel import pack, unpack
-from .hull import _halfplanes, convex_hull_ccw, two_term_criterion
+from .hull import _halfplanes, _reach, convex_hull_ccw, two_term_criterion
 from .integrals import u_integral
 from .scalars import RadicalScalar, _rational_str, read_rational
 from .wigner import MatrixElementIndex, theta_restriction
@@ -132,7 +130,7 @@ def _is_exact(value) -> bool:
 class FiniteFunction(namedtuple("FiniteFunction", "terms")):
     """f = sum_i A_i t[l_i, m_i, n_i], each A_i a nonzero (re, im) pair of ints or Fractions, kept as given.
 
-    The one field `terms` is the tuple of (index, A_i) pairs; `len(f)` counts the terms.
+    The one field `terms` is the tuple of (index, A_i) pairs; `len(f.terms)` counts the terms.
     """
 
     __slots__ = ()
@@ -163,9 +161,6 @@ class FiniteFunction(namedtuple("FiniteFunction", "terms")):
              (coeff, 0) if isinstance(coeff, (int, Fraction)) else coeff)
             for idx, coeff in terms
         ))
-
-    def __len__(self) -> int:
-        return len(self.terms)
 
     def support_points(self) -> Tuple[Tuple[int, int], ...]:
         """The twice-int points (2m_i, 2n_i), one per term."""
@@ -250,23 +245,6 @@ def _norm(poly: List[Tuple[int, int]]) -> int:
     return sum(abs(re) + abs(im) for re, im in poly)
 
 
-def _steps(pos: Tuple[int, int], hull) -> Optional[int]:
-    """The least rem >= 0 with -pos in rem * C, C = {x : u*x1 + v*x2 <= c for (u, v, c) in hull}; None if none.
-
-    C holds the origin, so every c >= 0: a half-plane with u*x + v*y < 0 needs rem >= ceil(-(u*x + v*y) / c),
-    and bars every rem when c = 0.
-    """
-    x, y = pos
-    steps = 0
-    for u, v, c in hull:
-        a = u * x + v * y
-        if a < 0:
-            if not c:
-                return None
-            steps = max(steps, -(a // c))
-    return steps
-
-
 def power_scan(
     f: FiniteFunction, pmax: int, witness: Optional[MatrixElementIndex] = None
 ) -> List[Tuple[int, RadicalScalar]]:
@@ -274,14 +252,14 @@ def power_scan(
     if pmax < 1:
         raise ValueError("pmax must be >= 1")
     support = f.support_points()
-    hull = _halfplanes(convex_hull_ccw(list(support) + [(0, 0)]))
+    hull = _halfplanes(convex_hull_ccw(support))
     last: dict = {}              # position -> the last step whose states there can still reach (0, 0)
 
     def end_of(pos):
         end = last.get(pos)
         if end is None:
-            steps = _steps(pos, hull)
-            end = last[pos] = 0 if steps is None else pmax - steps
+            reach = _reach(hull, (-pos[0], -pos[1]))
+            end = last[pos] = 0 if reach is None else pmax - reach[0]
         return end
 
     # the start sits at (0, 0), or at the witness's (2a, 2b); if no first step can be kept, every value is 0

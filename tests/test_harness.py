@@ -205,7 +205,7 @@ class TestFuzz:
         cfg = FuzzConfig(seed=11, trials=1, l_max2=3, k_max=3, p_max=2)
         for trial in range(60):
             f = generate_instance(trial_rng(cfg.seed, trial), cfg)
-            assert 1 <= len(f) <= 3
+            assert 1 <= len(f.terms) <= 3
             for index, coeff in f.terms:
                 assert index.l2 <= 3
                 assert coeff in DEFAULT_COEFF_POOL
@@ -241,7 +241,7 @@ class TestFuzz:
         cfg = FuzzConfig(seed=3, trials=4, l_max2=l_max2, k_max=count, p_max=1)
         reports, summary = fuzz(cfg)
         assert summary.trials_run == 4
-        assert all(len(r.function) <= count for r in reports)
+        assert all(len(r.function.terms) <= count for r in reports)
         with pytest.raises(ValueError, match=f"k_max must be <= {count}"):
             FuzzConfig(seed=3, trials=4, l_max2=l_max2, k_max=count + 1)
 

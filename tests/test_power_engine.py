@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -27,8 +27,8 @@ from conftest import (
 from oracles import weyl_power_integrals
 from su2haar import powers
 from su2haar.cli import main
-from su2haar.hull import _halfplanes, convex_hull_ccw
-from su2haar.powers import FiniteFunction, _steps, power_scan
+from su2haar.hull import _halfplanes, _reach, convex_hull_ccw
+from su2haar.powers import FiniteFunction, power_scan
 from su2haar.scalars import RadicalScalar
 from su2haar.wigner import MatrixElementIndex, theta_restriction
 
@@ -81,7 +81,7 @@ class TestAgainstOracles:
             for p, value in got:
                 assert value == composition_power_integral(f, p), (f.to_json(), p)
                 nonzero += not value.is_zero()
-            if len(f) <= 3:
+            if len(f.terms) <= 3:
                 for p, value in got[:3]:
                     assert value == brute_force_power_integral(f, p), (f.to_json(), p)
         assert spins == {0, 1}
@@ -169,6 +169,20 @@ def test_scan_matches_the_composition_oracle(f, witness, pmax):
     assert power_scan(f, pmax, witness) == composition_power_scan(f, pmax, witness)
 
 
+@settings(max_examples=100, deadline=None)
+@given(pool_functions(RIGHT_OF_ORIGIN), st.sampled_from(SPIN_3_2), st.integers(1, 8))
+def test_origin_outside_rows_lie_in_the_reach(f, witness, pmax):
+    """With the origin outside, pruning reads both ends of the reach; the scan still equals the oracle.
+
+    A row can be nonzero only if -(2a, 2b) lies in P times the hull of the support.
+    """
+    scan = power_scan(f, pmax, witness)
+    assert scan == composition_power_scan(f, pmax, witness)
+    reach = _reach(_halfplanes(convex_hull_ccw(f.support_points())), (-witness.m2, -witness.n2))
+    for p, value in scan:
+        assert value.is_zero() or (reach is not None and reach[0] <= p <= reach[1])
+
+
 @pytest.mark.parametrize("terms, witness, pmax", [
     ((((1, 1, 0), 1),), None, 5),                                          # one point off the origin
     ((((H, H, H), 1), ((1, 1, 0), (0, 2)), ((2, 2, -1), (1, 1))), None, 8),  # all on 2m > 0
@@ -198,13 +212,13 @@ def test_each_step_count_is_computed_once(monkeypatch, terms, witness, pmax):
     """A scan computes a position's step count at most once, however many states and elements reach it."""
     counted = []
 
-    def counting(pos, hull):
-        counted.append(pos)
-        return _steps(pos, hull)
+    def counting(hull, point):
+        counted.append(point)
+        return _reach(hull, point)
 
     f = ff(*terms)
     h = None if witness is None else idx(*witness)
-    monkeypatch.setattr(powers, "_steps", counting)
+    monkeypatch.setattr(powers, "_reach", counting)
     values = power_scan(f, pmax, h)
     monkeypatch.undo()
     assert counted and len(counted) == len(set(counted))
@@ -219,16 +233,17 @@ def test_plain_scan_is_the_scan_with_witness_t000(f, pmax):
 
 
 def reachable(pos, rem, hull) -> bool:
-    """The half-plane pruning rule that `_steps` replaced: -pos lies in rem * C, C the hull of the support and 0."""
+    """The half-plane rule itself: -pos lies in rem * C, C the intersection of the half-planes `hull`."""
     x, y = pos
     return all(u * x + v * y + rem * c >= 0 for u, v, c in hull)
 
 
 @st.composite
 def supports(draw):
-    """1 to 5 points with |2m|, |2n| <= 8, half of the draws on one line through the origin, then the origin.
+    """1 to 5 points with |2m|, |2n| <= 8, half of the draws on one line through the origin, and half with the origin added.
 
-    One-point and collinear supports give a point or segment hull, whose half-planes through the origin have c = 0.
+    One-point and collinear supports give a point or segment hull, whose half-planes through the origin have c = 0;
+    without the origin added, the hull may leave it outside.
     """
     if draw(st.booleans()):
         points = draw(st.lists(st.tuples(st.integers(-8, 8), st.integers(-8, 8)), min_size=1, max_size=5))
@@ -236,16 +251,33 @@ def supports(draw):
         dm, dn = draw(st.tuples(st.integers(-4, 4), st.integers(-4, 4)))
         k = 8 // max(abs(dm), abs(dn), 1)
         points = [(j * dm, j * dn) for j in draw(st.lists(st.integers(-k, k), min_size=1, max_size=5))]
-    return points + [(0, 0)]
+    return points + [(0, 0)] if draw(st.booleans()) else points
 
 
 @settings(max_examples=500, deadline=None)
-@given(supports(), st.tuples(st.integers(-40, 40), st.integers(-40, 40)), st.integers(0, 20))
-def test_step_count_prunes_as_the_half_planes_do(support, pos, rem):
-    """A state at pos is kept with rem steps left iff its step count is <= rem."""
+@given(supports(), st.tuples(st.integers(-40, 40), st.integers(-40, 40)))
+@example([(0, 0)], (0, 0)).via("point hull at the origin")
+@example([(0, 0)], (1, -3)).via("point hull at the origin, c = 0 excludes")
+@example([(2, 1)], (-6, -3)).via("point hull off the origin, one j")
+@example([(2, 1)], (-6, -4)).via("point hull off the origin, no j")
+@example([(2, 2), (6, 6)], (-8, -8)).via("segment towards the origin, j in [2, 4]")
+@example([(2, 2), (6, 6)], (-8, -6)).via("segment towards the origin, c = 0 excludes")
+@example([(-2, 0), (4, 0)], (4, 0)).via("segment through the origin, unbounded above")
+def test_reach_matches_a_scan_over_j(support, pos):
+    """`_reach(hull, -pos)` is the set of j >= 0 with -pos in j * hull: a scan of j over [0, 60] and both ends."""
     hull = _halfplanes(convex_hull_ccw(support))
-    steps = _steps(pos, hull)
-    assert (steps is not None and steps <= rem) == reachable(pos, rem, hull)
+    reach = _reach(hull, (-pos[0], -pos[1]))
+    scanned = [j for j in range(61) if reachable(pos, j, hull)]
+    if reach is None:
+        assert scanned == []
+        return
+    lo, hi = reach
+    assert scanned == [j for j in range(61) if lo <= j and (hi is None or j <= hi)]
+    assert reachable(pos, lo, hull) and (lo == 0 or not reachable(pos, lo - 1, hull))
+    if hi is None:
+        assert all(c >= 0 for _, _, c in hull) and reachable(pos, lo + 10 ** 6, hull)
+    else:
+        assert reachable(pos, hi, hull) and not reachable(pos, hi + 1, hull)
 
 
 def class_function(chars) -> FiniteFunction:

@@ -72,6 +72,14 @@ class TestFiniteFunction:
         with pytest.raises(TypeError, match="terms must be a tuple, got list"):
             FiniteFunction(list(terms))
 
+    def test_replace_and_make_round_trip(self):
+        """The namedtuple helpers see one field, however many terms the function has."""
+        f = ff(((1, 0, 0), 3), ((1, 1, 0), (0, 1)), ((H, H, -H), Fraction(-1, 2)))
+        assert len(f) == 1 and len(f.terms) == 3
+        assert f._replace() == f and FiniteFunction._make(f) == f
+        g = f._replace(terms=f.terms[:2])
+        assert type(g) is FiniteFunction and g.terms == f.terms[:2]
+
     def test_json_round_trip(self):
         f = ff(((H, H, -H), (Fraction(1, 2), -1)), ((1, 0, 0), (2, 0)))
         assert FiniteFunction.from_json(f.to_json()) == f
