@@ -171,15 +171,15 @@ def _reach(cons: List[HalfPlane], point: Point) -> Optional[Tuple[int, Optional[
     """The integers j >= 0 with `point` in j*H, H the intersection of `cons`, as (lo, hi); None if none.
 
     `point` lies in j*H iff a <= c*j with a = u*x + v*y for every half-plane
-    (u, v, c): a c > 0 raises lo to ceil(a/c), a c < 0 lowers hi to
-    floor(a/c), and a c = 0 with a > 0 excludes every j.  hi is None when
-    no c < 0 bounds it, that is when the origin is in H.
+    (u, v, c): a c > 0 with a > 0 raises lo to ceil(a/c), a c < 0 lowers
+    hi to floor(a/c), and a c = 0 with a > 0 excludes every j.  hi is None
+    when no c < 0 bounds it, that is when the origin is in H.
     """
     x, y = point
     lo, hi = 0, None
     for u, v, c in cons:
         a = u * x + v * y
-        if c > 0:
+        if c > 0 and a > 0:
             lo = max(lo, -(-a // c))
         elif c < 0:
             hi = a // c if hi is None else min(hi, a // c)

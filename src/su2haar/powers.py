@@ -23,11 +23,11 @@ from the same form, and `power_scan` applies no phase.
 
 States.  After step P a state is the part of f^P times the start with
 total frequency (M, N) and radicand r, keyed by (2M, 2N, r).  The start is
-h, or the constant 1 = t[0,0,0] without a witness; a state's parities are
-read off (2M, 2N), and so is its phase i^(N - M), which no state carries:
-only the state at (0, 0), of phase 1, is read out.  Every coefficient is
-scaled by one common integer E per factor of f, so the state's polynomial
-has Gaussian-integer coefficients.  Each frequency component of a product
+the element h, by default t[0,0,0] = 1, read like every other element; a
+state's parities are read off (2M, 2N), and so is its phase i^(N - M),
+which no state carries: only the states at (0, 0), of phase 1, are read
+out.  Every coefficient is scaled by one common integer E per factor of f,
+so the state's polynomial has Gaussian-integer coefficients.  Each frequency component of a product
 carries s^|M - N| c^|M + N| (the triangle inequality on the Jacobi form of
 d, Edmonds (4.1.23)), so with x = 2M - 2N the polynomial at (2M, 2N) is
 divisible by u^a(x), a(x) = |x| // 4, the u-part of s^|M - N|.  Every
@@ -46,17 +46,20 @@ through its class, its c parity bit and its radicand, so each class gets
 one row of (dm, dn, e, new radicand, folded element) on first use; a folded
 element is kept with its Karatsuba sums, (re, im, re + im, im - re).  All
 states at one key share their a, so they add without alignment, and the
-read-out state at (0, 0) has a = 0.
+read-out states at (0, 0) have a = 0.
 
 The move table.  Everything else a step does for a (state, element) pair
 depends only on the state's key, so each key gets a small int id when it is
 first seen, and each id, the first time a state sits there, its list of
 moves: (last step of the target position, target id, shift in bits, folded
 element), one per element of its class row, sharing the row's element
-tuple.  A move whose last step is below 1 is dropped, and the list runs
+tuple.  The last step is read from the per-position memo of the pruning
+below.  A move whose last step is below 1 is dropped, and the list runs
 latest first, so a step stops at the first move that has expired.  The step
-loop only multiplies, shifts and adds, into a dict keyed by id.  Once every
-move of an id has expired, its list is dropped.
+loop only multiplies, shifts and adds, into a dict keyed by id, and that
+dict is the next step's table of states: a state that cancels to zero stays
+in it, multiplies into zeros and reads out as 0.  Once every move of an id
+has expired, its list is dropped.
 
 Slot bound.  Writing ||.|| for the sum of |re| + |im| over all coefficients,
 one step multiplies the summed norm of all states by at most
@@ -75,17 +78,18 @@ of the unstripped polynomials.
 Pruning.  A state at (M, N) reaches the target (M, N) = 0 in j more steps
 only if -(M, N) lies in j * conv(support).  `hull._reach` gives the least
 such j, the position's step count, or none; it is computed once per
-position per scan, and a state at step p is dropped when its position has
-no step count or one above pmax - p.  The hull and the step counts come
-first: if no first-step position (the start plus a support point) can be
-kept at step 1, which is always so with neither a witness nor the origin
-inside the hull of the support, every value is 0, and the scan returns
-them before it reads any element record or packs anything.  Otherwise it
-stops at the first step with no state left: the remaining values are 0.
+position per scan and memoised as the position's last step, and a state at
+step p is dropped when its position has no step count or one above
+pmax - p.  The hull and the step counts come first: if no first-step
+position (the start plus a support point) can be kept at step 1, which is
+always so with neither a witness nor the origin inside the hull of the
+support, every value is 0, and the scan returns them before it reads any
+element record or packs anything.  Otherwise it stops at the first step
+that reaches no position: the remaining values are 0.
 
-Read-out.  integral(f^P [h]) is the zero-frequency state after step P.
-The scan looks up the id of (0, 0, r) for each radicand r its class rows
-give, and reads each such state as sum_j c_j / (j + 1) / (E_h E^P) by
+Read-out.  integral(f^P [h]) is the zero-frequency part after step P.
+The scan reads the states of the table whose key is (0, 0, r), one term per
+radicand r, each as sum_j c_j / (j + 1) / (E_h E^P) by
 `integrals.u_integral`, whose weights lcm(1..n) / (j + 1) are cached per
 length n.
 
@@ -262,13 +266,12 @@ def power_scan(
             end = last[pos] = 0 if reach is None else pmax - reach[0]
         return end
 
-    # the start sits at (0, 0), or at the witness's (2a, 2b); if no first step can be kept, every value is 0
-    m0, n0 = (0, 0) if witness is None else (witness.m2, witness.n2)
-    if all(end_of((m0 + dm, n0 + dn)) < 1 for dm, dn in support):
+    # the start is h, or the constant 1 = t[0,0,0] without a witness; if no first step can be kept, every value is 0
+    h = MatrixElementIndex(0, 0, 0) if witness is None else witness
+    if all(end_of((h.m2 + dm, h.n2 + dn)) < 1 for dm, dn in support):
         return [(p, RadicalScalar.zero()) for p in range(1, pmax + 1)]
     scale_f, elements = _scaled_u_polys(f.terms)
-    # the start is h, or the constant 1 = t[0,0,0] without a witness
-    scale_h, start = (1, {(0, 0, 1): [(1, 0)]}) if witness is None else _scaled_u_polys(((witness, (1, 0)),))
+    scale_h, start = _scaled_u_polys(((h, (1, 0)),))
     # the c^2 = 1 - u fold, of norm 2, can only meet an element whose c parity bit, bit 1 of 2m + 2n, is set
     growth = sum((2 if (m2 + n2) & 2 else 1) * r * _norm(poly) for (m2, n2, r), poly in elements.items())
     width = (sum(_norm(poly) for poly in start.values()) * growth ** pmax).bit_length() + 1
@@ -279,7 +282,6 @@ def power_scan(
     packed = [(key, *pack_parts(poly)) for key, poly in elements.items()]
     one_minus_u = 1 - (1 << width)
     rows: dict = {}              # (state c bit, r) -> (dm, dn, dm - dn, new radicand, folded element) per element
-    radicands = set()            # every radicand a row gives, so every radicand a state can have
 
     def class_row(c, r):
         # the c parity of a position (2m, 2n) is bit 1 of 2m + 2n; a folded element is (re, im, re + im, im - re)
@@ -289,18 +291,15 @@ def power_scan(
             factor = g * (one_minus_u if c & (dm + dn) else 1)
             re, im = re * factor, im * factor
             row.append((dm, dn, dm - dn, (r // g) * (e_r // g), (re, im, re + im, im - re)))
-        radicands.update(new_r for _, _, _, new_r, _ in row)
         return row
 
     index: dict = {}             # state key (2M, 2N, r) -> its id
     keys: list = []              # id -> state key
-    ends: list = []              # id -> the last step of its position
     moves: list = []             # id -> its moves (last step, target id, shift, folded element); None before first use
 
     def new_id(key):
         sid = index[key] = len(keys)
         keys.append(key)
-        ends.append(end_of(key[:2]))
         moves.append(None)
         return sid
 
@@ -317,7 +316,7 @@ def power_scan(
             tid = index.get(key)
             if tid is None:
                 tid = new_id(key)
-            end = ends[tid]
+            end = end_of(key[:2])
             if end < 1:
                 continue
             # u^a(x) u^a(e), times s^2 = u when both s bits are set, is u^a(x + e) u^k,
@@ -356,14 +355,14 @@ def power_scan(
                 nxt[tid] = (re, im) if acc is None else (acc[0] + re, acc[1] + im)
         for sid in expiry.pop(p, ()):
             moves[sid] = ()      # no move of sid can run after step p
-        states = {sid: v for sid, v in nxt.items() if v[0] or v[1]}
+        states = nxt             # a state that cancels to zero stays, and reads out as 0
         if not states:
             values.extend((q, RadicalScalar.zero()) for q in range(p, pmax + 1))
             break
         terms = {}
-        for r in radicands:
-            state = states.get(index.get((0, 0, r)))
-            if state is not None:
+        for sid, state in states.items():
+            m2, n2, r = keys[sid]
+            if not (m2 or n2):
                 re, im = (u_integral(unpack(part, width), denom) for part in state)
                 if re or im:
                     terms[r] = (re, im)

@@ -161,9 +161,19 @@ def pool_functions(draw, indices=SPIN_3_2):
 # supports with 2m > 0, so the origin lies outside their hull
 RIGHT_OF_ORIGIN = [i for i in SPIN_3_2 if i.m2 > 0]
 
+# A function whose scans cancel states to exactly zero, which power_scan keeps as zero
+# states.  The plain scan cancels the state at (2M, 2N, r) = (-1, 1, 3) at steps 3 and
+# 7, and those at (1, -1, 3) and (-3, 3, 3) at step 5; with the witness t[1,1,0] the
+# same steps cancel states with r = 6.  3 of 5 228 random functions (spin <= 3/2, 2 to
+# 5 terms, pmax 6) cancel a state.
+CANCELLING = ff(((1, -1, 0), -1), ((Fraction(3, 2), -H, Fraction(-3, 2)), H),
+                ((Fraction(3, 2), Fraction(3, 2), H), (0, 1)), ((1, 0, 1), (1, -1)))
+
 
 @settings(max_examples=120, deadline=None)
 @given(pool_functions() | pool_functions(RIGHT_OF_ORIGIN), st.none() | st.sampled_from(SPIN_3_2), st.integers(1, 6))
+@example(CANCELLING, None, 8)
+@example(CANCELLING, idx(1, 1, 0), 8)
 def test_scan_matches_the_composition_oracle(f, witness, pmax):
     """Dead first steps included: the scan returns its zeros early exactly when the oracle finds only zeros."""
     assert power_scan(f, pmax, witness) == composition_power_scan(f, pmax, witness)
